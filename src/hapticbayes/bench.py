@@ -8,7 +8,7 @@ their seed as ``seed + cell_index``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import AttentionState
 from .grid import WorkspaceGrid
-from .materials import MaterialLibrary, NoiseSpec, synthesize_sample
+from .materials import HapticSample, MaterialLibrary, NoiseSpec, synthesize_sample
 from .perception import MaterialPosterior, map_category, update_posterior
 from .simulator import Scenario, TrialConfig, TrialRecord, run_trial
 
@@ -147,6 +147,11 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 # experiments
 
+#: Trials per material drawn and classified together; bounds the memory
+#: of a classification run whatever its trial count.
+BLOCK_TRIALS = 8192
+
+
 def run_classification_experiment(lib: MaterialLibrary,
                                   trials_per_material: int = 400,
                                   k_samples: int = 5,
@@ -157,22 +162,29 @@ def run_classification_experiment(lib: MaterialLibrary,
     For each material, ``trials_per_material`` independent trials each draw
     ``k_samples`` noisy samples, integrate them by recursive posterior
     updates from the uniform prior, and record the MAP category.  Material
-    cells use derived seeds ``seed + material_index``.
+    cells use derived seeds ``seed + material_index``; trial t of a
+    material takes the t-th group of ``k_samples`` samples of its stream.
+    Trials run as one batch of posterior rows per block of
+    ``BLOCK_TRIALS`` trials per material.
     """
     if trials_per_material < 1 or k_samples < 1:
         raise ValueError("trials_per_material and k_samples must be >= 1")
     n = len(lib)
-    counts = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        rng = np.random.default_rng(seed + i)
-        for _ in range(trials_per_material):
-            post = MaterialPosterior.uniform(n)
-            for _ in range(k_samples):
-                post = update_posterior(lib, post,
-                                        synthesize_sample(lib, i, noise, rng))
-            counts[i, map_category(post)] += 1
-    return ConfusionMatrix(counts, trials_per_material, k_samples,
-                           tuple(lib.names))
+    rngs = [np.random.default_rng(seed + i) for i in range(n)]
+    counts = np.zeros(n * n, dtype=int)
+    for start in range(0, trials_per_material, BLOCK_TRIALS):
+        t = min(BLOCK_TRIALS, trials_per_material - start)
+        draws = [synthesize_sample(lib, i, noise, rng, (t, k_samples))
+                 for i, rng in enumerate(rngs)]
+        e = np.concatenate([d.e for d in draws])       # (n*t, k), by material
+        c = np.concatenate([d.c for d in draws])
+        post = MaterialPosterior.uniform(n, (n * t,))
+        for j in range(k_samples):
+            post = update_posterior(lib, post, HapticSample(e[:, j], c[:, j]))
+        truth = np.repeat(np.arange(n), t)
+        counts += np.bincount(truth * n + map_category(post), minlength=n * n)
+    return ConfusionMatrix(counts.reshape(n, n), trials_per_material,
+                           k_samples, tuple(lib.names))
 
 
 def run_noise_sweep(lib: MaterialLibrary,
@@ -206,8 +218,7 @@ def run_exploration_benchmark(scenario: Scenario, lib: MaterialLibrary,
         raise ValueError("n_trials must be >= 1")
     trials: list[TrialRecord] = []
     for i in range(n_trials):
-        cfg = TrialConfig(config.max_iterations, config.noise,
-                          config.seed + i, config.factors)
+        cfg = replace(config, seed=config.seed + i)
         trials.append(run_trial(scenario, lib, cfg))
     echo = {
         "n_trials": n_trials,

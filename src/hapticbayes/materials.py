@@ -10,6 +10,7 @@ mean, optionally rescaled.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -26,7 +27,11 @@ class LibraryLoadError(ValueError):
 
 
 class HapticSample(NamedTuple):
-    """One synthetic touch observation: texture and compliance values."""
+    """Synthetic touch observations: texture and compliance values.
+
+    ``e`` and ``c`` are scalars for one touch, or equally shaped arrays
+    holding one touch per element.
+    """
 
     e: float
     c: float
@@ -44,8 +49,11 @@ class NoiseSpec:
     scale_C: float = 1.0
 
     def __post_init__(self):
-        if self.scale_E < 0 or self.scale_C < 0:
-            raise ValueError("noise scales must be non-negative")
+        for name in ("scale_E", "scale_C"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"noise {name} must be finite and "
+                                 f"non-negative, got {value!r}")
 
     @classmethod
     def uniform(cls, scale: float) -> "NoiseSpec":
@@ -61,6 +69,10 @@ class MaterialParams:
     sigma_C: float
 
     def __post_init__(self):
+        for name in ("mu_E", "sigma_E", "mu_C", "sigma_C"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{self.name}: {name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.sigma_E <= 0 or self.sigma_C <= 0:
             raise ValueError(f"{self.name}: sigmas must be positive")
 
@@ -85,6 +97,8 @@ class MaterialLibrary:
         self.sigma_e = np.array([m.sigma_E for m in materials])
         self.mu_c = np.array([m.mu_C for m in materials])
         self.sigma_c = np.array([m.sigma_C for m in materials])
+        self.log_sigma_e = np.log(self.sigma_e)
+        self.log_sigma_c = np.log(self.sigma_c)
 
     def __len__(self) -> int:
         return len(self.materials)
@@ -113,8 +127,9 @@ def load_library(source: Union[str, Path]) -> MaterialLibrary:
 
     The file must have exactly the header columns ``name, mu_E, sigma_E,
     mu_C, sigma_C``; lines starting with ``#`` are comments.  Any unknown
-    or missing column, duplicate name, or non-positive sigma rejects the
-    file with a :class:`LibraryLoadError` naming the offending record.
+    or missing column, duplicate name, non-finite parameter or non-positive
+    sigma rejects the file with a :class:`LibraryLoadError` naming the
+    offending record.
     """
     path = Path(source)
     with open(path, newline="") as fh:
@@ -154,20 +169,27 @@ def load_library(source: Union[str, Path]) -> MaterialLibrary:
 
 
 def synthesize_sample(lib: MaterialLibrary, material_index: int,
-                      noise: NoiseSpec, rng: np.random.Generator) -> HapticSample:
-    """Draw one noisy haptic sample of the given material.
+                      noise: NoiseSpec, rng: np.random.Generator,
+                      shape: tuple = ()) -> HapticSample:
+    """Draw noisy haptic samples of the given material.
 
-    Draws ``e ~ N(mu_E, sigma_E)`` and ``c ~ N(mu_C, sigma_C)``, then adds
-    independent noise ``q_E ~ N(0, scale_E * |mu_E| / 2)`` and
-    ``q_C ~ N(0, scale_C * |mu_C| / 2)``.  The draw order is fixed
-    (e, c, q_E, q_C) so a seeded generator reproduces the stream exactly.
+    Each sample draws ``e ~ N(mu_E, sigma_E)`` and ``c ~ N(mu_C, sigma_C)``,
+    then adds independent noise ``q_E ~ N(0, scale_E * |mu_E| / 2)`` and
+    ``q_C ~ N(0, scale_C * |mu_C| / 2)``.  With the default ``shape=()``
+    the result holds one sample as two scalars; otherwise ``e`` and ``c``
+    are arrays of that shape.  The draws come from one
+    ``rng.standard_normal(shape + (4,))`` call, each sample taking its
+    four values in the fixed order (e, c, q_E, q_C), so a seeded
+    generator reproduces the stream exactly, and consecutive calls give
+    the same samples as one call of their combined leading shape.
     """
     if not 0 <= material_index < len(lib):
         raise ValueError(f"material index {material_index} outside library of "
                          f"{len(lib)}")
     m = lib[material_index]
-    e = rng.normal(m.mu_E, m.sigma_E)
-    c = rng.normal(m.mu_C, m.sigma_C)
-    q_e = rng.normal(0.0, noise.scale_E * abs(m.mu_E) / 2.0)
-    q_c = rng.normal(0.0, noise.scale_C * abs(m.mu_C) / 2.0)
+    z_e, z_c, z_qe, z_qc = np.rollaxis(rng.standard_normal(shape + (4,)), -1)
+    e = m.mu_E + m.sigma_E * z_e
+    c = m.mu_C + m.sigma_C * z_c
+    q_e = 0.0 + noise.scale_E * abs(m.mu_E) / 2.0 * z_qe
+    q_c = 0.0 + noise.scale_C * abs(m.mu_C) / 2.0 * z_qc
     return HapticSample(e + q_e, c + q_c)

@@ -24,11 +24,14 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class MaterialPosterior:
-    """Categorical distribution over material classes for one voxel.
+    """Categorical distributions over material classes.
 
-    ``k_count`` is the number of integrated samples; 0 denotes the uniform
-    prior before any observation.  ``degenerate`` reports that the most
-    recent update had all-zero evidence and kept the prior unchanged.
+    ``probs`` is ``(n,)`` for one voxel or ``(T, n)`` for a batch of T
+    independent posteriors, one per row; every row must be non-negative
+    and sum to 1.  ``k_count`` is the number of integrated samples (shared
+    by all rows); 0 denotes the uniform prior before any observation.
+    ``degenerate`` reports that the most recent update had all-zero
+    evidence in at least one row, which kept its prior unchanged.
     """
 
     probs: np.ndarray
@@ -39,22 +42,26 @@ class MaterialPosterior:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if self.k_count < 0:
             raise ValueError("k_count must be non-negative")
-        if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-9:
-            raise ValueError("probs must be non-negative and sum to 1")
+        if ((self.probs < 0).any()
+                or (abs(self.probs.sum(axis=-1) - 1.0) > 1e-9).any()):
+            raise ValueError("probs must be non-negative and each row must "
+                             "sum to 1")
 
     @classmethod
-    def uniform(cls, n: int) -> "MaterialPosterior":
-        return cls(np.full(n, 1.0 / n), k_count=0)
+    def uniform(cls, n: int, shape: tuple = ()) -> "MaterialPosterior":
+        """Uniform prior over ``n`` materials, one row per element of
+        ``shape`` (``()`` for a single ``(n,)`` posterior)."""
+        return cls(np.full(shape + (n,), 1.0 / n), k_count=0)
 
 
 def log_likelihoods(lib: MaterialLibrary, sample: HapticSample) -> np.ndarray:
     """Log of ``NormalPDF(e; mu_E, sigma_E) * NormalPDF(c; mu_C, sigma_C)``
-    for every material, as a length-n vector."""
-    ze = (sample.e - lib.mu_e) / lib.sigma_e
-    zc = (sample.c - lib.mu_c) / lib.sigma_c
+    for every material: shape ``np.shape(sample.e) + (n,)``."""
+    ze = (np.asarray(sample.e)[..., None] - lib.mu_e) / lib.sigma_e
+    zc = (np.asarray(sample.c)[..., None] - lib.mu_c) / lib.sigma_c
     with np.errstate(over="ignore"):      # huge z just pins the log to -inf
         return (-0.5 * (ze * ze + zc * zc)
-                - np.log(lib.sigma_e) - np.log(lib.sigma_c) - _LOG_2PI)
+                - lib.log_sigma_e - lib.log_sigma_c - _LOG_2PI)
 
 
 def likelihood(lib: MaterialLibrary, material_index: int,
@@ -69,15 +76,28 @@ def likelihood(lib: MaterialLibrary, material_index: int,
 
 
 def _posterior_update(probs: np.ndarray, log_lik: np.ndarray):
-    """Shared update core; returns (new_probs, degenerate_flag)."""
+    """The posterior-update core, row-wise over the last axis.
+
+    Returns ``(new_probs, degenerate)``, where ``degenerate`` is a boolean
+    mask with one entry per row (0-d for a single row).  A row whose
+    log-posterior maximum is not finite keeps its prior row exactly.
+    """
     with np.errstate(divide="ignore"):
         lp = np.log(probs) + log_lik
-    m = lp.max()
-    if not np.isfinite(m):
-        return probs.copy(), True
-    w = np.exp(np.maximum(lp - m, LOG_FLOOR))
-    w[lp - m <= LOG_FLOOR] = 0.0
-    return w / w.sum(), False
+    m = lp.max(axis=-1, keepdims=True)
+    degenerate = ~np.isfinite(m)
+    any_degenerate = degenerate.any()
+    if any_degenerate:
+        # neutral rows, so no invalid arithmetic; their prior goes back below
+        lp = np.where(degenerate, 0.0, lp)
+        m = np.where(degenerate, 0.0, m)
+    d = lp - m
+    w = np.exp(np.maximum(d, LOG_FLOOR))
+    w[d <= LOG_FLOOR] = 0.0
+    new = w / w.sum(axis=-1, keepdims=True)
+    if any_degenerate:
+        new = np.where(degenerate, probs, new)
+    return new, degenerate[..., 0]
 
 
 def update_posterior(lib: MaterialLibrary, prior: MaterialPosterior,
@@ -85,17 +105,23 @@ def update_posterior(lib: MaterialLibrary, prior: MaterialPosterior,
     """One recursive Bayes step: posterior ∝ prior × feature likelihoods.
 
     Feeding the returned posterior back as the next prior integrates
-    repeated explorations of the same voxel.  If every likelihood floors
-    to zero the prior is kept unchanged and the result carries
-    ``degenerate=True``.
+    repeated explorations of the same voxel.  Works row-wise: ``prior``
+    may hold one ``(n,)`` posterior with scalar ``sample.e``/``sample.c``,
+    or a ``(T, n)`` batch with length-T sample arrays, row t updated by
+    sample t.  A row whose likelihoods all floor to zero keeps its prior
+    unchanged, and then the result carries ``degenerate=True``.
     """
     probs, degenerate = _posterior_update(prior.probs, log_likelihoods(lib, sample))
-    return MaterialPosterior(probs, prior.k_count + 1, degenerate=degenerate)
+    return MaterialPosterior(probs, prior.k_count + 1,
+                             degenerate=bool(degenerate.any()))
 
 
-def map_category(post: MaterialPosterior) -> int:
-    """Index of the most probable material; ties break to the lowest index."""
-    return int(np.argmax(post.probs))
+def map_category(post: MaterialPosterior):
+    """Index of the most probable material, per row (an ``int`` for one
+    posterior, an index array for a batch); ties break to the lowest
+    index."""
+    idx = np.argmax(post.probs, axis=-1)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def normalized_entropy(post: MaterialPosterior) -> float:
@@ -136,6 +162,7 @@ class PosteriorGrid:
         """Recursive update of one voxel's posterior in place."""
         new_probs, degenerate = _posterior_update(
             self.probs[linear], log_likelihoods(lib, sample))
+        degenerate = bool(degenerate)
         self.probs[linear] = new_probs
         self.k_counts[linear] += 1
         if degenerate:

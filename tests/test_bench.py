@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 
 from hapticbayes import (
     AttentionState,
+    BetaFactor,
     MaterialLibrary,
     MaterialParams,
+    MaterialPosterior,
     NoiseSpec,
     TrialConfig,
     dump_fields,
@@ -16,7 +19,10 @@ from hapticbayes import (
     run_noise_sweep,
     run_trial,
     saliency_field,
+    synthesize_sample,
+    update_posterior,
 )
+from hapticbayes import bench
 from hapticbayes.bench import load_field_dump, write_output
 from hapticbayes.grid import WorkspaceBounds
 
@@ -58,6 +64,38 @@ def test_classification_validates_arguments(lib):
         run_classification_experiment(lib, 10, 0)
 
 
+def scalar_classification_counts(lib, trials, k, noise, seed):
+    """Reference: one trial at a time, one sample per posterior update."""
+    n = len(lib)
+    counts = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        rng = np.random.default_rng(seed + i)
+        for _ in range(trials):
+            post = MaterialPosterior.uniform(n)
+            for _ in range(k):
+                post = update_posterior(lib, post,
+                                        synthesize_sample(lib, i, noise, rng))
+            counts[i, int(np.argmax(post.probs))] += 1
+    return counts
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_classification_matches_scalar_reference(lib, k, scale):
+    noise = NoiseSpec.uniform(scale)
+    cm = run_classification_experiment(lib, 40, k, noise, seed=3)
+    assert np.array_equal(cm.counts,
+                          scalar_classification_counts(lib, 40, k, noise, 3))
+
+
+def test_classification_blocks_match_one_block(lib, monkeypatch):
+    one = run_classification_experiment(lib, 11, 3, NoiseSpec(), seed=5)
+    monkeypatch.setattr(bench, "BLOCK_TRIALS", 3)
+    blocks = run_classification_experiment(lib, 11, 3, NoiseSpec(), seed=5)
+    assert np.array_equal(blocks.counts, one.counts)
+    assert blocks.counts.sum() == 11 * len(lib)
+
+
 def test_noise_sweep_perfect_library_all_ones(separable_lib):
     sweep = run_noise_sweep(separable_lib, [NoiseSpec(0, 0)], trials=10,
                             k_list=(1, 3), seed=0)
@@ -92,6 +130,18 @@ def test_report_deterministic_and_recomputable(lib, scenarios):
     assert agg["gamma_per_l"]["std"] == pytest.approx(
         np.std([t.gamma_per_l for t in a.trials]), abs=1e-9)
     assert a.aggregates == agg
+
+
+def test_report_trials_keep_every_config_field(lib, scenarios):
+    cfg = TrialConfig(max_iterations=15, noise=NoiseSpec(0.5, 1.5), seed=2,
+                      factors=(BetaFactor(1.0, 2.0), BetaFactor(4.0, 1.5),
+                               BetaFactor(2.0, 1.0)))
+    report = run_exploration_benchmark(scenarios[1], lib, 2, cfg)
+    for i, trial in enumerate(report.trials):
+        alone = run_trial(scenarios[1], lib,
+                          dataclasses.replace(cfg, seed=cfg.seed + i))
+        assert trial == alone
+        assert trial.l <= 15
 
 
 def test_report_serialization_roundtrip(tmp_path, lib, scenarios):

@@ -32,6 +32,16 @@ def test_load_rejects_zero_sigma(tmp_path):
         load_library(path)
 
 
+@pytest.mark.parametrize("record, field", [
+    ("a,nan,0.1,1.0,0.1", "mu_E"),
+    ("a,1.0,inf,1.0,0.1", "sigma_E"),
+])
+def test_load_rejects_non_finite_parameter(tmp_path, record, field):
+    path = write_csv(tmp_path, ["b,2.0,0.1,2.0,0.1", record])
+    with pytest.raises(LibraryLoadError, match=f"record 2: a: {field}"):
+        load_library(path)
+
+
 def test_load_two_material_file(tmp_path):
     path = write_csv(tmp_path, ["a,1.0,0.1,1.0,0.1", "b,2.0,0.2,2.0,0.2"])
     lib = load_library(path)
@@ -79,6 +89,20 @@ def test_sample_degenerate_is_exact(toy_lib):
     assert sample == (1.0, 2.0)
 
 
+def test_batched_samples_match_scalar_draws(lib):
+    noise = NoiseSpec(1.0, 2.0)
+    rng = np.random.default_rng(8)
+    scalar = [synthesize_sample(lib, 4, noise, rng) for _ in range(15)]
+    rng = np.random.default_rng(8)
+    first = synthesize_sample(lib, 4, noise, rng, (2, 5))
+    rest = synthesize_sample(lib, 4, noise, rng, (1, 5))
+    e = np.concatenate([first.e, rest.e]).ravel()
+    c = np.concatenate([first.c, rest.c]).ravel()
+    assert first.e.shape == first.c.shape == (2, 5)
+    assert np.array_equal(e, [s.e for s in scalar])
+    assert np.array_equal(c, [s.c for s in scalar])
+
+
 def test_sample_rejects_bad_index(lib):
     with pytest.raises(ValueError):
         synthesize_sample(lib, len(lib), NoiseSpec(), np.random.default_rng(0))
@@ -109,6 +133,11 @@ def test_zero_scale_matches_plain_normal(lib):
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(-0.1, 1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="scale_E"):
+            NoiseSpec(bad, 1.0)
+        with pytest.raises(ValueError, match="scale_C"):
+            NoiseSpec(1.0, bad)
     with pytest.raises(ValueError):
         MaterialParams("x", 1.0, -0.2, 1.0, 0.1)
     with pytest.raises(ValueError):

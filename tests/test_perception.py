@@ -131,6 +131,39 @@ def test_update_degenerate_evidence_keeps_prior(lib):
     assert post.k_count == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_batched_update_keeps_degenerate_row_prior(lib):
+    n = len(lib)
+    prior = update_posterior(lib, MaterialPosterior.uniform(n),
+                             HapticSample(1.2, 3.4))
+    rows = MaterialPosterior(np.stack([prior.probs, prior.probs]), 1)
+    ordinary = HapticSample(0.9, 2.5)
+    post = update_posterior(lib, rows, HapticSample(np.array([ordinary.e, 1e300]),
+                                                    np.array([ordinary.c, 1e300])))
+    assert post.degenerate is True
+    assert post.k_count == 2
+    assert np.array_equal(post.probs[1], prior.probs)
+    assert np.array_equal(post.probs[0],
+                          update_posterior(lib, prior, ordinary).probs)
+
+
+def test_batched_update_rows_match_scalar_updates(lib):
+    rng = np.random.default_rng(11)
+    n = len(lib)
+    mats = rng.integers(n, size=200)
+    samples = [synthesize_sample(lib, int(m), NoiseSpec(), rng) for m in mats]
+    batch = MaterialPosterior.uniform(n, (200,))
+    scalar = [MaterialPosterior.uniform(n)] * 200
+    for _ in range(3):
+        batch = update_posterior(lib, batch, HapticSample(
+            np.array([s.e for s in samples]), np.array([s.c for s in samples])))
+        scalar = [update_posterior(lib, p, s) for p, s in zip(scalar, samples)]
+        assert not batch.degenerate
+        assert np.array_equal(batch.probs, np.stack([p.probs for p in scalar]))
+    assert np.array_equal(map_category(batch),
+                          [map_category(p) for p in scalar])
+
+
 def test_map_category_tie_break():
     assert map_category(MaterialPosterior(np.array([0.1, 0.7, 0.2]))) == 1
     assert map_category(MaterialPosterior.uniform(10)) == 0
@@ -201,3 +234,5 @@ def test_posterior_validation():
         MaterialPosterior(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         MaterialPosterior(np.array([0.5, 0.5]), k_count=-1)
+    with pytest.raises(ValueError, match="each row"):
+        MaterialPosterior(np.array([[0.5, 0.5], [0.5, 0.6]]))
