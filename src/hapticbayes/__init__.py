@@ -13,10 +13,8 @@ from .grid import (
     VoxelIndex,
     WorkspaceBounds,
     WorkspaceGrid,
-    euclidean_distance,
     make_grid,
     max_distance,
-    neighborhood26,
 )
 from .materials import (
     HapticSample,
@@ -31,10 +29,8 @@ from .materials import (
 from .perception import (
     MaterialPosterior,
     PosteriorGrid,
-    likelihood,
     log_likelihoods,
     map_category,
-    normalized_entropy,
     update_posterior,
 )
 from .attention import (
@@ -50,7 +46,6 @@ from .attention import (
     omega_field,
     saliency_field,
     select_target,
-    sobel_responses,
     target_posterior,
     uncertainty_field,
 )
@@ -106,20 +101,16 @@ __all__ = [
     "beta_pdf",
     "bundled_library_path",
     "dump_fields",
-    "euclidean_distance",
     "gamma_metric",
     "generate_builtin_scenarios",
     "inhibition_field",
     "inhibition_profile",
-    "likelihood",
     "load_library",
     "load_scenario",
     "log_likelihoods",
     "make_grid",
     "map_category",
     "max_distance",
-    "neighborhood26",
-    "normalized_entropy",
     "omega_field",
     "run_classification_experiment",
     "run_exploration_benchmark",
@@ -129,7 +120,6 @@ __all__ = [
     "save_scenario",
     "select_target",
     "sense",
-    "sobel_responses",
     "synthesize_sample",
     "target_posterior",
     "uncertainty_field",

@@ -45,6 +45,8 @@ INHIBITION_FACTOR = BetaFactor(1.0, 2.5)
 UNCERTAINTY_FACTOR = BetaFactor(4.0, 1.0)
 #: Evidence factor on saliency values: prefers salient voxels.
 SALIENCY_FACTOR = BetaFactor(3.0, 1.0)
+#: The three evidence factors of the target posterior, in that order.
+FACTORS = (INHIBITION_FACTOR, UNCERTAINTY_FACTOR, SALIENCY_FACTOR)
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ def _sobel_kernels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _KX, _KY, _KZ = _sobel_kernels()
 
 
-def sobel_responses(grid: WorkspaceGrid, omega: np.ndarray):
+def _sobel_responses(grid: WorkspaceGrid, omega: np.ndarray):
     """Raw volumetric Sobel responses (s_x, s_y, s_z) of the similarity
     field, each a flat array; out-of-grid values count as neutral 0.5."""
     f = np.asarray(omega, dtype=float).reshape(grid.nz, grid.ny, grid.nx)
@@ -166,7 +168,7 @@ def saliency_field(grid: WorkspaceGrid, omega: np.ndarray) -> np.ndarray:
     A constant similarity field has exactly zero saliency everywhere
     because each derivative kernel sums to zero.
     """
-    sx, sy, sz = sobel_responses(grid, omega)
+    sx, sy, sz = _sobel_responses(grid, omega)
     s = np.maximum(np.abs(sx), np.maximum(np.abs(sy), np.abs(sz))) / SOBEL_NORM
     return np.clip(s, 0.0, 1.0)
 
@@ -184,10 +186,8 @@ def beta_pdf(factor: BetaFactor, x):
     return float(out) if out.ndim == 0 else out
 
 
-def target_posterior(state: AttentionState,
-                     factors=(INHIBITION_FACTOR, UNCERTAINTY_FACTOR,
-                              SALIENCY_FACTOR)):
-    """Posterior over candidate voxels from the three evidence factors.
+def target_posterior(state: AttentionState):
+    """Posterior over candidate voxels from the three evidence ``FACTORS``.
 
     Each voxel scores the product of the inhibition, uncertainty and
     saliency Beta densities evaluated at its field values; the task prior
@@ -195,7 +195,7 @@ def target_posterior(state: AttentionState,
     ``(probability_vector, degenerate)``; an all-zero score vector falls
     back to the uniform distribution with the flag set.
     """
-    b_i, b_u, b_s = factors
+    b_i, b_u, b_s = FACTORS
     score = (beta_pdf(b_i, state.inhibition)
              * beta_pdf(b_s, state.saliency)
              * beta_pdf(b_u, state.uncertainty))

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .attention import AttentionState
+from .attention import FACTORS, AttentionState
 from .grid import WorkspaceGrid
 from .materials import HapticSample, MaterialLibrary, NoiseSpec, synthesize_sample
 from .perception import MaterialPosterior, map_category, update_posterior
@@ -226,7 +226,7 @@ def run_exploration_benchmark(scenario: Scenario, lib: MaterialLibrary,
         "noise_scale_E": config.noise.scale_E,
         "noise_scale_C": config.noise.scale_C,
         "base_seed": config.seed,
-        "beta_factors": [list(f) for f in config.factors],
+        "beta_factors": [list(f) for f in FACTORS],
     }
     return ExperimentReport(scenario.name, trials, echo)
 
@@ -262,11 +262,6 @@ def dump_fields(grid: WorkspaceGrid, state: AttentionState, iteration: int,
         np.savetxt(path, values, fmt="%.9g")
         written.append(path)
     return written
-
-
-def load_field_dump(path: Union[str, Path]) -> np.ndarray:
-    """Re-parse a dumped field raster into a flat array."""
-    return np.loadtxt(path).ravel()
 
 
 # ---------------------------------------------------------------------------

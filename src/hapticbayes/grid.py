@@ -1,4 +1,4 @@
-"""Voxel grid geometry: bounds, indexing, neighborhoods and distances.
+"""Voxel grid geometry: bounds, indexing and distances.
 
 The workspace is a box partitioned into cubic voxels of side ``epsilon``.
 All spatial quantities are in meters.  Voxels are addressed by integer
@@ -8,20 +8,14 @@ and is fixed so that map dumps are bit-stable.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 #: Relative tolerance used when checking that each extent divides by epsilon.
 DIVISIBILITY_TOL = 1e-9
-
-#: Fixed lexicographic order of the 27 neighborhood offsets, (dx, dy, dz).
-NEIGHBORHOOD_OFFSETS: tuple[tuple[int, int, int], ...] = tuple(
-    itertools.product((-1, 0, 1), repeat=3)
-)
 
 
 class GridConfigError(ValueError):
@@ -47,6 +41,10 @@ class WorkspaceBounds:
     epsilon: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise GridConfigError(f"{f.name} must be finite, got {value!r}")
         if self.epsilon <= 0:
             raise GridConfigError(f"epsilon must be positive, got {self.epsilon}")
         for axis, lo, hi in (("x", self.x_lo, self.x_hi),
@@ -60,9 +58,6 @@ class WorkspaceBounds:
                   "y": (self.y_lo, self.y_hi),
                   "z": (self.z_lo, self.z_hi)}[axis]
         return hi - lo
-
-    def lows(self) -> tuple[float, float, float]:
-        return (self.x_lo, self.y_lo, self.z_lo)
 
 
 @dataclass(frozen=True)
@@ -115,15 +110,6 @@ class WorkspaceGrid:
                 self.bounds.y_lo + (v.iy + 0.5) * eps,
                 self.bounds.z_lo + (v.iz + 0.5) * eps)
 
-    def index_of(self, point: tuple[float, float, float]) -> VoxelIndex:
-        """Voxel containing a world point; inverse of :meth:`center`."""
-        eps = self.bounds.epsilon
-        v = VoxelIndex(int(math.floor((point[0] - self.bounds.x_lo) / eps)),
-                       int(math.floor((point[1] - self.bounds.y_lo) / eps)),
-                       int(math.floor((point[2] - self.bounds.z_lo) / eps)))
-        self.require(v)
-        return v
-
     def center_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Center coordinates of every voxel in linear-index order."""
         j = np.arange(self.theta)
@@ -140,12 +126,15 @@ def make_grid(bounds: WorkspaceBounds) -> WorkspaceGrid:
     Raises
     ------
     GridConfigError
-        If any extent is not an integer multiple of epsilon (the error
-        message names the offending axis).
+        If any extent is not an integer multiple of epsilon, or its voxel
+        count overflows (the error message names the offending axis).
     """
     counts = {}
     for axis in ("x", "y", "z"):
         ratio = bounds.extent(axis) / bounds.epsilon
+        if not math.isfinite(ratio):
+            raise GridConfigError(f"{axis} extent {bounds.extent(axis)!r} over "
+                                  f"epsilon {bounds.epsilon!r} overflows")
         n = round(ratio)
         if n < 1 or abs(ratio - n) > DIVISIBILITY_TOL * max(1.0, abs(ratio)):
             raise GridConfigError(
@@ -154,29 +143,6 @@ def make_grid(bounds: WorkspaceBounds) -> WorkspaceGrid:
             )
         counts[axis] = n
     return WorkspaceGrid(bounds, counts["x"], counts["y"], counts["z"])
-
-
-def neighborhood26(grid: WorkspaceGrid, v: VoxelIndex):
-    """The 27 offsets around ``v`` in fixed lexicographic (dx, dy, dz) order.
-
-    Returns a list of ``(offset, voxel_or_None)`` pairs; offsets falling
-    outside the grid carry ``None`` so each caller can apply its own
-    boundary policy.
-    """
-    grid.require(v)
-    out: list[tuple[tuple[int, int, int], Optional[VoxelIndex]]] = []
-    for off in NEIGHBORHOOD_OFFSETS:
-        w = VoxelIndex(v.ix + off[0], v.iy + off[1], v.iz + off[2])
-        out.append((off, w if grid.contains(w) else None))
-    return out
-
-
-def euclidean_distance(grid: WorkspaceGrid, a: VoxelIndex, b: VoxelIndex) -> float:
-    """Straight-line distance between voxel centers, in meters."""
-    grid.require(a)
-    grid.require(b)
-    eps = grid.bounds.epsilon
-    return eps * math.sqrt((a.ix - b.ix) ** 2 + (a.iy - b.iy) ** 2 + (a.iz - b.iz) ** 2)
 
 
 def max_distance(grid: WorkspaceGrid) -> float:

@@ -10,7 +10,7 @@ instead of poisoning the normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,17 +64,6 @@ def log_likelihoods(lib: MaterialLibrary, sample: HapticSample) -> np.ndarray:
                 - lib.log_sigma_e - lib.log_sigma_c - _LOG_2PI)
 
 
-def likelihood(lib: MaterialLibrary, material_index: int,
-               sample: HapticSample) -> float:
-    """Joint feature density of the sample under one material's model.
-
-    May underflow to 0 for samples far from the material's means.
-    """
-    if not 0 <= material_index < len(lib):
-        raise ValueError(f"material index {material_index} outside library")
-    return float(np.exp(log_likelihoods(lib, sample)[material_index]))
-
-
 def _posterior_update(probs: np.ndarray, log_lik: np.ndarray):
     """The posterior-update core, row-wise over the last axis.
 
@@ -124,14 +113,6 @@ def map_category(post: MaterialPosterior):
     return int(idx) if idx.ndim == 0 else idx
 
 
-def normalized_entropy(post: MaterialPosterior) -> float:
-    """Shannon entropy of the posterior scaled to [0, 1] by log(n)."""
-    p = post.probs
-    nz = p > 0
-    h = -float(np.sum(p[nz] * np.log(p[nz])))
-    return h / math.log(p.size)
-
-
 class PosteriorGrid:
     """Material posteriors for every voxel of a workspace grid.
 
@@ -146,16 +127,8 @@ class PosteriorGrid:
         self.degenerate_events = 0
 
     @property
-    def theta(self) -> int:
-        return self.probs.shape[0]
-
-    @property
     def n_materials(self) -> int:
         return self.probs.shape[1]
-
-    def posterior(self, linear: int) -> MaterialPosterior:
-        return MaterialPosterior(self.probs[linear].copy(),
-                                 int(self.k_counts[linear]))
 
     def update(self, linear: int, lib: MaterialLibrary,
                sample: HapticSample) -> MaterialPosterior:

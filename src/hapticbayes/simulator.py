@@ -17,13 +17,11 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from scipy import ndimage
 
 from .attention import (
     AttentionState,
-    INHIBITION_FACTOR,
-    SALIENCY_FACTOR,
     TaskSpec,
-    UNCERTAINTY_FACTOR,
     inhibition_field,
     omega_field,
     saliency_field,
@@ -80,7 +78,11 @@ class TrialConfig:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     noise: NoiseSpec = NoiseSpec()
     seed: int = 0
-    factors: tuple = (INHIBITION_FACTOR, UNCERTAINTY_FACTOR, SALIENCY_FACTOR)
+
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got "
+                             f"{self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -255,31 +257,13 @@ BUILTIN_BOUNDS = WorkspaceBounds(0.0, 0.30, 0.0, 0.60, 0.0, 0.01, 0.01)
 
 
 def _boundary_voxels(grid: WorkspaceGrid, gt: np.ndarray) -> list[VoxelIndex]:
-    """All voxels with at least one 26-neighbor of a different material."""
+    """All voxels with at least one 26-neighbor of a different material,
+    in linear-index order."""
     g = gt.reshape(grid.nz, grid.ny, grid.nx)
-    out = []
-    for iz in range(grid.nz):
-        for iy in range(grid.ny):
-            for ix in range(grid.nx):
-                m = g[iz, iy, ix]
-                found = False
-                for dz in (-1, 0, 1):
-                    for dy in (-1, 0, 1):
-                        for dx in (-1, 0, 1):
-                            if dx == dy == dz == 0:
-                                continue
-                            x, y, z = ix + dx, iy + dy, iz + dz
-                            if (0 <= x < grid.nx and 0 <= y < grid.ny
-                                    and 0 <= z < grid.nz and g[z, y, x] != m):
-                                found = True
-                                break
-                        if found:
-                            break
-                    if found:
-                        break
-                if found:
-                    out.append(VoxelIndex(ix, iy, iz))
-    return out
+    edge = (ndimage.maximum_filter(g, size=3, mode="nearest")
+            != ndimage.minimum_filter(g, size=3, mode="nearest"))
+    iz, iy, ix = np.nonzero(edge)
+    return [VoxelIndex(int(x), int(y), int(z)) for x, y, z in zip(ix, iy, iz)]
 
 
 def generate_builtin_scenarios(lib: MaterialLibrary):
@@ -406,7 +390,7 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
             saliency=saliency_field(grid, omega),
             target_posterior=np.empty(0),
         )
-        state.target_posterior, degenerate = target_posterior(state, config.factors)
+        state.target_posterior, degenerate = target_posterior(state)
         state.degenerate = degenerate
         if degenerate:
             degenerate_events += 1

@@ -23,10 +23,10 @@ from hapticbayes import (
     omega_field,
     saliency_field,
     select_target,
-    sobel_responses,
     target_posterior,
     uncertainty_field,
 )
+from hapticbayes.attention import FACTORS, _sobel_responses
 
 EPS = 0.01
 
@@ -166,7 +166,7 @@ def test_saliency_single_layer_z_response_cancels():
     grid = grid_of(4, 4, 1)
     rng = np.random.default_rng(2)
     omega = rng.uniform(0, 1, grid.theta)
-    _, _, sz = sobel_responses(grid, omega)
+    _, _, sz = _sobel_responses(grid, omega)
     assert sz == pytest.approx(np.zeros(grid.theta), abs=1e-12)
 
 
@@ -218,6 +218,7 @@ def test_factor_constants():
     assert tuple(INHIBITION_FACTOR) == (1.0, 2.5)
     assert tuple(UNCERTAINTY_FACTOR) == (4.0, 1.0)
     assert tuple(SALIENCY_FACTOR) == (3.0, 1.0)
+    assert FACTORS == (INHIBITION_FACTOR, UNCERTAINTY_FACTOR, SALIENCY_FACTOR)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +257,8 @@ def test_target_posterior_full_inhibition_excludes_voxel():
 
 def test_target_posterior_degenerate_fallback():
     grid = grid_of(3, 1, 1)
-    crushing = (BetaFactor(1.0, 1e300),) * 3
-    post, degenerate = target_posterior(state_of(grid), factors=crushing)
+    post, degenerate = target_posterior(
+        state_of(grid, saliency=[0.4, math.nan, 0.4]))
     assert degenerate
     assert post == pytest.approx(np.full(3, 1 / 3))
 

@@ -1,17 +1,13 @@
-import itertools
 import math
 
-import numpy as np
 import pytest
 
 from hapticbayes import (
     GridConfigError,
     VoxelIndex,
     WorkspaceBounds,
-    euclidean_distance,
     make_grid,
     max_distance,
-    neighborhood26,
 )
 
 WORKSPACE = WorkspaceBounds(0, 0.30, 0, 0.60, 0, 0.01, 0.01)
@@ -45,68 +41,18 @@ def test_make_grid_rejects_bad_epsilon_and_empty_extent():
         WorkspaceBounds(0.2, 0.1, 0, 0.1, 0, 0.1, 0.01)
 
 
-def test_neighborhood_interior_fully_populated():
-    grid = cube(3)
-    entries = neighborhood26(grid, VoxelIndex(1, 1, 1))
-    assert len(entries) == 27
-    assert all(v is not None for _, v in entries)
+def test_make_grid_rejects_nan_epsilon():
+    with pytest.raises(GridConfigError, match="epsilon must be finite"):
+        make_grid(WorkspaceBounds(0, 0.30, 0, 0.60, 0, 0.01, math.nan))
 
 
-def test_neighborhood_corner_counts():
-    grid = cube(3)
-    entries = neighborhood26(grid, VoxelIndex(0, 0, 0))
-    populated = [v for _, v in entries if v is not None]
-    assert len(populated) == 8
-    assert sum(1 for _, v in entries if v is None) == 19
-
-
-def test_neighborhood_single_layer_grid():
-    # oracle: enumerate offsets directly against nz=1
-    grid = make_grid(WORKSPACE)
-    for v in (VoxelIndex(0, 0, 0), VoxelIndex(15, 30, 0), VoxelIndex(29, 59, 0)):
-        entries = neighborhood26(grid, v)
-        populated = sum(1 for _, w in entries if w is not None)
-        expected = sum(
-            1 for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3)
-            if 0 <= v.ix + dx < 30 and 0 <= v.iy + dy < 60 and 0 <= v.iz + dz < 1
-        )
-        assert populated == expected
-        assert populated <= 9
-        z_absent = sum(1 for (dx, dy, dz), w in entries if dz != 0 and w is None)
-        assert z_absent == 18
-
-
-def test_neighborhood_offset_order_fixed():
-    grid = cube(3)
-    a = [off for off, _ in neighborhood26(grid, VoxelIndex(1, 1, 1))]
-    b = [off for off, _ in neighborhood26(grid, VoxelIndex(0, 2, 1))]
-    assert a == b == sorted(itertools.product((-1, 0, 1), repeat=3))
-
-
-def test_neighborhood_rejects_outside_voxel():
-    with pytest.raises(ValueError):
-        neighborhood26(cube(3), VoxelIndex(3, 0, 0))
-
-
-def test_euclidean_distance_cases():
-    grid = make_grid(WORKSPACE)
-    a = VoxelIndex(5, 7, 0)
-    assert euclidean_distance(grid, a, a) == 0.0
-    assert euclidean_distance(grid, a, VoxelIndex(6, 7, 0)) == pytest.approx(0.01)
-    far = euclidean_distance(grid, VoxelIndex(0, 0, 0), VoxelIndex(29, 59, 0))
-    assert far == pytest.approx(math.hypot(0.29, 0.59), abs=1e-12)
-
-
-def test_euclidean_distance_symmetry_and_triangle():
-    grid = make_grid(WORKSPACE)
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        pts = [VoxelIndex(int(rng.integers(30)), int(rng.integers(60)), 0)
-               for _ in range(3)]
-        a, b, c = pts
-        ab = euclidean_distance(grid, a, b)
-        assert ab == euclidean_distance(grid, b, a)
-        assert ab <= euclidean_distance(grid, a, c) + euclidean_distance(grid, c, b) + 1e-12
+def test_make_grid_rejects_non_finite_bound_or_overflowing_count():
+    with pytest.raises(GridConfigError, match="x_hi must be finite"):
+        WorkspaceBounds(0, math.inf, 0, 0.3, 0, 0.01, 0.01)
+    with pytest.raises(GridConfigError, match="y_lo must be finite"):
+        WorkspaceBounds(0, 0.3, -math.inf, 0.3, 0, 0.01, 0.01)
+    with pytest.raises(GridConfigError, match="x extent .* overflows"):
+        make_grid(WorkspaceBounds(0, 1e300, 0, 0.01, 0, 0.01, 1e-10))
 
 
 def test_max_distance():
@@ -114,14 +60,6 @@ def test_max_distance():
     assert max_distance(cube(1)) == 0.0
     assert max_distance(make_grid(WorkspaceBounds(0, 0.02, 0, 0.01, 0, 0.01, 0.01))) \
         == pytest.approx(0.01)
-
-
-def test_center_index_bijection():
-    grid = make_grid(WORKSPACE)
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        v = VoxelIndex(int(rng.integers(30)), int(rng.integers(60)), 0)
-        assert grid.index_of(grid.center(v)) == v
 
 
 def test_linear_index_roundtrip_and_order():

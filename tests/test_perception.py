@@ -11,9 +11,8 @@ from hapticbayes import (
     MaterialPosterior,
     NoiseSpec,
     PosteriorGrid,
-    likelihood,
+    log_likelihoods,
     map_category,
-    normalized_entropy,
     synthesize_sample,
     update_posterior,
 )
@@ -38,6 +37,10 @@ def reference_posterior(lib, prior, samples):
         probs = probs * lik
         probs /= probs.sum()
     return probs
+
+
+def likelihood(lib, material_index, sample):
+    return float(np.exp(log_likelihoods(lib, sample)[material_index]))
 
 
 def test_likelihood_peak_value():
@@ -184,14 +187,15 @@ def test_map_category_silicone_monte_carlo(lib):
 
 
 def test_normalized_entropy_cases():
-    assert normalized_entropy(MaterialPosterior.uniform(10)) == pytest.approx(1.0)
-    delta = np.zeros(10)
-    delta[4] = 1.0
-    assert normalized_entropy(MaterialPosterior(delta)) == 0.0
-    half = np.zeros(10)
-    half[0] = half[1] = 0.5
-    assert normalized_entropy(MaterialPosterior(half)) \
-        == pytest.approx(math.log(2) / math.log(10), abs=1e-12)
+    pg = PosteriorGrid(3, 10)                  # row 0 keeps the uniform prior
+    pg.probs[1] = 0.0
+    pg.probs[1, 4] = 1.0
+    pg.probs[2] = 0.0
+    pg.probs[2, :2] = 0.5
+    h = pg.entropies()
+    assert h[0] == pytest.approx(1.0)
+    assert h[1] == 0.0
+    assert h[2] == pytest.approx(math.log(2) / math.log(10), abs=1e-12)
 
 
 def test_posterior_mass_sharpens_with_more_samples(lib):
@@ -226,7 +230,7 @@ def test_posterior_grid_matches_scalar_updates(lib):
     assert pg.k_counts[2] == ref.k_count == 4
     # untouched rows stay at the uniform prior
     assert pg.probs[0] == pytest.approx(np.full(len(lib), 1 / len(lib)))
-    assert normalized_entropy(pg.posterior(0)) == pytest.approx(1.0)
+    assert pg.entropies()[0] == pytest.approx(1.0)
 
 
 def test_posterior_validation():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,16 @@ def test_load_rejects_unknown_material(tmp_path, lib):
         load_scenario(bad, lib)
 
 
+def test_load_rejects_non_finite_grid_bound(tmp_path, lib):
+    src = bundled_scenario_path("scenario-1").read_text().splitlines()
+    i = next(i for i, ln in enumerate(src) if ln.startswith("grid:"))
+    src[i] = "grid: 0 inf 0 0.3 0 0.01 0.01"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(src) + "\n")
+    with pytest.raises(ScenarioLoadError, match="x_hi must be finite"):
+        load_scenario(bad, lib)
+
+
 def test_load_rejects_missing_section(tmp_path, lib):
     src = [ln for ln in bundled_scenario_path("scenario-1").read_text().splitlines()
            if not ln.startswith("start:")]
@@ -128,9 +140,37 @@ def test_builtin_starts_lie_on_benchmarks(scenarios):
         assert s.start in set(s.benchmark_path)
 
 
+def bruteforce_boundary(grid, gt):
+    """Independent oracle: every voxel with an in-grid 26-neighbour of
+    another material, in linear-index order."""
+    out = []
+    for j in range(grid.theta):
+        v = grid.voxel_of_linear(j)
+        for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3):
+            w = VoxelIndex(v.ix + dx, v.iy + dy, v.iz + dz)
+            if grid.contains(w) and gt[grid.linear_index(w)] != gt[j]:
+                out.append(v)
+                break
+    return out
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 3), (1, 1, 1), (7, 1, 1), (3, 3, 3)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_boundary_voxels_match_bruteforce(shape):
+    eps = 0.01
+    grid = make_grid(WorkspaceBounds(0, shape[0] * eps, 0, shape[1] * eps,
+                                     0, shape[2] * eps, eps))
+    rng = np.random.default_rng(sum(shape))
+    for n_materials in (1, 2, 3, 3, 3):
+        gt = rng.integers(0, n_materials, grid.theta)
+        assert _boundary_voxels(grid, gt) == bruteforce_boundary(grid, gt)
+
+
 def test_builtin_benchmarks_are_edge_voxels(scenarios):
     for s in scenarios:
-        assert set(s.benchmark_path) == set(_boundary_voxels(s.grid, s.ground_truth))
+        edge = bruteforce_boundary(s.grid, s.ground_truth)
+        assert _boundary_voxels(s.grid, s.ground_truth) == edge
+        assert set(s.benchmark_path) == set(edge)
 
 
 def test_scenario_1_benchmark_monotone_along_one_axis(scenarios):
@@ -239,6 +279,12 @@ def test_run_trial_path_properties(lib, scenarios):
             assert a != b
         assert rec.gamma >= 0.0
         assert rec.gamma_per_l == pytest.approx(rec.gamma / rec.l)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_trial_config_rejects_empty_budget(budget):
+    with pytest.raises(ValueError, match="max_iterations"):
+        TrialConfig(max_iterations=budget)
 
 
 def test_run_trial_budget_termination(lib, scenarios):
