@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from .grid import VoxelIndex, WorkspaceGrid, max_distance
-from .perception import PosteriorGrid
+from .perception import PosteriorGrid, _normalized_entropies
 
 #: Shape constants of the inhibition-of-return kernel.
 INHIB_ALPHA = 1.01
@@ -106,10 +106,15 @@ def inhibition_field(grid: WorkspaceGrid, current: VoxelIndex) -> np.ndarray:
     d_max = max_distance(grid)
     if d_max == 0.0:
         return np.ones(grid.theta)
-    cx, cy, cz = grid.center_arrays()
+    b = grid.bounds
+    eps = b.epsilon
     px, py, pz = grid.center(current)
-    d = np.sqrt((cx - px) ** 2 + (cy - py) ** 2 + (cz - pz) ** 2) / d_max
-    return inhibition_profile(d)
+    # squared offsets per axis, broadcast to (nz, ny, nx) = linear order
+    dx2 = (b.x_lo + (np.arange(grid.nx) + 0.5) * eps - px) ** 2
+    dy2 = (b.y_lo + (np.arange(grid.ny) + 0.5) * eps - py) ** 2
+    dz2 = (b.z_lo + (np.arange(grid.nz) + 0.5) * eps - pz) ** 2
+    d2 = dx2[None, None, :] + dy2[None, :, None] + dz2[:, None, None]
+    return inhibition_profile(np.sqrt(d2.ravel()) / d_max)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +126,14 @@ def uncertainty_field(posteriors: PosteriorGrid) -> np.ndarray:
     return np.clip(posteriors.entropies(), 0.0, 1.0)
 
 
+def _omega(probs: np.ndarray, k_counts: np.ndarray, task: TaskSpec) -> np.ndarray:
+    """Similarity of the posterior rows ``probs`` with sample counts
+    ``k_counts``; see :func:`omega_field`."""
+    om = (1.0 - (probs[:, task.material_b] - probs[:, task.material_a])) / 2.0
+    om[k_counts == 0] = OMEGA_NEUTRAL
+    return np.clip(om, 0.0, 1.0)
+
+
 def omega_field(posteriors: PosteriorGrid, task: TaskSpec) -> np.ndarray:
     """Similarity of each voxel's perceived material to the task pair.
 
@@ -128,11 +141,7 @@ def omega_field(posteriors: PosteriorGrid, task: TaskSpec) -> np.ndarray:
     first task material, 0 certainly the second, 0.5 is neutral.
     Unexplored voxels are pinned to the neutral value.
     """
-    p_a = posteriors.probs[:, task.material_a]
-    p_b = posteriors.probs[:, task.material_b]
-    om = (1.0 - (p_b - p_a)) / 2.0
-    om[posteriors.k_counts == 0] = OMEGA_NEUTRAL
-    return np.clip(om, 0.0, 1.0)
+    return _omega(posteriors.probs, posteriors.k_counts, task)
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +160,17 @@ def _sobel_kernels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _KX, _KY, _KZ = _sobel_kernels()
 
 
-def _sobel_responses(grid: WorkspaceGrid, omega: np.ndarray):
-    """Raw volumetric Sobel responses (s_x, s_y, s_z) of the similarity
-    field, each a flat array; out-of-grid values count as neutral 0.5."""
-    f = np.asarray(omega, dtype=float).reshape(grid.nz, grid.ny, grid.nx)
-    out = []
-    for k in (_KX, _KY, _KZ):
-        r = ndimage.correlate(f, k, mode="constant", cval=OMEGA_NEUTRAL)
-        out.append(r.ravel())
-    return tuple(out)
+def _sobel_responses(f: np.ndarray):
+    """Raw volumetric Sobel responses (s_x, s_y, s_z) of a ``(nz, ny, nx)``
+    similarity block; values outside the block count as neutral 0.5."""
+    return tuple(ndimage.correlate(f, k, mode="constant", cval=OMEGA_NEUTRAL)
+                 for k in (_KX, _KY, _KZ))
+
+
+def _saliency(sx, sy, sz) -> np.ndarray:
+    """Saliency from the three Sobel responses; see :func:`saliency_field`."""
+    s = np.maximum(np.abs(sx), np.maximum(np.abs(sy), np.abs(sz))) / SOBEL_NORM
+    return np.clip(s, 0.0, 1.0)
 
 
 def saliency_field(grid: WorkspaceGrid, omega: np.ndarray) -> np.ndarray:
@@ -168,9 +179,8 @@ def saliency_field(grid: WorkspaceGrid, omega: np.ndarray) -> np.ndarray:
     A constant similarity field has exactly zero saliency everywhere
     because each derivative kernel sums to zero.
     """
-    sx, sy, sz = _sobel_responses(grid, omega)
-    s = np.maximum(np.abs(sx), np.maximum(np.abs(sy), np.abs(sz))) / SOBEL_NORM
-    return np.clip(s, 0.0, 1.0)
+    f = np.asarray(omega, dtype=float).reshape(grid.nz, grid.ny, grid.nx)
+    return _saliency(*_sobel_responses(f)).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +196,19 @@ def beta_pdf(factor: BetaFactor, x):
     return float(out) if out.ndim == 0 else out
 
 
-def target_posterior(state: AttentionState):
+def target_posterior(inhibition: np.ndarray, f_saliency: np.ndarray,
+                     f_uncertainty: np.ndarray):
     """Posterior over candidate voxels from the three evidence ``FACTORS``.
 
-    Each voxel scores the product of the inhibition, uncertainty and
-    saliency Beta densities evaluated at its field values; the task prior
-    is constant within a trial and cancels in the normalization.  Returns
-    ``(probability_vector, degenerate)``; an all-zero score vector falls
-    back to the uniform distribution with the flag set.
+    Each voxel scores the product of the inhibition Beta density at its
+    inhibition value and its saliency and uncertainty densities
+    ``f_saliency = beta_pdf(SALIENCY_FACTOR, saliency)`` and
+    ``f_uncertainty = beta_pdf(UNCERTAINTY_FACTOR, uncertainty)``; the task
+    prior is constant within a trial and cancels in the normalization.
+    Returns ``(probability_vector, degenerate)``; an all-zero score vector
+    falls back to the uniform distribution with the flag set.
     """
-    b_i, b_u, b_s = FACTORS
-    score = (beta_pdf(b_i, state.inhibition)
-             * beta_pdf(b_s, state.saliency)
-             * beta_pdf(b_u, state.uncertainty))
+    score = beta_pdf(INHIBITION_FACTOR, inhibition) * f_saliency * f_uncertainty
     total = score.sum()
     if total <= 0.0 or not np.isfinite(total):
         theta = score.size
@@ -209,3 +219,83 @@ def target_posterior(state: AttentionState):
 def select_target(posterior: np.ndarray, grid: WorkspaceGrid) -> VoxelIndex:
     """Maximum a posteriori voxel; ties break to the lowest linear index."""
     return grid.voxel_of_linear(int(np.argmax(posterior)))
+
+
+# ---------------------------------------------------------------------------
+# per-trial field cache
+
+#: Weights of the Sobel kernels: entry k (C order) of (_KX, _KY, _KZ).
+_SOBEL_WEIGHTS = np.stack([k.ravel() for k in (_KX, _KY, _KZ)], axis=1)[:, :, None]
+#: Offsets (0-2 per axis) of the 27 entries of a 3x3x3 block, C order.
+_BLOCK_OFFSETS = np.indices((3, 3, 3)).reshape(3, -1).T
+
+
+class AttentionFields:
+    """The uncertainty, similarity and saliency fields of one trial, with
+    their evidence densities ``f_uncertainty`` and ``f_saliency``.
+
+    Built from the full fields at the start of a trial.  A posterior
+    update at voxel ``j`` changes the uncertainty and similarity of ``j``
+    alone, and the saliency only in the 3x3x3 block around it, so
+    :meth:`touch` recomputes just those entries, with the arithmetic of
+    :func:`uncertainty_field`, :func:`omega_field` and
+    :func:`saliency_field`; every array stays equal to a full recompute.
+    The arrays are updated in place: copy them to keep a snapshot.
+    """
+
+    def __init__(self, grid: WorkspaceGrid, task: TaskSpec,
+                 uncertainty: np.ndarray, omega: np.ndarray,
+                 saliency: np.ndarray):
+        self.grid = grid
+        self.task = task
+        self.uncertainty = np.array(uncertainty, dtype=float)
+        self.omega = np.array(omega, dtype=float)
+        self.saliency = np.array(saliency, dtype=float)
+        self.f_uncertainty = beta_pdf(UNCERTAINTY_FACTOR, self.uncertainty)
+        self.f_saliency = beta_pdf(SALIENCY_FACTOR, self.saliency)
+        shape = (grid.nz, grid.ny, grid.nx)
+        self._saliency3 = self.saliency.reshape(shape)
+        self._f_saliency3 = self.f_saliency.reshape(shape)
+        # similarity with a border of two neutral voxels, flattened: the
+        # 5x5x5 window that the block around any voxel reads lies inside
+        self._padded = np.pad(self.omega.reshape(shape), 2,
+                              constant_values=OMEGA_NEUTRAL).ravel()
+        self._ystep = grid.nx + 4
+        self._zstep = (grid.ny + 4) * self._ystep
+        # reads[k, o]: offset from the window's corner of the value that
+        # kernel entry k multiplies for block output o
+        self._reads = ((_BLOCK_OFFSETS[:, None, :] + _BLOCK_OFFSETS[None, :, :])
+                       @ np.array([self._zstep, self._ystep, 1]))
+
+    def touch(self, posteriors: PosteriorGrid, j: int) -> None:
+        """Refresh every entry that depends on voxel ``j``'s posterior."""
+        grid = self.grid
+        row = slice(j, j + 1)
+        probs = posteriors.probs[row]
+        self.uncertainty[row] = np.clip(_normalized_entropies(probs), 0.0, 1.0)
+        self.f_uncertainty[row] = beta_pdf(UNCERTAINTY_FACTOR,
+                                           self.uncertainty[row])
+        self.omega[row] = _omega(probs, posteriors.k_counts[row], self.task)
+
+        ix, iy, iz = grid.voxel_of_linear(j)
+        corner = iz * self._zstep + iy * self._ystep + ix
+        self._padded[corner + 2 * (self._zstep + self._ystep + 1)] = self.omega[j]
+        # Sobel responses of the block around j; the window's corner is
+        # padded voxel (iz, iy, ix).  ndimage's correlate adds a kernel's
+        # products in the kernel's C order, skipping zero weights, and the
+        # running sum over k adds them in that order.  A zero weight adds
+        # +0.0, which can change a sum only in the sign of a zero, and
+        # saliency takes absolute values.
+        window = self._padded[self._reads + corner]
+        responses = np.cumsum(_SOBEL_WEIGHTS * window[:, None, :], axis=0)[-1]
+        block = _saliency(*responses).reshape(3, 3, 3)
+        # keep the outputs inside the grid: block entry 0 on an axis is
+        # grid index i - 1
+        inside, cut = [], []
+        for i, n in ((iz, grid.nz), (iy, grid.ny), (ix, grid.nx)):
+            lo, hi = max(i - 1, 0), min(i + 2, n)
+            inside.append(slice(lo, hi))
+            cut.append(slice(lo - i + 1, hi - i + 1))
+        block = block[tuple(cut)]
+        self._saliency3[tuple(inside)] = block
+        self._f_saliency3[tuple(inside)] = beta_pdf(SALIENCY_FACTOR, block)

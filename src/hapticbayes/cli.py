@@ -132,10 +132,13 @@ def _dispatch(args) -> int:
         config = TrialConfig(noise=NoiseSpec.uniform(args.noise_scale),
                              seed=args.seed)
         out = Path(args.out)
-        record = run_trial(
-            scenario, lib, config,
-            on_iteration=lambda k, state: dump_fields(scenario.grid, state,
-                                                      k, out))
+        snapshots = []
+
+        def dump(k, state):
+            dump_fields(scenario.grid, state, k, out)
+            snapshots.append(k)
+
+        record = run_trial(scenario, lib, config, on_iteration=dump)
         summary = {
             "scenario": scenario.name,
             "seed": config.seed,
@@ -145,7 +148,7 @@ def _dispatch(args) -> int:
         }
         out.mkdir(parents=True, exist_ok=True)
         (out / "trial.json").write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"wrote {record.l - 1} iteration snapshots to {out}")
+        print(f"wrote {len(snapshots)} iteration snapshots to {out}")
 
     elif args.command == "gen-scenarios":
         out = Path(args.out)

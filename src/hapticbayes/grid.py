@@ -17,6 +17,11 @@ import numpy as np
 #: Relative tolerance used when checking that each extent divides by epsilon.
 DIVISIBILITY_TOL = 1e-9
 
+#: Largest voxel count a grid may have.  A trial holds a ``(theta, n)``
+#: float64 posterior matrix, 800 MB at this count with the bundled
+#: 10-material library, plus a few float arrays of ``theta`` entries.
+MAX_VOXELS = 10_000_000
+
 
 class GridConfigError(ValueError):
     """Raised when workspace bounds cannot form a valid voxel grid."""
@@ -127,7 +132,8 @@ def make_grid(bounds: WorkspaceBounds) -> WorkspaceGrid:
     ------
     GridConfigError
         If any extent is not an integer multiple of epsilon, or its voxel
-        count overflows (the error message names the offending axis).
+        count overflows (the error message names the offending axis), or
+        the grid has more than ``MAX_VOXELS`` voxels.
     """
     counts = {}
     for axis in ("x", "y", "z"):
@@ -142,6 +148,10 @@ def make_grid(bounds: WorkspaceBounds) -> WorkspaceGrid:
                 f"epsilon {bounds.epsilon!r}"
             )
         counts[axis] = n
+    theta = counts["x"] * counts["y"] * counts["z"]
+    if theta > MAX_VOXELS:
+        raise GridConfigError(f"grid has {theta} voxels, more than the "
+                              f"{MAX_VOXELS} allowed")
     return WorkspaceGrid(bounds, counts["x"], counts["y"], counts["z"])
 
 

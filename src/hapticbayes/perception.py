@@ -116,9 +116,9 @@ def map_category(post: MaterialPosterior):
 class PosteriorGrid:
     """Material posteriors for every voxel of a workspace grid.
 
-    Stores a ``(theta, n)`` probability matrix plus per-voxel sample
-    counts, in linear-index order.  Rows start at the uniform prior.
-    Distinct voxels may be updated independently.
+    Stores a ``(theta, n)`` probability matrix plus per-voxel counts of
+    integrated samples, in linear-index order.  Rows start at the uniform
+    prior.  Distinct voxels may be updated independently.
     """
 
     def __init__(self, theta: int, n_materials: int):
@@ -132,19 +132,31 @@ class PosteriorGrid:
 
     def update(self, linear: int, lib: MaterialLibrary,
                sample: HapticSample) -> MaterialPosterior:
-        """Recursive update of one voxel's posterior in place."""
+        """Recursive update of one voxel's posterior in place.
+
+        A degenerate sample (every likelihood floors to zero, e.g. a NaN
+        feature) keeps the prior, adds to ``degenerate_events`` and is not
+        counted in ``k_counts``.
+        """
         new_probs, degenerate = _posterior_update(
             self.probs[linear], log_likelihoods(lib, sample))
         degenerate = bool(degenerate)
         self.probs[linear] = new_probs
-        self.k_counts[linear] += 1
         if degenerate:
             self.degenerate_events += 1
+        else:
+            self.k_counts[linear] += 1
         return MaterialPosterior(new_probs.copy(), int(self.k_counts[linear]),
                                  degenerate=degenerate)
 
     def entropies(self) -> np.ndarray:
         """Normalized entropy of every row, vectorized."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(self.probs > 0, self.probs * np.log(self.probs), 0.0)
-        return -plogp.sum(axis=1) / math.log(self.n_materials)
+        return _normalized_entropies(self.probs)
+
+
+def _normalized_entropies(probs: np.ndarray) -> np.ndarray:
+    """Entropy of each row of a ``(rows, n)`` probability matrix over its
+    maximum ``log(n)``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
+    return -plogp.sum(axis=1) / math.log(probs.shape[1])

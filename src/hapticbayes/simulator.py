@@ -20,6 +20,7 @@ import numpy as np
 from scipy import ndimage
 
 from .attention import (
+    AttentionFields,
     AttentionState,
     TaskSpec,
     inhibition_field,
@@ -323,15 +324,18 @@ def gamma_metric(grid: WorkspaceGrid, visited: Sequence[VoxelIndex],
     voxel (between voxel centers)."""
     if not visited or not benchmark:
         raise ValueError("visited and benchmark paths must be non-empty")
+    v = np.array(visited, dtype=int)
+    outside = ~((v >= 0) & (v < grid.shape)).all(axis=1)
+    if outside.any():
+        grid.require(visited[int(np.argmax(outside))])
     eps = grid.bounds.epsilon
-    b = np.array([[v.ix, v.iy, v.iz] for v in benchmark], dtype=float)
-    total = 0.0
-    for v in visited:
-        grid.require(v)
-        d2 = ((b[:, 0] - v.ix) ** 2 + (b[:, 1] - v.iy) ** 2
-              + (b[:, 2] - v.iz) ** 2)
-        total += eps * math.sqrt(float(d2.min()))
-    return total
+    b = np.array(benchmark, dtype=float)
+    # (visited, benchmark) squared distances, summed per axis as x, y, z
+    d2 = ((b[None, :, 0] - v[:, None, 0]) ** 2
+          + (b[None, :, 1] - v[:, None, 1]) ** 2
+          + (b[None, :, 2] - v[:, None, 2]) ** 2)
+    # left-to-right running sum, as a loop would add the terms
+    return float(np.cumsum(eps * np.sqrt(d2.min(axis=1)))[-1])
 
 
 def _chebyshev(a: VoxelIndex, b: VoxelIndex) -> int:
@@ -345,20 +349,29 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     """Run one closed-loop exploration trial.
 
     Each iteration senses the current voxel, updates its material
-    posterior, then recomputes the inhibition (centered on the current
-    position), uncertainty, similarity and saliency fields, forms the
-    target posterior and teleports to its maximum.  The trial ends on
-    loop closure (current voxel within one step of the first benchmark
-    voxel visited, once at least ten iterations have run) or when the
-    iteration budget is spent.  The start voxel counts as the first
-    visited voxel.
+    posterior, refreshes the attention fields, forms the target posterior
+    and teleports to its maximum.  The uncertainty, similarity and
+    saliency fields are computed over the whole grid once per trial; after
+    that an update at voxel j refreshes only the uncertainty and
+    similarity of j and the saliency of the 3x3x3 block around it, which
+    gives the same values as a full recompute.  The inhibition field,
+    centered on the current position, is recomputed over the whole grid
+    every iteration.  The trial ends on loop closure (current voxel within
+    one step of the first benchmark voxel visited, once at least ten
+    iterations have run) or when the iteration budget is spent.  The start
+    voxel counts as the first visited voxel.
 
     ``on_iteration`` receives ``(k, AttentionState)`` after each target
-    computation, which is how field snapshots are exported.
+    computation, which is how field snapshots are exported; the state's
+    arrays are fresh copies, so a stored state stays unchanged as the
+    trial goes on.
     """
     grid = scenario.grid
     rng = np.random.default_rng(config.seed)
     posteriors = PosteriorGrid(grid.theta, len(lib))
+    omega = omega_field(posteriors, scenario.task)
+    fields = AttentionFields(grid, scenario.task, uncertainty_field(posteriors),
+                             omega, saliency_field(grid, omega))
     bench_set = set(scenario.benchmark_path)
 
     current = scenario.start
@@ -366,14 +379,12 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     anchor: Optional[VoxelIndex] = None
     terminated_by = "budget"
     degenerate_events = 0
-    revisits = 0
 
     for k in range(config.max_iterations):
-        if posteriors.k_counts[grid.linear_index(current)] > 0:
-            revisits += 1
+        j = grid.linear_index(current)
         visited.append(current)
         sample = sense(scenario, lib, current, config.noise, rng)
-        posteriors.update(grid.linear_index(current), lib, sample)
+        posteriors.update(j, lib, sample)
 
         if anchor is None and current in bench_set:
             anchor = current
@@ -382,23 +393,24 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
             terminated_by = "loop_closure"
             break
 
-        omega = omega_field(posteriors, scenario.task)
-        state = AttentionState(
-            inhibition=inhibition_field(grid, current),
-            uncertainty=uncertainty_field(posteriors),
-            omega=omega,
-            saliency=saliency_field(grid, omega),
-            target_posterior=np.empty(0),
-        )
-        state.target_posterior, degenerate = target_posterior(state)
-        state.degenerate = degenerate
+        fields.touch(posteriors, j)
+        inhibition = inhibition_field(grid, current)
+        probs, degenerate = target_posterior(inhibition, fields.f_saliency,
+                                             fields.f_uncertainty)
         if degenerate:
             degenerate_events += 1
         if on_iteration is not None:
-            on_iteration(k, state)
-        current = select_target(state.target_posterior, grid)
+            on_iteration(k, AttentionState(
+                inhibition=inhibition,
+                uncertainty=fields.uncertainty.copy(),
+                omega=fields.omega.copy(),
+                saliency=fields.saliency.copy(),
+                target_posterior=probs,
+                degenerate=degenerate,
+            ))
+        current = select_target(probs, grid)
 
     gamma = gamma_metric(grid, visited, scenario.benchmark_path)
     return TrialRecord(visited, gamma, config.seed, terminated_by,
                        degenerate_events + posteriors.degenerate_events,
-                       revisits)
+                       len(visited) - len(set(visited)))

@@ -11,11 +11,13 @@ import pytest
 from scipy import stats
 
 from hapticbayes import (
-    AttentionState,
+    SALIENCY_FACTOR,
+    UNCERTAINTY_FACTOR,
     MaterialPosterior,
     NoiseSpec,
     TrialConfig,
     WorkspaceBounds,
+    beta_pdf,
     inhibition_profile,
     make_grid,
     run_classification_experiment,
@@ -109,19 +111,18 @@ def test_criterion_6_target_posterior_oracle():
         nx, ny = int(rng.integers(2, 6)), int(rng.integers(1, 6))
         grid = make_grid(WorkspaceBounds(0, nx * 0.01, 0, ny * 0.01,
                                          0, 0.01, 0.01))
-        state = AttentionState(
-            inhibition=rng.uniform(0, 1, grid.theta),
-            uncertainty=rng.uniform(0, 1, grid.theta),
-            omega=rng.uniform(0, 1, grid.theta),
-            saliency=rng.uniform(0, 1, grid.theta),
-            target_posterior=np.zeros(grid.theta),
-        )
-        post, _ = target_posterior(state)
+        inhibition = rng.uniform(0, 1, grid.theta)
+        uncertainty = rng.uniform(0, 1, grid.theta)
+        rng.uniform(0, 1, grid.theta)      # omega: no factor weighs it
+        saliency = rng.uniform(0, 1, grid.theta)
+        post, _ = target_posterior(inhibition,
+                                   beta_pdf(SALIENCY_FACTOR, saliency),
+                                   beta_pdf(UNCERTAINTY_FACTOR, uncertainty))
         clamp = lambda x: min(max(x, 1e-6), 1 - 1e-6)
         scores = np.array([
-            stats.beta.pdf(clamp(state.inhibition[j]), 1.0, 2.5)
-            * stats.beta.pdf(clamp(state.saliency[j]), 3.0, 1.0)
-            * stats.beta.pdf(clamp(state.uncertainty[j]), 4.0, 1.0)
+            stats.beta.pdf(clamp(inhibition[j]), 1.0, 2.5)
+            * stats.beta.pdf(clamp(saliency[j]), 3.0, 1.0)
+            * stats.beta.pdf(clamp(uncertainty[j]), 4.0, 1.0)
             for j in range(grid.theta)
         ])
         worst = max(worst, float(np.abs(post - scores / scores.sum()).max()))

@@ -20,6 +20,7 @@ from hapticbayes import (
     inhibition_field,
     inhibition_profile,
     make_grid,
+    max_distance,
     omega_field,
     saliency_field,
     select_target,
@@ -96,6 +97,23 @@ def test_inhibition_field_properties():
         == pytest.approx(1.0, abs=1e-12)
 
 
+def test_inhibition_field_matches_center_formula():
+    # oracle: distances between the centers of every voxel pair, summed
+    # x + y + z; offset origins and odd epsilons make rounding differ
+    # between summation orders
+    for (nx, ny, nz), (x0, y0, z0), eps in (((6, 5, 4), (0.1, -0.2, 0.05), 0.007),
+                                            ((9, 7, 5), (0.3, 0.1, -0.4), 0.013)):
+        grid = make_grid(WorkspaceBounds(x0, x0 + nx * eps, y0, y0 + ny * eps,
+                                         z0, z0 + nz * eps, eps))
+        d_max = max_distance(grid)
+        cx, cy, cz = grid.center_arrays()
+        for j in range(grid.theta):
+            v = grid.voxel_of_linear(j)
+            px, py, pz = grid.center(v)
+            d = np.sqrt((cx - px) ** 2 + (cy - py) ** 2 + (cz - pz) ** 2) / d_max
+            assert np.array_equal(inhibition_field(grid, v), inhibition_profile(d))
+
+
 def test_inhibition_field_single_voxel_grid():
     grid = grid_of(1, 1, 1)
     assert inhibition_field(grid, VoxelIndex(0, 0, 0)) == pytest.approx([1.0])
@@ -166,8 +184,8 @@ def test_saliency_single_layer_z_response_cancels():
     grid = grid_of(4, 4, 1)
     rng = np.random.default_rng(2)
     omega = rng.uniform(0, 1, grid.theta)
-    _, _, sz = _sobel_responses(grid, omega)
-    assert sz == pytest.approx(np.zeros(grid.theta), abs=1e-12)
+    _, _, sz = _sobel_responses(omega.reshape(grid.nz, grid.ny, grid.nx))
+    assert sz.ravel() == pytest.approx(np.zeros(grid.theta), abs=1e-12)
 
 
 def test_saliency_matches_naive_convolution():
@@ -235,29 +253,36 @@ def state_of(grid, inhibition=None, uncertainty=None, saliency=None):
     )
 
 
+def posterior_of(state):
+    """Target posterior of a state's inhibition, saliency and uncertainty."""
+    return target_posterior(state.inhibition,
+                            beta_pdf(SALIENCY_FACTOR, state.saliency),
+                            beta_pdf(UNCERTAINTY_FACTOR, state.uncertainty))
+
+
 def test_target_posterior_uniform_fields():
     grid = grid_of(4, 3, 1)
-    post, degenerate = target_posterior(state_of(grid))
+    post, degenerate = posterior_of(state_of(grid))
     assert not degenerate
     assert post == pytest.approx(np.full(grid.theta, 1 / grid.theta), abs=1e-12)
 
 
 def test_target_posterior_saliency_ratio():
     grid = grid_of(2, 1, 1)
-    post, _ = target_posterior(state_of(grid, saliency=[0.9, 0.1]))
+    post, _ = posterior_of(state_of(grid, saliency=[0.9, 0.1]))
     assert post[0] / post[1] == pytest.approx(81.0, rel=1e-9)
 
 
 def test_target_posterior_full_inhibition_excludes_voxel():
     grid = grid_of(3, 1, 1)
-    post, _ = target_posterior(state_of(grid, inhibition=[1.0, 0.3, 0.3]))
+    post, _ = posterior_of(state_of(grid, inhibition=[1.0, 0.3, 0.3]))
     assert post[0] < 1e-8
     assert post[1] == pytest.approx(post[2])
 
 
 def test_target_posterior_degenerate_fallback():
     grid = grid_of(3, 1, 1)
-    post, degenerate = target_posterior(
+    post, degenerate = posterior_of(
         state_of(grid, saliency=[0.4, math.nan, 0.4]))
     assert degenerate
     assert post == pytest.approx(np.full(3, 1 / 3))
@@ -273,7 +298,7 @@ def test_target_posterior_matches_bruteforce():
                          inhibition=rng.uniform(0, 1, grid.theta),
                          uncertainty=rng.uniform(0, 1, grid.theta),
                          saliency=rng.uniform(0, 1, grid.theta))
-        post, _ = target_posterior(state)
+        post, _ = posterior_of(state)
         scores = np.array([
             stats.beta.pdf(min(max(state.inhibition[j], 1e-6), 1 - 1e-6), 1.0, 2.5)
             * stats.beta.pdf(min(max(state.saliency[j], 1e-6), 1 - 1e-6), 3.0, 1.0)
@@ -306,7 +331,7 @@ def test_step_field_target_is_on_the_step():
         saliency=saliency_field(grid, omega),
         target_posterior=np.zeros(grid.theta),
     )
-    post, _ = target_posterior(state)
+    post, _ = posterior_of(state)
     chosen = select_target(post, grid)
     assert chosen.ix in (1, 2)                      # on the omega step
     assert max(abs(chosen.ix - 2), abs(chosen.iy - 2)) <= 1

@@ -55,6 +55,15 @@ def test_make_grid_rejects_non_finite_bound_or_overflowing_count():
         make_grid(WorkspaceBounds(0, 1e300, 0, 0.01, 0, 0.01, 1e-10))
 
 
+def test_make_grid_voxel_cap():
+    from hapticbayes.grid import MAX_VOXELS
+    # 10^4 voxels per axis: rejected from the counts alone, nothing allocated
+    with pytest.raises(GridConfigError, match="1000000000000 voxels"):
+        make_grid(WorkspaceBounds(0, 100.0, 0, 100.0, 0, 100.0, 0.01))
+    assert make_grid(WorkspaceBounds(0, 1.0, 0, 1.0, 0, 0.1, 0.01)).theta == 100_000
+    assert 100_000 < MAX_VOXELS
+
+
 def test_max_distance():
     assert max_distance(make_grid(WORKSPACE)) == pytest.approx(math.hypot(0.29, 0.59))
     assert max_distance(cube(1)) == 0.0

@@ -233,6 +233,19 @@ def test_posterior_grid_matches_scalar_updates(lib):
     assert pg.entropies()[0] == pytest.approx(1.0)
 
 
+def test_posterior_grid_nan_sample_is_not_counted(lib):
+    from hapticbayes import TaskSpec, omega_field
+    pg = PosteriorGrid(3, len(lib))
+    with np.errstate(invalid="raise"):
+        post = pg.update(1, lib, HapticSample(math.nan, 1.0))
+    assert post.degenerate and post.k_count == 0
+    assert pg.k_counts.tolist() == [0, 0, 0]
+    assert pg.degenerate_events == 1
+    assert np.all(pg.probs[1] == 1 / len(lib))
+    om = omega_field(pg, TaskSpec(lib.index_of("silicone"), lib.index_of("wood")))
+    assert om[1] == 0.5
+
+
 def test_posterior_validation():
     with pytest.raises(ValueError):
         MaterialPosterior(np.array([0.5, 0.6]))

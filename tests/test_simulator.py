@@ -1,25 +1,37 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from hapticbayes import (
+    INHIBITION_FACTOR,
+    SALIENCY_FACTOR,
+    UNCERTAINTY_FACTOR,
     MaterialLibrary,
     MaterialParams,
     NoiseSpec,
+    PosteriorGrid,
     Scenario,
     ScenarioLoadError,
     TaskSpec,
     TrialConfig,
     VoxelIndex,
     WorkspaceBounds,
+    beta_pdf,
     bundled_library_path,
     gamma_metric,
+    inhibition_profile,
     load_scenario,
     make_grid,
+    max_distance,
+    omega_field,
     run_trial,
+    saliency_field,
     save_scenario,
+    select_target,
     sense,
+    uncertainty_field,
 )
 from hapticbayes.simulator import _boundary_voxels
 
@@ -256,6 +268,41 @@ def test_gamma_requires_non_empty(scenarios):
         gamma_metric(s.grid, [], s.benchmark_path)
 
 
+def loop_gamma(grid, visited, benchmark):
+    """Reference: one visited voxel at a time, added left to right."""
+    b = np.array([[v.ix, v.iy, v.iz] for v in benchmark], dtype=float)
+    total = 0.0
+    for v in visited:
+        d2 = ((b[:, 0] - v.ix) ** 2 + (b[:, 1] - v.iy) ** 2
+              + (b[:, 2] - v.iz) ** 2)
+        total += grid.bounds.epsilon * math.sqrt(float(d2.min()))
+    return total
+
+
+def test_gamma_matches_loop_exactly():
+    rng = np.random.default_rng(12)
+    for shape, eps in (((30, 60, 1), 0.01), ((7, 5, 4), 0.003), ((1, 1, 1), 0.02)):
+        nx, ny, nz = shape
+        grid = make_grid(WorkspaceBounds(0, nx * eps, 0, ny * eps, 0, nz * eps, eps))
+
+        def path(n):
+            return [VoxelIndex(int(rng.integers(nx)), int(rng.integers(ny)),
+                               int(rng.integers(nz))) for _ in range(n)]
+
+        for _ in range(100):
+            visited = path(int(rng.integers(1, 81)))
+            bench = path(int(rng.integers(1, 60)))
+            assert gamma_metric(grid, visited, bench) \
+                == loop_gamma(grid, visited, bench)
+
+
+def test_gamma_rejects_visited_voxel_outside_grid(scenarios):
+    s = scenarios[0]
+    with pytest.raises(ValueError, match=r"\(30, 2, 0\) outside grid"):
+        gamma_metric(s.grid, [VoxelIndex(1, 1, 0), VoxelIndex(30, 2, 0)],
+                     s.benchmark_path)
+
+
 # ---------------------------------------------------------------------------
 # the exploration loop
 
@@ -311,3 +358,113 @@ def test_run_trial_iteration_callback(lib, scenarios):
         for field in (state.inhibition, state.uncertainty, state.omega,
                       state.saliency):
             assert np.all((field >= 0.0) & (field <= 1.0))
+
+
+# ---------------------------------------------------------------------------
+# incremental attention fields against a full recompute
+
+def full_recompute_trial(scenario, lib, config):
+    """Run a trial and check every ``AttentionState`` it reports against
+    the fields recomputed over the whole grid from a mirrored posterior
+    grid (same samples, same voxels).  Returns the record and the number
+    of iterations checked."""
+    grid = scenario.grid
+    rng = np.random.default_rng(config.seed)
+    mirror = PosteriorGrid(grid.theta, len(lib))
+    current = [scenario.start]
+    kept = []
+
+    def check(k, state):
+        v = current[0]
+        mirror.update(grid.linear_index(v), lib,
+                      sense(scenario, lib, v, config.noise, rng))
+        # inhibition as the distance to every voxel center, unfactored
+        d_max = max_distance(grid)
+        if d_max == 0.0:
+            inhibition = np.ones(grid.theta)
+        else:
+            cx, cy, cz = grid.center_arrays()
+            px, py, pz = grid.center(v)
+            inhibition = inhibition_profile(
+                np.sqrt((cx - px) ** 2 + (cy - py) ** 2 + (cz - pz) ** 2) / d_max)
+        uncertainty = uncertainty_field(mirror)
+        omega = omega_field(mirror, scenario.task)
+        saliency = saliency_field(grid, omega)
+        score = (beta_pdf(INHIBITION_FACTOR, inhibition)
+                 * beta_pdf(SALIENCY_FACTOR, saliency)
+                 * beta_pdf(UNCERTAINTY_FACTOR, uncertainty))
+        total = score.sum()
+        degenerate = not (total > 0.0 and np.isfinite(total))
+        target = (np.full(grid.theta, 1.0 / grid.theta) if degenerate
+                  else score / total)
+        for name, want in (("inhibition", inhibition),
+                           ("uncertainty", uncertainty), ("omega", omega),
+                           ("saliency", saliency), ("target_posterior", target)):
+            got = getattr(state, name)
+            assert got.shape == want.shape and np.all(got == want), \
+                f"iteration {k}: {name} differs from a full recompute"
+        assert state.degenerate == degenerate
+        kept.append((state, {name: getattr(state, name).copy()
+                             for name in ("inhibition", "uncertainty", "omega",
+                                          "saliency", "target_posterior")}))
+        current[0] = select_target(state.target_posterior, grid)
+
+    rec = run_trial(scenario, lib, config, on_iteration=check)
+    # states handed to the callback are snapshots, not live views
+    for state, copies in kept:
+        for name, value in copies.items():
+            assert np.array_equal(getattr(state, name), value)
+    return rec, len(kept)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_incremental_fields_match_full_recompute_bundled(lib, scenarios, index):
+    for seed in range(10):
+        rec, checked = full_recompute_trial(scenarios[index], lib,
+                                            TrialConfig(seed=seed))
+        assert checked == rec.l - (rec.terminated_by == "loop_closure")
+
+
+def tilted_scenario(lib, shape):
+    """A material boundary along a plane tilted against all three axes;
+    the benchmark path is the far corner alone, so loop closure waits
+    until the probe gets there."""
+    nx, ny, nz = shape
+    grid = make_grid(WorkspaceBounds(0, nx * 0.01, 0, ny * 0.01, 0, nz * 0.01, 0.01))
+    j = np.arange(grid.theta)
+    ix, iy, iz = j % nx, (j // nx) % ny, j // (nx * ny)
+    sil, wood = lib.index_of("silicone"), lib.index_of("wood")
+    gt = np.where(2 * ix + iy + 2 * iz > nx + 1, sil, wood)
+    return Scenario("tilted", grid, gt, [VoxelIndex(nx - 1, ny - 1, nz - 1)],
+                    VoxelIndex(0, 0, 0), TaskSpec(sil, wood))
+
+
+def test_incremental_fields_match_full_recompute_tilted_volume(lib):
+    scenario = tilted_scenario(lib, (5, 4, 3))
+    nx, ny, nz = scenario.grid.shape
+    visited = set()
+    for seed in range(3):
+        rec, checked = full_recompute_trial(
+            scenario, lib, TrialConfig(max_iterations=120, seed=seed))
+        assert checked >= 40
+        visited.update(rec.visited)
+    # the probe reached every face and several corners, so saliency
+    # windows were cut on every side
+    for axis, n in enumerate((nx, ny, nz)):
+        assert {v[axis] for v in visited} >= {0, n - 1}
+    corners = set(itertools.product((0, nx - 1), (0, ny - 1), (0, nz - 1)))
+    assert len(corners & {tuple(v) for v in visited}) >= 3
+
+
+@pytest.mark.parametrize("nx", [1, 7])
+def test_incremental_fields_match_full_recompute_line(lib, nx):
+    # 1x1x1: every window side is cut and d_max is 0; 7x1x1: y and z cut
+    grid = make_grid(WorkspaceBounds(0, nx * 0.01, 0, 0.01, 0, 0.01, 0.01))
+    sil, wood = lib.index_of("silicone"), lib.index_of("wood")
+    gt = np.where(np.arange(nx) >= 3, sil, wood)
+    scenario = Scenario("line", grid, gt, [VoxelIndex(nx - 1, 0, 0)],
+                        VoxelIndex(0, 0, 0), TaskSpec(sil, wood))
+    for seed in range(3):
+        _, checked = full_recompute_trial(
+            scenario, lib, TrialConfig(max_iterations=30, seed=seed))
+        assert checked >= 9
