@@ -100,7 +100,8 @@ def inhibition_field(grid: WorkspaceGrid, current: VoxelIndex) -> np.ndarray:
 
     The current voxel and maximally distant voxels are fully inhibited
     (level 1); the level dips to 0 just off the current position.  A
-    single-voxel grid is uniformly inhibited.
+    single-voxel grid is uniformly inhibited.  The values are
+    :func:`inhibition_profile` of each voxel's normalized distance.
     """
     grid.require(current)
     d_max = max_distance(grid)
@@ -113,8 +114,18 @@ def inhibition_field(grid: WorkspaceGrid, current: VoxelIndex) -> np.ndarray:
     dx2 = (b.x_lo + (np.arange(grid.nx) + 0.5) * eps - px) ** 2
     dy2 = (b.y_lo + (np.arange(grid.ny) + 0.5) * eps - py) ** 2
     dz2 = (b.z_lo + (np.arange(grid.nz) + 0.5) * eps - pz) ** 2
-    d2 = dx2[None, None, :] + dy2[None, :, None] + dz2[:, None, None]
-    return inhibition_profile(np.sqrt(d2.ravel()) / d_max)
+    d = (dx2[None, None, :] + dy2[None, :, None] + dz2[:, None, None]).ravel()
+    np.sqrt(d, out=d)
+    d /= d_max
+    # inhibition_profile's arithmetic, pass by pass in place.  d >= 0, and
+    # d = 0 already gives a zero kernel, so only d >= 1 needs zeroing;
+    # (1 - d) ** 8 of a negative base is finite, so no error state is set.
+    kern = d ** (INHIB_ALPHA - 1.0)
+    kern *= (1.0 - d) ** (INHIB_BETA - 1.0)
+    kern[d >= 1.0] = 0.0
+    kern /= _KERNEL_MAX
+    np.subtract(1.0, kern, out=kern)
+    return np.clip(kern, 0.0, 1.0, out=kern)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +178,10 @@ def _sobel_responses(f: np.ndarray):
                  for k in (_KX, _KY, _KZ))
 
 
-def _saliency(sx, sy, sz) -> np.ndarray:
-    """Saliency from the three Sobel responses; see :func:`saliency_field`."""
-    s = np.maximum(np.abs(sx), np.maximum(np.abs(sy), np.abs(sz))) / SOBEL_NORM
+def _saliency(responses) -> np.ndarray:
+    """Saliency from the Sobel responses (s_x, s_y, s_z), stacked on the
+    leading axis; see :func:`saliency_field`."""
+    s = np.abs(responses).max(axis=0) / SOBEL_NORM
     return np.clip(s, 0.0, 1.0)
 
 
@@ -180,19 +192,42 @@ def saliency_field(grid: WorkspaceGrid, omega: np.ndarray) -> np.ndarray:
     because each derivative kernel sums to zero.
     """
     f = np.asarray(omega, dtype=float).reshape(grid.nz, grid.ny, grid.nx)
-    return _saliency(*_sobel_responses(f)).ravel()
+    return _saliency(_sobel_responses(f)).ravel()
 
 
 # ---------------------------------------------------------------------------
 # evidence factors and target selection
 
+def _log_beta(a: float, b: float) -> float:
+    """Log of the Beta function B(a, b), the density's normaliser."""
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+#: ``_log_beta`` of each factor in ``FACTORS``, keyed by ``(alpha, beta)``.
+_LOG_BETA = {(f.alpha, f.beta): _log_beta(*f) for f in FACTORS}
+
+
 def beta_pdf(factor: BetaFactor, x):
     """Beta density at ``x``; the argument is clamped to
     ``[1e-6, 1 - 1e-6]`` so boundary singularities stay finite."""
     a, b = factor
-    xs = np.clip(np.asarray(x, dtype=float), BETA_CLAMP, 1.0 - BETA_CLAMP)
-    log_b = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    out = np.exp((a - 1.0) * np.log(xs) + (b - 1.0) * np.log(1.0 - xs) - log_b)
+    # np.clip's bounds, as two ufuncs: the lower bound is positive, so no
+    # signed zero survives, and both pass NaN through
+    xs = np.minimum(np.maximum(np.asarray(x, dtype=float), BETA_CLAMP),
+                    1.0 - BETA_CLAMP)
+    log_b = _LOG_BETA.get((a, b))
+    if log_b is None:
+        log_b = _log_beta(a, b)
+    # the log-density is (a-1) log x + (b-1) log(1-x).  A term whose
+    # exponent is 0 is +-0, and the other term is finite and non-zero on
+    # the clamped range, so the sum is that other term: the +-0 is skipped
+    if a == 1.0:
+        log_p = (b - 1.0) * np.log(1.0 - xs)
+    elif b == 1.0:
+        log_p = (a - 1.0) * np.log(xs)
+    else:
+        log_p = (a - 1.0) * np.log(xs) + (b - 1.0) * np.log(1.0 - xs)
+    out = np.exp(log_p - log_b)
     return float(out) if out.ndim == 0 else out
 
 
@@ -208,12 +243,15 @@ def target_posterior(inhibition: np.ndarray, f_saliency: np.ndarray,
     Returns ``(probability_vector, degenerate)``; an all-zero score vector
     falls back to the uniform distribution with the flag set.
     """
-    score = beta_pdf(INHIBITION_FACTOR, inhibition) * f_saliency * f_uncertainty
+    score = beta_pdf(INHIBITION_FACTOR, inhibition)
+    score *= f_saliency
+    score *= f_uncertainty
     total = score.sum()
     if total <= 0.0 or not np.isfinite(total):
         theta = score.size
         return np.full(theta, 1.0 / theta), True
-    return score / total, False
+    score /= total
+    return score, False
 
 
 def select_target(posterior: np.ndarray, grid: WorkspaceGrid) -> VoxelIndex:
@@ -224,42 +262,60 @@ def select_target(posterior: np.ndarray, grid: WorkspaceGrid) -> VoxelIndex:
 # ---------------------------------------------------------------------------
 # per-trial field cache
 
-#: Weights of the Sobel kernels: entry k (C order) of (_KX, _KY, _KZ).
-_SOBEL_WEIGHTS = np.stack([k.ravel() for k in (_KX, _KY, _KZ)], axis=1)[:, :, None]
+#: Weights of the Sobel kernels: [k, a, o] is entry k (C order) of kernel
+#: a in (_KX, _KY, _KZ), repeated for each of the 27 block outputs o (a
+#: contiguous operand multiplies faster than a broadcast one).
+_SOBEL_WEIGHTS = np.repeat(
+    np.stack([k.ravel() for k in (_KX, _KY, _KZ)], axis=1)[:, :, None], 27, axis=2)
 #: Offsets (0-2 per axis) of the 27 entries of a 3x3x3 block, C order.
 _BLOCK_OFFSETS = np.indices((3, 3, 3)).reshape(3, -1).T
+
+
+def _per_voxel(values, theta: int) -> np.ndarray:
+    """A fresh array of ``theta`` floats from ``values``: ``theta`` of
+    them, or one value (a scalar or a length-1 array) for every voxel."""
+    out = np.empty(theta)
+    out[...] = values
+    return out
 
 
 class AttentionFields:
     """The uncertainty, similarity and saliency fields of one trial, with
     their evidence densities ``f_uncertainty`` and ``f_saliency``.
 
-    Built from the full fields at the start of a trial.  A posterior
-    update at voxel ``j`` changes the uncertainty and similarity of ``j``
-    alone, and the saliency only in the 3x3x3 block around it, so
-    :meth:`touch` recomputes just those entries, with the arithmetic of
+    Built from the start fields, each given as ``grid.theta`` values or as
+    one value for every voxel; the densities are evaluated on the values
+    given and spread the same way.  :func:`~hapticbayes.simulator.run_trial`
+    starts from a fresh, uniform :class:`PosteriorGrid`, so it passes the
+    uncertainty and similarity of one uniform row and saliency 0 (a
+    constant similarity field has none).  A posterior update at voxel
+    ``j`` changes the uncertainty and similarity of ``j`` alone, and the
+    saliency only in the 3x3x3 block around it, so :meth:`touch`
+    recomputes just those entries, with the arithmetic of
     :func:`uncertainty_field`, :func:`omega_field` and
     :func:`saliency_field`; every array stays equal to a full recompute.
     The arrays are updated in place: copy them to keep a snapshot.
     """
 
     def __init__(self, grid: WorkspaceGrid, task: TaskSpec,
-                 uncertainty: np.ndarray, omega: np.ndarray,
-                 saliency: np.ndarray):
+                 uncertainty, omega, saliency):
         self.grid = grid
         self.task = task
-        self.uncertainty = np.array(uncertainty, dtype=float)
-        self.omega = np.array(omega, dtype=float)
-        self.saliency = np.array(saliency, dtype=float)
-        self.f_uncertainty = beta_pdf(UNCERTAINTY_FACTOR, self.uncertainty)
-        self.f_saliency = beta_pdf(SALIENCY_FACTOR, self.saliency)
+        theta = grid.theta
+        self.uncertainty = _per_voxel(uncertainty, theta)
+        self.omega = _per_voxel(omega, theta)
+        self.saliency = _per_voxel(saliency, theta)
+        self.f_uncertainty = _per_voxel(beta_pdf(UNCERTAINTY_FACTOR, uncertainty),
+                                        theta)
+        self.f_saliency = _per_voxel(beta_pdf(SALIENCY_FACTOR, saliency), theta)
         shape = (grid.nz, grid.ny, grid.nx)
         self._saliency3 = self.saliency.reshape(shape)
         self._f_saliency3 = self.f_saliency.reshape(shape)
         # similarity with a border of two neutral voxels, flattened: the
         # 5x5x5 window that the block around any voxel reads lies inside
-        self._padded = np.pad(self.omega.reshape(shape), 2,
-                              constant_values=OMEGA_NEUTRAL).ravel()
+        padded = np.full((grid.nz + 4, grid.ny + 4, grid.nx + 4), OMEGA_NEUTRAL)
+        padded[2:-2, 2:-2, 2:-2] = self.omega.reshape(shape)
+        self._padded = padded.ravel()
         self._ystep = grid.nx + 4
         self._zstep = (grid.ny + 4) * self._ystep
         # reads[k, o]: offset from the window's corner of the value that
@@ -272,23 +328,24 @@ class AttentionFields:
         grid = self.grid
         row = slice(j, j + 1)
         probs = posteriors.probs[row]
-        self.uncertainty[row] = np.clip(_normalized_entropies(probs), 0.0, 1.0)
-        self.f_uncertainty[row] = beta_pdf(UNCERTAINTY_FACTOR,
-                                           self.uncertainty[row])
-        self.omega[row] = _omega(probs, posteriors.k_counts[row], self.task)
+        uncertainty = np.clip(_normalized_entropies(probs), 0.0, 1.0)
+        self.uncertainty[row] = uncertainty
+        self.f_uncertainty[row] = beta_pdf(UNCERTAINTY_FACTOR, uncertainty)
+        omega = _omega(probs, posteriors.k_counts[row], self.task)
+        self.omega[row] = omega
 
         ix, iy, iz = grid.voxel_of_linear(j)
         corner = iz * self._zstep + iy * self._ystep + ix
-        self._padded[corner + 2 * (self._zstep + self._ystep + 1)] = self.omega[j]
+        self._padded[corner + 2 * (self._zstep + self._ystep + 1)] = omega[0]
         # Sobel responses of the block around j; the window's corner is
         # padded voxel (iz, iy, ix).  ndimage's correlate adds a kernel's
-        # products in the kernel's C order, skipping zero weights, and the
-        # running sum over k adds them in that order.  A zero weight adds
-        # +0.0, which can change a sum only in the sign of a zero, and
-        # saliency takes absolute values.
+        # products in the kernel's C order, skipping zero weights.  The sum
+        # over the leading axis k adds the rows one after another, in that
+        # order.  A zero weight adds +0.0, which can change a sum only in
+        # the sign of a zero, and saliency takes absolute values.
         window = self._padded[self._reads + corner]
-        responses = np.cumsum(_SOBEL_WEIGHTS * window[:, None, :], axis=0)[-1]
-        block = _saliency(*responses).reshape(3, 3, 3)
+        block = _saliency((_SOBEL_WEIGHTS * window[:, None, :]).sum(axis=0))
+        block = block.reshape(3, 3, 3)
         # keep the outputs inside the grid: block entry 0 on an axis is
         # grid index i - 1
         inside, cut = [], []

@@ -125,16 +125,22 @@ def bundled_library_path() -> Path:
 def load_library(source: Union[str, Path]) -> MaterialLibrary:
     """Load a material library from a CSV parameter file.
 
-    The file must have exactly the header columns ``name, mu_E, sigma_E,
-    mu_C, sigma_C``; lines starting with ``#`` are comments.  Any unknown
-    or missing column, duplicate name, non-finite parameter or non-positive
-    sigma rejects the file with a :class:`LibraryLoadError` naming the
-    offending record.
+    The file must be UTF-8 text with exactly the header columns ``name,
+    mu_E, sigma_E, mu_C, sigma_C``; lines starting with ``#`` are
+    comments.  Any other encoding, malformed CSV, unknown or missing
+    column, duplicate name, non-finite parameter or non-positive sigma
+    rejects the file with a :class:`LibraryLoadError` naming the path and,
+    where there is one, the offending record.
     """
     path = Path(source)
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh)
-                if r and not (r[0].lstrip().startswith("#"))]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.reader(fh)
+                    if r and not (r[0].lstrip().startswith("#"))]
+    except UnicodeDecodeError as exc:
+        raise LibraryLoadError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise LibraryLoadError(f"{path}: {exc}") from None
     if not rows:
         raise LibraryLoadError(f"{path}: empty parameter file")
     header = [h.strip() for h in rows[0]]

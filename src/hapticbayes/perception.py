@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,11 +98,14 @@ def update_posterior(lib: MaterialLibrary, prior: MaterialPosterior,
     repeated explorations of the same voxel.  Works row-wise: ``prior``
     may hold one ``(n,)`` posterior with scalar ``sample.e``/``sample.c``,
     or a ``(T, n)`` batch with length-T sample arrays, row t updated by
-    sample t.  A row whose likelihoods all floor to zero keeps its prior
-    unchanged, and then the result carries ``degenerate=True``.
+    sample t.  A row whose likelihoods all floor to zero (e.g. a NaN
+    feature) keeps its prior unchanged, and then the result carries
+    ``degenerate=True``.  ``k_count`` is shared by the rows: it goes up by
+    one when at least one row integrated its sample, so a mixed batch
+    counts the sample, and stays unchanged when every row was degenerate.
     """
     probs, degenerate = _posterior_update(prior.probs, log_likelihoods(lib, sample))
-    return MaterialPosterior(probs, prior.k_count + 1,
+    return MaterialPosterior(probs, prior.k_count + int(not degenerate.all()),
                              degenerate=bool(degenerate.any()))
 
 
@@ -111,6 +115,13 @@ def map_category(post: MaterialPosterior):
     index."""
     idx = np.argmax(post.probs, axis=-1)
     return int(idx) if idx.ndim == 0 else idx
+
+
+class VoxelUpdate(NamedTuple):
+    """Outcome of :meth:`PosteriorGrid.update` at one voxel."""
+
+    k_count: int        # samples integrated at the voxel so far
+    degenerate: bool    # this sample left the prior unchanged
 
 
 class PosteriorGrid:
@@ -131,23 +142,22 @@ class PosteriorGrid:
         return self.probs.shape[1]
 
     def update(self, linear: int, lib: MaterialLibrary,
-               sample: HapticSample) -> MaterialPosterior:
+               sample: HapticSample) -> VoxelUpdate:
         """Recursive update of one voxel's posterior in place.
 
         A degenerate sample (every likelihood floors to zero, e.g. a NaN
         feature) keeps the prior, adds to ``degenerate_events`` and is not
-        counted in ``k_counts``.
+        counted in ``k_counts``.  Returns the voxel's sample count and the
+        degenerate flag; the updated row is ``probs[linear]``.
         """
         new_probs, degenerate = _posterior_update(
             self.probs[linear], log_likelihoods(lib, sample))
-        degenerate = bool(degenerate)
         self.probs[linear] = new_probs
         if degenerate:
             self.degenerate_events += 1
         else:
             self.k_counts[linear] += 1
-        return MaterialPosterior(new_probs.copy(), int(self.k_counts[linear]),
-                                 degenerate=degenerate)
+        return VoxelUpdate(int(self.k_counts[linear]), bool(degenerate))
 
     def entropies(self) -> np.ndarray:
         """Normalized entropy of every row, vectorized."""

@@ -25,7 +25,7 @@ from .attention import (
     TaskSpec,
     inhibition_field,
     omega_field,
-    saliency_field,
+    saliency_field,  # not called here; benchmarks/tracing.py wraps this name
     select_target,
     target_posterior,
     uncertainty_field,
@@ -135,7 +135,7 @@ def save_scenario(scenario: Scenario, lib: MaterialLibrary,
         for iy in range(grid.ny):
             lines.append("".join(symbols[int(m)] for m in gt[iz, iy]))
     path = Path(destination)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
@@ -171,11 +171,16 @@ def load_scenario(source: Union[str, Path], lib: MaterialLibrary) -> Scenario:
     """Parse and fully validate a scenario file against a material library.
 
     Raises :class:`ScenarioLoadError` with the offending location for any
-    malformed grid line, unknown material name, raster size mismatch, or
-    out-of-bounds path or start voxel.
+    text that is not UTF-8, malformed grid line, unknown material name,
+    task naming one material twice, symbol defined twice, raster size
+    mismatch, or out-of-bounds path or start voxel.
     """
     path = Path(source)
-    sections = _parse_sections(path.read_text(), str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioLoadError(f"{path}: not UTF-8 text: {exc}") from None
+    sections = _parse_sections(text, str(path))
 
     grid_vals = " ".join(sections["grid"]).split()
     if len(grid_vals) != 7:
@@ -193,7 +198,7 @@ def load_scenario(source: Union[str, Path], lib: MaterialLibrary) -> Scenario:
         raise ScenarioLoadError(f"{path}: task needs two material names")
     try:
         task = TaskSpec(lib.index_of(task_names[0]), lib.index_of(task_names[1]))
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         raise ScenarioLoadError(f"{path}: task: {exc}") from None
 
     symbol_map: dict[str, int] = {}
@@ -205,6 +210,8 @@ def load_scenario(source: Union[str, Path], lib: MaterialLibrary) -> Scenario:
         sym, name = sym.strip(), name.strip()
         if len(sym) != 1 or not name:
             raise ScenarioLoadError(f"{path}: bad symbol entry {part!r}")
+        if sym in symbol_map:
+            raise ScenarioLoadError(f"{path}: symbol {sym!r} defined twice")
         try:
             symbol_map[sym] = lib.index_of(name)
         except KeyError as exc:
@@ -350,12 +357,14 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
 
     Each iteration senses the current voxel, updates its material
     posterior, refreshes the attention fields, forms the target posterior
-    and teleports to its maximum.  The uncertainty, similarity and
-    saliency fields are computed over the whole grid once per trial; after
-    that an update at voxel j refreshes only the uncertainty and
-    similarity of j and the saliency of the 3x3x3 block around it, which
-    gives the same values as a full recompute.  The inhibition field,
-    centered on the current position, is recomputed over the whole grid
+    and teleports to its maximum.  Every voxel starts at the uniform
+    prior, so the start fields are constant: the uncertainty and
+    similarity of one uniform posterior row, spread over the grid, and
+    zero saliency.  After that an update at voxel j refreshes only the
+    uncertainty and similarity of j and the saliency of the 3x3x3 block
+    around it, with their Beta densities, which gives the same values as
+    a full recompute.  The inhibition field, centered on the current
+    position, and the target posterior are recomputed over the whole grid
     every iteration.  The trial ends on loop closure (current voxel within
     one step of the first benchmark voxel visited, once at least ten
     iterations have run) or when the iteration budget is spent.  The start
@@ -369,9 +378,12 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     grid = scenario.grid
     rng = np.random.default_rng(config.seed)
     posteriors = PosteriorGrid(grid.theta, len(lib))
-    omega = omega_field(posteriors, scenario.task)
-    fields = AttentionFields(grid, scenario.task, uncertainty_field(posteriors),
-                             omega, saliency_field(grid, omega))
+    # every voxel starts at the same uniform posterior: its uncertainty and
+    # similarity are those of one uniform row, and the constant similarity
+    # field has zero saliency
+    prior = PosteriorGrid(1, len(lib))
+    fields = AttentionFields(grid, scenario.task, uncertainty_field(prior),
+                             omega_field(prior, scenario.task), 0.0)
     bench_set = set(scenario.benchmark_path)
 
     current = scenario.start

@@ -27,7 +27,7 @@ from hapticbayes import (
     target_posterior,
     uncertainty_field,
 )
-from hapticbayes.attention import FACTORS, _sobel_responses
+from hapticbayes.attention import BETA_CLAMP, FACTORS, _sobel_responses
 
 EPS = 0.01
 
@@ -230,6 +230,34 @@ def test_beta_pdf_matches_scipy():
     for factor in (INHIBITION_FACTOR, UNCERTAINTY_FACTOR, SALIENCY_FACTOR):
         assert beta_pdf(factor, x) \
             == pytest.approx(stats.beta.pdf(x, *factor), rel=1e-12)
+
+
+def two_term_beta_pdf(factor, x):
+    """Oracle: the Beta log-density with both terms, as one expression."""
+    a, b = factor
+    xs = np.clip(np.asarray(x, dtype=float), BETA_CLAMP, 1.0 - BETA_CLAMP)
+    log_b = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    out = np.exp((a - 1.0) * np.log(xs) + (b - 1.0) * np.log(1.0 - xs) - log_b)
+    return float(out) if out.ndim == 0 else out
+
+
+@pytest.mark.parametrize("factor", FACTORS + (BetaFactor(2.0, 3.5),
+                                              BetaFactor(1.0, 1.0)))
+def test_beta_pdf_equals_two_term_formula(factor):
+    rng = np.random.default_rng(5)
+    edges = [0.0, -0.0, 1.0, BETA_CLAMP, 1.0 - BETA_CLAMP, 0.5, 1e-300,
+             -1e-300, -0.25, 1.75, -math.inf, math.inf]
+    x = np.concatenate([edges, rng.uniform(-0.5, 1.5, 400),
+                        rng.uniform(0.0, 1.0, 400)])
+    got = beta_pdf(factor, x)
+    assert got.shape == x.shape and np.all(got == two_term_beta_pdf(factor, x))
+    assert np.array_equal(beta_pdf(factor, x.reshape(2, -1)),
+                          two_term_beta_pdf(factor, x.reshape(2, -1)))
+    for value in edges:
+        one = beta_pdf(factor, value)
+        assert type(one) is float and one == two_term_beta_pdf(factor, value)
+        assert beta_pdf(factor, np.array(value)) == one
+    assert math.isnan(beta_pdf(factor, math.nan))
 
 
 def test_factor_constants():

@@ -74,6 +74,21 @@ def test_load_rejects_missing_field(tmp_path):
         load_library(path)
 
 
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "params.csv"
+    path.write_bytes(b"name,mu_E,sigma_E,mu_C,sigma_C\n"
+                     b"a\xff,1,0.1,1,0.1\nb,2,0.2,2,0.2\n")
+    with pytest.raises(LibraryLoadError, match=f"{path}: not UTF-8"):
+        load_library(path)
+
+
+def test_load_rejects_oversized_csv_field(tmp_path):
+    # the csv module refuses fields over its 131,072-character limit
+    path = write_csv(tmp_path, ["a" * 200_000 + ",1,0.1,1,0.1", "b,2,0.2,2,0.2"])
+    with pytest.raises(LibraryLoadError, match="field larger than field limit"):
+        load_library(path)
+
+
 def test_sample_determinism(lib):
     noise = NoiseSpec()
     a = synthesize_sample(lib, 3, noise, np.random.default_rng(42))

@@ -131,7 +131,7 @@ def test_update_degenerate_evidence_keeps_prior(lib):
     post = update_posterior(lib, prior, HapticSample(1e300, 1e300))
     assert post.degenerate
     assert post.probs == pytest.approx(prior.probs, abs=0)
-    assert post.k_count == 1
+    assert post.k_count == 0    # the sample was not integrated
 
 
 @pytest.mark.filterwarnings("error")
@@ -148,6 +148,32 @@ def test_batched_update_keeps_degenerate_row_prior(lib):
     assert np.array_equal(post.probs[1], prior.probs)
     assert np.array_equal(post.probs[0],
                           update_posterior(lib, prior, ordinary).probs)
+
+
+def test_update_posterior_counts_only_integrated_samples(lib):
+    n = len(lib)
+    nan = HapticSample(math.nan, 1.0)
+    prior = update_posterior(lib, MaterialPosterior.uniform(n),
+                             HapticSample(1.2, 3.4))
+    assert prior.k_count == 1
+    # one row, NaN sample: prior kept, count unchanged
+    with np.errstate(invalid="raise"):
+        post = update_posterior(lib, prior, nan)
+    assert post.degenerate and post.k_count == 1
+    assert np.array_equal(post.probs, prior.probs)
+    # a batch whose every row is degenerate: count unchanged
+    rows = MaterialPosterior(np.stack([prior.probs] * 3), prior.k_count)
+    post = update_posterior(lib, rows, HapticSample(np.full(3, math.nan),
+                                                    np.ones(3)))
+    assert post.degenerate and post.k_count == 1
+    assert np.array_equal(post.probs, rows.probs)
+    # a mixed batch: the shared count goes up, the NaN row keeps its prior
+    post = update_posterior(lib, rows, HapticSample(np.array([0.9, math.nan, 1.1]),
+                                                    np.array([2.5, 1.0, 2.0])))
+    assert post.degenerate and post.k_count == 2
+    assert np.array_equal(post.probs[1], prior.probs)
+    assert np.array_equal(post.probs[0],
+                          update_posterior(lib, prior, HapticSample(0.9, 2.5)).probs)
 
 
 def test_batched_update_rows_match_scalar_updates(lib):

@@ -117,6 +117,31 @@ def test_load_rejects_non_finite_grid_bound(tmp_path, lib):
         load_scenario(bad, lib)
 
 
+def test_load_rejects_duplicate_symbol(tmp_path, lib):
+    src = bundled_scenario_path("scenario-1").read_text()
+    bad = tmp_path / "bad.txt"
+    bad.write_text(src.replace("symbols: A=silicone, B=wood",
+                               "symbols: A=silicone, A=wood, B=wood"))
+    with pytest.raises(ScenarioLoadError, match="symbol 'A' defined twice"):
+        load_scenario(bad, lib)
+
+
+def test_load_rejects_task_naming_one_material_twice(tmp_path, lib):
+    src = bundled_scenario_path("scenario-1").read_text()
+    bad = tmp_path / "bad.txt"
+    bad.write_text(src.replace("task: silicone, wood", "task: wood, wood"))
+    with pytest.raises(ScenarioLoadError, match="task: task materials must differ"):
+        load_scenario(bad, lib)
+
+
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path, lib):
+    src = bundled_scenario_path("scenario-1").read_bytes()
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(src.replace(b"name: scenario-1", b"name: scenario-\xff"))
+    with pytest.raises(ScenarioLoadError, match=f"{bad}: not UTF-8"):
+        load_scenario(bad, lib)
+
+
 def test_load_rejects_missing_section(tmp_path, lib):
     src = [ln for ln in bundled_scenario_path("scenario-1").read_text().splitlines()
            if not ln.startswith("start:")]
