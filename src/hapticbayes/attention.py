@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import ndimage
 
-from .grid import VoxelIndex, WorkspaceGrid, max_distance
+from .grid import VoxelIndex, WorkspaceGrid
 from .perception import PosteriorGrid, _normalized_entropies
 
 #: Shape constants of the inhibition-of-return kernel.
@@ -95,37 +95,77 @@ def inhibition_profile(d):
     return np.clip(1.0 - kern / _KERNEL_MAX, 0.0, 1.0)
 
 
+class InhibitionTable:
+    """Inhibition of return and its Beta density at every probe offset on
+    one grid.
+
+    Both depend only on a voxel's offset ``(|dx|, |dy|, |dz|)``, in voxels,
+    from the probe: its normalized distance is ``sqrt(dx^2 + dy^2 + dz^2)
+    / sqrt((nx-1)^2 + (ny-1)^2 + (nz-1)^2)``, 1 between opposite corners.
+    The squares are exact integers, so voxels at mirrored offsets get the
+    same value.  ``inhibition`` holds :func:`inhibition_profile` of that
+    distance and ``density`` its ``beta_pdf(INHIBITION_FACTOR, .)``, one
+    entry per offset (``grid.theta`` in all), as ``(nz * ny, nx)`` arrays
+    indexed ``[|dz| * ny + |dy|, |dx|]``.  A single-voxel grid is fully
+    inhibited.  :func:`inhibition_table` builds one per grid and keeps it.
+    """
+
+    def __init__(self, grid: WorkspaceGrid):
+        nx, ny, nz = self.grid_shape = grid.shape
+        rows = nz * ny
+        reach2 = (nx - 1) ** 2 + (ny - 1) ** 2 + (nz - 1) ** 2
+        if reach2 == 0:
+            inhibition = np.ones((rows, nx))
+        else:
+            dx2, dy2, dz2 = (np.arange(n, dtype=float) ** 2 for n in (nx, ny, nz))
+            d = np.sqrt(dz2[:, None, None] + dy2[None, :, None] + dx2[None, None, :])
+            d /= math.sqrt(reach2)
+            inhibition = inhibition_profile(d.reshape(rows, nx))
+        self.inhibition = inhibition
+        self.density = beta_pdf(INHIBITION_FACTOR, inhibition)
+        # |offset| vectors: the row offsets of y = 0 .. ny-1 from the probe's
+        # iy are abs_y[ny - 1 - iy:][:ny]; z offsets count ny rows each
+        self._abs_y = np.abs(np.arange(1 - ny, ny))
+        self._abs_z = np.abs(np.arange(1 - nz, nz)) * ny
+
+    def gather(self, values: np.ndarray, probe: VoxelIndex) -> np.ndarray:
+        """``values`` (``inhibition`` or ``density``) at every voxel's
+        offset from ``probe``, as a fresh array in linear-index order."""
+        ix, iy, iz = probe
+        nx, ny, nz = self.grid_shape
+        rows = self._abs_y[ny - 1 - iy:2 * ny - 1 - iy]
+        if nz > 1:
+            rows = (self._abs_z[nz - 1 - iz:2 * nz - 1 - iz, None] + rows).ravel()
+        near = values.take(rows, axis=0)
+        # along x the offsets are ix, ix-1, .., 1 and then 0, 1, ..: two
+        # slices, which copy faster than a gather by index
+        out = np.empty_like(near)
+        out[:, :ix] = near[:, ix:0:-1]
+        out[:, ix:] = near[:, :nx - ix]
+        return out.ravel()
+
+
+def inhibition_table(grid: WorkspaceGrid) -> InhibitionTable:
+    """The :class:`InhibitionTable` of ``grid``, built on first use and kept
+    on the grid as derived state (the grid itself is immutable)."""
+    table = vars(grid).get("_inhibition_table")
+    if table is None:
+        table = vars(grid)["_inhibition_table"] = InhibitionTable(grid)
+    return table
+
+
 def inhibition_field(grid: WorkspaceGrid, current: VoxelIndex) -> np.ndarray:
     """Inhibition level of every voxel relative to the probe position.
 
     The current voxel and maximally distant voxels are fully inhibited
     (level 1); the level dips to 0 just off the current position.  A
     single-voxel grid is uniformly inhibited.  The values are
-    :func:`inhibition_profile` of each voxel's normalized distance.
+    :func:`inhibition_profile` of each voxel's normalized distance in
+    whole voxels, read from the grid's :class:`InhibitionTable`.
     """
     grid.require(current)
-    d_max = max_distance(grid)
-    if d_max == 0.0:
-        return np.ones(grid.theta)
-    b = grid.bounds
-    eps = b.epsilon
-    px, py, pz = grid.center(current)
-    # squared offsets per axis, broadcast to (nz, ny, nx) = linear order
-    dx2 = (b.x_lo + (np.arange(grid.nx) + 0.5) * eps - px) ** 2
-    dy2 = (b.y_lo + (np.arange(grid.ny) + 0.5) * eps - py) ** 2
-    dz2 = (b.z_lo + (np.arange(grid.nz) + 0.5) * eps - pz) ** 2
-    d = (dx2[None, None, :] + dy2[None, :, None] + dz2[:, None, None]).ravel()
-    np.sqrt(d, out=d)
-    d /= d_max
-    # inhibition_profile's arithmetic, pass by pass in place.  d >= 0, and
-    # d = 0 already gives a zero kernel, so only d >= 1 needs zeroing;
-    # (1 - d) ** 8 of a negative base is finite, so no error state is set.
-    kern = d ** (INHIB_ALPHA - 1.0)
-    kern *= (1.0 - d) ** (INHIB_BETA - 1.0)
-    kern[d >= 1.0] = 0.0
-    kern /= _KERNEL_MAX
-    np.subtract(1.0, kern, out=kern)
-    return np.clip(kern, 0.0, 1.0, out=kern)
+    table = inhibition_table(grid)
+    return table.gather(table.inhibition, current)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +271,24 @@ def beta_pdf(factor: BetaFactor, x):
     return float(out) if out.ndim == 0 else out
 
 
+def target_score(grid: WorkspaceGrid, current: VoxelIndex,
+                 f_saliency: np.ndarray, f_uncertainty: np.ndarray) -> np.ndarray:
+    """Unnormalized target posterior with the probe at ``current``.
+
+    Each voxel scores its inhibition density, read from the grid's
+    :class:`InhibitionTable`, times ``f_saliency`` times
+    ``f_uncertainty``: the score that :func:`target_posterior` of
+    :func:`inhibition_field` normalizes, value for value.  The target is
+    its first maximum; no pass over the grid normalizes it.
+    """
+    grid.require(current)
+    table = inhibition_table(grid)
+    score = table.gather(table.density, current)
+    score *= f_saliency
+    score *= f_uncertainty
+    return score
+
+
 def target_posterior(inhibition: np.ndarray, f_saliency: np.ndarray,
                      f_uncertainty: np.ndarray):
     """Posterior over candidate voxels from the three evidence ``FACTORS``.
@@ -241,7 +299,9 @@ def target_posterior(inhibition: np.ndarray, f_saliency: np.ndarray,
     ``f_uncertainty = beta_pdf(UNCERTAINTY_FACTOR, uncertainty)``; the task
     prior is constant within a trial and cancels in the normalization.
     Returns ``(probability_vector, degenerate)``; an all-zero score vector
-    falls back to the uniform distribution with the flag set.
+    falls back to the uniform distribution with the flag set.  The
+    exploration loop builds it only for an observer and otherwise selects
+    on :func:`target_score`.
     """
     score = beta_pdf(INHIBITION_FACTOR, inhibition)
     score *= f_saliency
@@ -254,9 +314,10 @@ def target_posterior(inhibition: np.ndarray, f_saliency: np.ndarray,
     return score, False
 
 
-def select_target(posterior: np.ndarray, grid: WorkspaceGrid) -> VoxelIndex:
-    """Maximum a posteriori voxel; ties break to the lowest linear index."""
-    return grid.voxel_of_linear(int(np.argmax(posterior)))
+def select_target(score: np.ndarray, grid: WorkspaceGrid) -> VoxelIndex:
+    """Voxel of the highest score, raw or normalized; ties break to the
+    lowest linear index."""
+    return grid.voxel_of_linear(int(np.argmax(score)))
 
 
 # ---------------------------------------------------------------------------

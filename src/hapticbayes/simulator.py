@@ -28,6 +28,7 @@ from .attention import (
     saliency_field,  # not called here; benchmarks/tracing.py wraps this name
     select_target,
     target_posterior,
+    target_score,
     uncertainty_field,
 )
 from .grid import GridConfigError, VoxelIndex, WorkspaceBounds, WorkspaceGrid, make_grid
@@ -356,24 +357,32 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     """Run one closed-loop exploration trial.
 
     Each iteration senses the current voxel, updates its material
-    posterior, refreshes the attention fields, forms the target posterior
-    and teleports to its maximum.  Every voxel starts at the uniform
-    prior, so the start fields are constant: the uncertainty and
+    posterior, refreshes the attention fields, scores every voxel as a
+    target and teleports to the highest score.  Every voxel starts at the
+    uniform prior, so the start fields are constant: the uncertainty and
     similarity of one uniform posterior row, spread over the grid, and
     zero saliency.  After that an update at voxel j refreshes only the
     uncertainty and similarity of j and the saliency of the 3x3x3 block
     around it, with their Beta densities, which gives the same values as
-    a full recompute.  The inhibition field, centered on the current
-    position, and the target posterior are recomputed over the whole grid
-    every iteration.  The trial ends on loop closure (current voxel within
-    one step of the first benchmark voxel visited, once at least ten
-    iterations have run) or when the iteration budget is spent.  The start
-    voxel counts as the first visited voxel.
+    a full recompute.  The score is :func:`target_score`: the inhibition
+    density at each voxel's whole-voxel offset from the current position,
+    read from the grid's inhibition table (built in the first trial on
+    the grid), times the saliency and uncertainty densities.  The target
+    is its maximum, ties to the lowest linear index, with no
+    normalization.  A score that is all zero or not finite counts one
+    degenerate event and selects linear index 0.  The trial ends on loop
+    closure (current voxel within one step of the first benchmark voxel
+    visited, once at least ten iterations have run) or when the iteration
+    budget is spent.  The start voxel counts as the first visited voxel.
 
     ``on_iteration`` receives ``(k, AttentionState)`` after each target
-    computation, which is how field snapshots are exported; the state's
-    arrays are fresh copies, so a stored state stays unchanged as the
-    trial goes on.
+    computation, which is how field snapshots are exported.  Only then
+    are the inhibition field and the target posterior built, and the
+    target is taken from the posterior, which normalizes the same score:
+    where normalizing rounds scores a rounding step apart to one value,
+    the raw score decides, so an observer never changes the path.  The
+    state's arrays are fresh copies, so a stored state stays unchanged as
+    the trial goes on.
     """
     grid = scenario.grid
     rng = np.random.default_rng(config.seed)
@@ -406,12 +415,27 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
             break
 
         fields.touch(posteriors, j)
-        inhibition = inhibition_field(grid, current)
-        probs, degenerate = target_posterior(inhibition, fields.f_saliency,
-                                             fields.f_uncertainty)
-        if degenerate:
-            degenerate_events += 1
-        if on_iteration is not None:
+        if on_iteration is None:
+            score = target_score(grid, current, fields.f_saliency,
+                                 fields.f_uncertainty)
+            chosen = select_target(score, grid)
+            # scores are >= 0: the maximum is 0 only if every score is,
+            # and NaN or inf if any score is
+            degenerate = not 0.0 < score[grid.linear_index(chosen)] < math.inf
+        else:
+            inhibition = inhibition_field(grid, current)
+            probs, degenerate = target_posterior(inhibition, fields.f_saliency,
+                                                 fields.f_uncertainty)
+            chosen = select_target(probs, grid)
+            # dividing by the total keeps the order of the scores, but can
+            # round two scores a rounding step apart to one value: among the
+            # voxels tied with the choice, take the first of the highest raw
+            # score, as the loop does without an observer
+            tied = np.flatnonzero(probs == probs[grid.linear_index(chosen)])
+            if tied.size > 1 and not degenerate:
+                score = target_score(grid, current, fields.f_saliency,
+                                     fields.f_uncertainty)
+                chosen = grid.voxel_of_linear(int(tied[np.argmax(score[tied])]))
             on_iteration(k, AttentionState(
                 inhibition=inhibition,
                 uncertainty=fields.uncertainty.copy(),
@@ -420,7 +444,10 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
                 target_posterior=probs,
                 degenerate=degenerate,
             ))
-        current = select_target(probs, grid)
+        if degenerate:
+            degenerate_events += 1
+            chosen = grid.voxel_of_linear(0)
+        current = chosen
 
     gamma = gamma_metric(grid, visited, scenario.benchmark_path)
     return TrialRecord(visited, gamma, config.seed, terminated_by,

@@ -27,7 +27,13 @@ from hapticbayes import (
     target_posterior,
     uncertainty_field,
 )
-from hapticbayes.attention import BETA_CLAMP, FACTORS, _sobel_responses
+from hapticbayes.attention import (
+    BETA_CLAMP,
+    FACTORS,
+    _sobel_responses,
+    inhibition_table,
+    target_score,
+)
 
 EPS = 0.01
 
@@ -97,10 +103,44 @@ def test_inhibition_field_properties():
         == pytest.approx(1.0, abs=1e-12)
 
 
+#: Grids whose every probe the table oracles check: the bundled 30x60x1
+#: workspace, a small volume, one voxel and a line.
+TABLE_GRIDS = ((30, 60, 1), (5, 4, 3), (1, 1, 1), (7, 1, 1))
+
+
+@pytest.mark.parametrize("shape", TABLE_GRIDS)
+def test_inhibition_table_equals_profile_of_integer_offsets(shape,
+                                                            offset_inhibition):
+    grid = grid_of(*shape)
+    table = inhibition_table(grid)
+    # the table itself: entry [|dz| * ny + |dy|, |dx|] is the probe at 0
+    origin = offset_inhibition(grid, VoxelIndex(0, 0, 0))
+    assert np.array_equal(table.inhibition.ravel(), origin)
+    assert np.array_equal(table.density.ravel(), beta_pdf(INHIBITION_FACTOR, origin))
+    for j in range(grid.theta):
+        v = grid.voxel_of_linear(j)
+        want = offset_inhibition(grid, v)
+        assert np.array_equal(inhibition_field(grid, v), want)
+        assert np.array_equal(table.gather(table.density, v),
+                              beta_pdf(INHIBITION_FACTOR, want))
+
+
+def test_inhibition_table_has_theta_entries_and_is_built_once_per_grid():
+    grid = grid_of(5, 4, 3)
+    table = inhibition_table(grid)
+    assert table.inhibition.size == table.density.size == grid.theta
+    assert inhibition_table(grid) is table
+    inhibition_field(grid, VoxelIndex(1, 2, 0))
+    assert inhibition_table(grid) is table
+    other = grid_of(5, 4, 3)            # an equal grid is another object
+    assert inhibition_table(other) is not table
+    assert inhibition_table(grid_of(4, 5, 3)).inhibition.shape == (15, 4)
+
+
 def test_inhibition_field_matches_center_formula():
-    # oracle: distances between the centers of every voxel pair, summed
-    # x + y + z; offset origins and odd epsilons make rounding differ
-    # between summation orders
+    # closeness only: the field uses whole-voxel offsets, and the distance
+    # between voxel centers, offset origins and odd epsilons included,
+    # rounds differently, so the two agree to within 1e-14
     for (nx, ny, nz), (x0, y0, z0), eps in (((6, 5, 4), (0.1, -0.2, 0.05), 0.007),
                                             ((9, 7, 5), (0.3, 0.1, -0.4), 0.013)):
         grid = make_grid(WorkspaceBounds(x0, x0 + nx * eps, y0, y0 + ny * eps,
@@ -111,7 +151,8 @@ def test_inhibition_field_matches_center_formula():
             v = grid.voxel_of_linear(j)
             px, py, pz = grid.center(v)
             d = np.sqrt((cx - px) ** 2 + (cy - py) ** 2 + (cz - pz) ** 2) / d_max
-            assert np.array_equal(inhibition_field(grid, v), inhibition_profile(d))
+            np.testing.assert_allclose(inhibition_field(grid, v),
+                                       inhibition_profile(d), rtol=0, atol=1e-14)
 
 
 def test_inhibition_field_single_voxel_grid():
@@ -344,6 +385,36 @@ def test_select_target_tie_break_and_scaling():
     assert select_target(np.full(5, 0.2), grid) == VoxelIndex(0, 0, 0)
     scores = np.array([0.1, 0.5, 0.4, 0.2, 0.3])
     assert select_target(scores, grid) == select_target(scores * 7.3, grid)
+
+
+@pytest.mark.parametrize("shape", [(30, 60, 1), (5, 4, 3), (7, 1, 1)])
+def test_raw_score_selection_equals_posterior_argmax(shape):
+    # oracle: the normalized target posterior of the same inputs
+    grid = grid_of(*shape)
+    rng = np.random.default_rng(5)
+    for probe in rng.integers(0, grid.theta, 20):
+        v = grid.voxel_of_linear(int(probe))
+        f_saliency = beta_pdf(SALIENCY_FACTOR, rng.uniform(0, 1, grid.theta))
+        f_uncertainty = beta_pdf(UNCERTAINTY_FACTOR, rng.uniform(0, 1, grid.theta))
+        score = target_score(grid, v, f_saliency, f_uncertainty)
+        post, degenerate = target_posterior(inhibition_field(grid, v),
+                                            f_saliency, f_uncertainty)
+        assert not degenerate
+        assert np.array_equal(score / score.sum(), post)
+        assert select_target(score, grid) == select_target(post, grid)
+
+
+def test_raw_score_symmetric_ties_go_to_lowest_index():
+    # the four neighbours of the centre of a 5x5 grid sit at the same
+    # whole-voxel distance, so with flat fields they tie exactly
+    grid = grid_of(5, 5, 1)
+    flat = np.ones(grid.theta)
+    score = target_score(grid, VoxelIndex(2, 2, 0), flat, flat)
+    ties = [grid.linear_index(VoxelIndex(x, y, 0))
+            for x, y in ((2, 1), (1, 2), (3, 2), (2, 3))]
+    assert len({score[j] for j in ties}) == 1
+    assert score[ties[0]] == score.max()
+    assert select_target(score, grid) == VoxelIndex(2, 1, 0)
 
 
 def test_step_field_target_is_on_the_step():

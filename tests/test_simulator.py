@@ -21,18 +21,16 @@ from hapticbayes import (
     beta_pdf,
     bundled_library_path,
     gamma_metric,
-    inhibition_profile,
     load_scenario,
     make_grid,
-    max_distance,
     omega_field,
     run_trial,
     saliency_field,
     save_scenario,
-    select_target,
     sense,
     uncertainty_field,
 )
+from hapticbayes import simulator
 from hapticbayes.simulator import _boundary_voxels
 
 
@@ -388,11 +386,13 @@ def test_run_trial_iteration_callback(lib, scenarios):
 # ---------------------------------------------------------------------------
 # incremental attention fields against a full recompute
 
-def full_recompute_trial(scenario, lib, config):
+def full_recompute_trial(scenario, lib, config, offset_inhibition):
     """Run a trial and check every ``AttentionState`` it reports against
     the fields recomputed over the whole grid from a mirrored posterior
-    grid (same samples, same voxels).  Returns the record and the number
-    of iterations checked."""
+    grid (same samples, same voxels), the inhibition against its
+    whole-voxel offset oracle and the target against the normalized
+    product of the three densities.  Returns the record and the number of
+    iterations checked."""
     grid = scenario.grid
     rng = np.random.default_rng(config.seed)
     mirror = PosteriorGrid(grid.theta, len(lib))
@@ -403,15 +403,7 @@ def full_recompute_trial(scenario, lib, config):
         v = current[0]
         mirror.update(grid.linear_index(v), lib,
                       sense(scenario, lib, v, config.noise, rng))
-        # inhibition as the distance to every voxel center, unfactored
-        d_max = max_distance(grid)
-        if d_max == 0.0:
-            inhibition = np.ones(grid.theta)
-        else:
-            cx, cy, cz = grid.center_arrays()
-            px, py, pz = grid.center(v)
-            inhibition = inhibition_profile(
-                np.sqrt((cx - px) ** 2 + (cy - py) ** 2 + (cz - pz) ** 2) / d_max)
+        inhibition = offset_inhibition(grid, v)
         uncertainty = uncertainty_field(mirror)
         omega = omega_field(mirror, scenario.task)
         saliency = saliency_field(grid, omega)
@@ -432,7 +424,9 @@ def full_recompute_trial(scenario, lib, config):
         kept.append((state, {name: getattr(state, name).copy()
                              for name in ("inhibition", "uncertainty", "omega",
                                           "saliency", "target_posterior")}))
-        current[0] = select_target(state.target_posterior, grid)
+        # the loop selects on the raw score, voxel 0 when it is degenerate
+        current[0] = grid.voxel_of_linear(
+            0 if degenerate else int(np.argmax(score)))
 
     rec = run_trial(scenario, lib, config, on_iteration=check)
     # states handed to the callback are snapshots, not live views
@@ -443,10 +437,12 @@ def full_recompute_trial(scenario, lib, config):
 
 
 @pytest.mark.parametrize("index", [0, 1, 2])
-def test_incremental_fields_match_full_recompute_bundled(lib, scenarios, index):
+def test_incremental_fields_match_full_recompute_bundled(lib, scenarios, index,
+                                                         offset_inhibition):
     for seed in range(10):
         rec, checked = full_recompute_trial(scenarios[index], lib,
-                                            TrialConfig(seed=seed))
+                                            TrialConfig(seed=seed),
+                                            offset_inhibition)
         assert checked == rec.l - (rec.terminated_by == "loop_closure")
 
 
@@ -464,13 +460,15 @@ def tilted_scenario(lib, shape):
                     VoxelIndex(0, 0, 0), TaskSpec(sil, wood))
 
 
-def test_incremental_fields_match_full_recompute_tilted_volume(lib):
+def test_incremental_fields_match_full_recompute_tilted_volume(lib,
+                                                               offset_inhibition):
     scenario = tilted_scenario(lib, (5, 4, 3))
     nx, ny, nz = scenario.grid.shape
     visited = set()
     for seed in range(3):
         rec, checked = full_recompute_trial(
-            scenario, lib, TrialConfig(max_iterations=120, seed=seed))
+            scenario, lib, TrialConfig(max_iterations=120, seed=seed),
+            offset_inhibition)
         assert checked >= 40
         visited.update(rec.visited)
     # the probe reached every face and several corners, so saliency
@@ -482,7 +480,7 @@ def test_incremental_fields_match_full_recompute_tilted_volume(lib):
 
 
 @pytest.mark.parametrize("nx", [1, 7])
-def test_incremental_fields_match_full_recompute_line(lib, nx):
+def test_incremental_fields_match_full_recompute_line(lib, nx, offset_inhibition):
     # 1x1x1: every window side is cut and d_max is 0; 7x1x1: y and z cut
     grid = make_grid(WorkspaceBounds(0, nx * 0.01, 0, 0.01, 0, 0.01, 0.01))
     sil, wood = lib.index_of("silicone"), lib.index_of("wood")
@@ -491,5 +489,81 @@ def test_incremental_fields_match_full_recompute_line(lib, nx):
                         VoxelIndex(0, 0, 0), TaskSpec(sil, wood))
     for seed in range(3):
         _, checked = full_recompute_trial(
-            scenario, lib, TrialConfig(max_iterations=30, seed=seed))
+            scenario, lib, TrialConfig(max_iterations=30, seed=seed),
+            offset_inhibition)
         assert checked >= 9
+
+
+# ---------------------------------------------------------------------------
+# selection on the raw score
+
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+def test_degenerate_score_selects_voxel_zero(lib, scenarios, monkeypatch, bad):
+    # an all-zero score, or one NaN or inf entry among positive scores
+    def score(grid, current, f_saliency, f_uncertainty):
+        out = np.ones(grid.theta) if bad else np.zeros(grid.theta)
+        out[grid.theta // 2] = bad
+        return out
+
+    monkeypatch.setattr(simulator, "target_score", score)
+    rec = run_trial(scenarios[0], lib, TrialConfig(max_iterations=3, seed=0))
+    origin = scenarios[0].grid.voxel_of_linear(0)
+    assert rec.visited[1:] == (origin, origin)
+    assert rec.degenerate_events == 3            # one per scored iteration
+
+
+def test_degenerate_posterior_selects_voxel_zero_when_observed(lib, scenarios,
+                                                               monkeypatch):
+    # a NaN inhibition value makes the observed posterior degenerate
+    def nan_inhibition(grid, current):
+        out = np.full(grid.theta, 0.5)
+        out[grid.theta // 2] = math.nan
+        return out
+
+    monkeypatch.setattr(simulator, "inhibition_field", nan_inhibition)
+    states = []
+    rec = run_trial(scenarios[0], lib, TrialConfig(max_iterations=3, seed=0),
+                    on_iteration=lambda k, state: states.append(state))
+    origin = scenarios[0].grid.voxel_of_linear(0)
+    assert rec.visited[1:] == (origin, origin)
+    assert rec.degenerate_events == 3
+    theta = scenarios[0].grid.theta
+    for state in states:
+        assert state.degenerate
+        assert np.array_equal(state.target_posterior, np.full(theta, 1.0 / theta))
+
+
+def test_observer_keeps_the_raw_maximum_when_normalizing_ties_it(
+        lib, scenarios, monkeypatch):
+    # voxel 1 scores one rounding step above voxel 0; the third score is
+    # chosen so that both normalize to the same value
+    theta = scenarios[0].grid.theta
+    raw = np.zeros(theta)
+    raw[1] = 2.0
+    raw[0] = np.nextafter(2.0, 0.0)
+    for c in np.linspace(0.1, 5.0, 200):
+        raw[2] = c
+        if raw[0] / raw.sum() == raw[1] / raw.sum():
+            break
+    else:
+        pytest.fail("no third score merges the first two")
+    monkeypatch.setattr(simulator, "target_score", lambda *args: raw.copy())
+    monkeypatch.setattr(simulator, "target_posterior",
+                        lambda *args: (raw / raw.sum(), False))
+    config = TrialConfig(max_iterations=2, seed=0)
+    observed = run_trial(scenarios[0], lib, config, on_iteration=lambda k, s: None)
+    unobserved = run_trial(scenarios[0], lib, config)
+    assert observed.visited[1] == unobserved.visited[1] == VoxelIndex(1, 0, 0)
+
+
+def test_observer_does_not_change_the_path(lib, scenarios):
+    for scenario in scenarios:
+        for seed in range(10):
+            config = TrialConfig(seed=seed)
+            observed = run_trial(scenario, lib, config,
+                                 on_iteration=lambda k, state: None)
+            assert observed == run_trial(scenario, lib, config)
+    scenario = tilted_scenario(lib, (5, 4, 3))
+    config = TrialConfig(max_iterations=120, seed=0)
+    assert (run_trial(scenario, lib, config, on_iteration=lambda k, s: None)
+            == run_trial(scenario, lib, config))
