@@ -300,8 +300,8 @@ def target_posterior(inhibition: np.ndarray, f_saliency: np.ndarray,
     prior is constant within a trial and cancels in the normalization.
     Returns ``(probability_vector, degenerate)``; an all-zero score vector
     falls back to the uniform distribution with the flag set.  The
-    exploration loop builds it only for an observer and otherwise selects
-    on :func:`target_score`.
+    exploration loop builds it only for an observer and always selects on
+    :func:`target_score`.
     """
     score = beta_pdf(INHIBITION_FACTOR, inhibition)
     score *= f_saliency

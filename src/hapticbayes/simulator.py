@@ -377,12 +377,10 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
 
     ``on_iteration`` receives ``(k, AttentionState)`` after each target
     computation, which is how field snapshots are exported.  Only then
-    are the inhibition field and the target posterior built, and the
-    target is taken from the posterior, which normalizes the same score:
-    where normalizing rounds scores a rounding step apart to one value,
-    the raw score decides, so an observer never changes the path.  The
-    state's arrays are fresh copies, so a stored state stays unchanged as
-    the trial goes on.
+    are the inhibition field and the target posterior, the normalized
+    score, built; the target is still the maximum of the raw score, so an
+    observer never changes the path.  The state's arrays are fresh copies,
+    so a stored state stays unchanged as the trial goes on.
     """
     grid = scenario.grid
     rng = np.random.default_rng(config.seed)
@@ -415,27 +413,16 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
             break
 
         fields.touch(posteriors, j)
-        if on_iteration is None:
-            score = target_score(grid, current, fields.f_saliency,
-                                 fields.f_uncertainty)
-            chosen = select_target(score, grid)
-            # scores are >= 0: the maximum is 0 only if every score is,
-            # and NaN or inf if any score is
-            degenerate = not 0.0 < score[grid.linear_index(chosen)] < math.inf
-        else:
+        score = target_score(grid, current, fields.f_saliency,
+                             fields.f_uncertainty)
+        chosen = select_target(score, grid)
+        # scores are >= 0: the maximum is 0 only if every score is, and NaN
+        # or inf if any score is
+        degenerate = not 0.0 < score[grid.linear_index(chosen)] < math.inf
+        if on_iteration is not None:
             inhibition = inhibition_field(grid, current)
-            probs, degenerate = target_posterior(inhibition, fields.f_saliency,
-                                                 fields.f_uncertainty)
-            chosen = select_target(probs, grid)
-            # dividing by the total keeps the order of the scores, but can
-            # round two scores a rounding step apart to one value: among the
-            # voxels tied with the choice, take the first of the highest raw
-            # score, as the loop does without an observer
-            tied = np.flatnonzero(probs == probs[grid.linear_index(chosen)])
-            if tied.size > 1 and not degenerate:
-                score = target_score(grid, current, fields.f_saliency,
-                                     fields.f_uncertainty)
-                chosen = grid.voxel_of_linear(int(tied[np.argmax(score[tied])]))
+            probs, _ = target_posterior(inhibition, fields.f_saliency,
+                                        fields.f_uncertainty)
             on_iteration(k, AttentionState(
                 inhibition=inhibition,
                 uncertainty=fields.uncertainty.copy(),

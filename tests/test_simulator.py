@@ -506,54 +506,12 @@ def test_degenerate_score_selects_voxel_zero(lib, scenarios, monkeypatch, bad):
         return out
 
     monkeypatch.setattr(simulator, "target_score", score)
-    rec = run_trial(scenarios[0], lib, TrialConfig(max_iterations=3, seed=0))
     origin = scenarios[0].grid.voxel_of_linear(0)
-    assert rec.visited[1:] == (origin, origin)
-    assert rec.degenerate_events == 3            # one per scored iteration
-
-
-def test_degenerate_posterior_selects_voxel_zero_when_observed(lib, scenarios,
-                                                               monkeypatch):
-    # a NaN inhibition value makes the observed posterior degenerate
-    def nan_inhibition(grid, current):
-        out = np.full(grid.theta, 0.5)
-        out[grid.theta // 2] = math.nan
-        return out
-
-    monkeypatch.setattr(simulator, "inhibition_field", nan_inhibition)
-    states = []
-    rec = run_trial(scenarios[0], lib, TrialConfig(max_iterations=3, seed=0),
-                    on_iteration=lambda k, state: states.append(state))
-    origin = scenarios[0].grid.voxel_of_linear(0)
-    assert rec.visited[1:] == (origin, origin)
-    assert rec.degenerate_events == 3
-    theta = scenarios[0].grid.theta
-    for state in states:
-        assert state.degenerate
-        assert np.array_equal(state.target_posterior, np.full(theta, 1.0 / theta))
-
-
-def test_observer_keeps_the_raw_maximum_when_normalizing_ties_it(
-        lib, scenarios, monkeypatch):
-    # voxel 1 scores one rounding step above voxel 0; the third score is
-    # chosen so that both normalize to the same value
-    theta = scenarios[0].grid.theta
-    raw = np.zeros(theta)
-    raw[1] = 2.0
-    raw[0] = np.nextafter(2.0, 0.0)
-    for c in np.linspace(0.1, 5.0, 200):
-        raw[2] = c
-        if raw[0] / raw.sum() == raw[1] / raw.sum():
-            break
-    else:
-        pytest.fail("no third score merges the first two")
-    monkeypatch.setattr(simulator, "target_score", lambda *args: raw.copy())
-    monkeypatch.setattr(simulator, "target_posterior",
-                        lambda *args: (raw / raw.sum(), False))
-    config = TrialConfig(max_iterations=2, seed=0)
-    observed = run_trial(scenarios[0], lib, config, on_iteration=lambda k, s: None)
-    unobserved = run_trial(scenarios[0], lib, config)
-    assert observed.visited[1] == unobserved.visited[1] == VoxelIndex(1, 0, 0)
+    for on_iteration in (None, lambda k, state: None):
+        rec = run_trial(scenarios[0], lib, TrialConfig(max_iterations=3, seed=0),
+                        on_iteration=on_iteration)
+        assert rec.visited[1:] == (origin, origin)
+        assert rec.degenerate_events == 3        # one per scored iteration
 
 
 def test_observer_does_not_change_the_path(lib, scenarios):
