@@ -59,6 +59,10 @@ class TaskSpec:
     def __post_init__(self):
         if self.material_a == self.material_b:
             raise ValueError("task materials must differ")
+        for name in ("material_a", "material_b"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be a material index >= 0, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -279,7 +283,7 @@ def target_score(grid: WorkspaceGrid, current: VoxelIndex,
     :class:`InhibitionTable`, times ``f_saliency`` times
     ``f_uncertainty``: the score that :func:`target_posterior` of
     :func:`inhibition_field` normalizes, value for value.  The target is
-    its first maximum; no pass over the grid normalizes it.
+    its first maximum; selecting needs no normalization.
     """
     grid.require(current)
     table = inhibition_table(grid)
@@ -298,10 +302,12 @@ def target_posterior(inhibition: np.ndarray, f_saliency: np.ndarray,
     ``f_saliency = beta_pdf(SALIENCY_FACTOR, saliency)`` and
     ``f_uncertainty = beta_pdf(UNCERTAINTY_FACTOR, uncertainty)``; the task
     prior is constant within a trial and cancels in the normalization.
-    Returns ``(probability_vector, degenerate)``; an all-zero score vector
-    falls back to the uniform distribution with the flag set.  The
-    exploration loop builds it only for an observer and always selects on
-    :func:`target_score`.
+    Returns ``(probability_vector, degenerate)``; an all-zero or
+    non-finite score vector falls back to the uniform distribution with
+    the flag set.  This is the reference implementation, built from the
+    inhibition field over the whole grid: the exploration loop never
+    calls it, but selects on :func:`target_score` and gives an observer
+    that score divided by its sum, which equals this posterior.
     """
     score = beta_pdf(INHIBITION_FACTOR, inhibition)
     score *= f_saliency
@@ -332,25 +338,16 @@ _SOBEL_WEIGHTS = np.repeat(
 _BLOCK_OFFSETS = np.indices((3, 3, 3)).reshape(3, -1).T
 
 
-def _per_voxel(values, theta: int) -> np.ndarray:
-    """A fresh array of ``theta`` floats from ``values``: ``theta`` of
-    them, or one value (a scalar or a length-1 array) for every voxel."""
-    out = np.empty(theta)
-    out[...] = values
-    return out
-
-
 class AttentionFields:
     """The uncertainty, similarity and saliency fields of one trial, with
     their evidence densities ``f_uncertainty`` and ``f_saliency``.
 
-    Built from the start fields, each given as ``grid.theta`` values or as
-    one value for every voxel; the densities are evaluated on the values
-    given and spread the same way.  :func:`~hapticbayes.simulator.run_trial`
-    starts from a fresh, uniform :class:`PosteriorGrid`, so it passes the
-    uncertainty and similarity of one uniform row and saliency 0 (a
-    constant similarity field has none).  A posterior update at voxel
-    ``j`` changes the uncertainty and similarity of ``j`` alone, and the
+    A trial starts with every voxel at the uniform prior over
+    ``n_materials``, so the start fields are constant: the uncertainty,
+    its density and the similarity of one uniform row, computed as
+    :meth:`touch` computes a touched row, and zero saliency (a constant
+    similarity field has none).  A posterior update at voxel ``j``
+    changes the uncertainty and similarity of ``j`` alone, and the
     saliency only in the 3x3x3 block around it, so :meth:`touch`
     recomputes just those entries, with the arithmetic of
     :func:`uncertainty_field`, :func:`omega_field` and
@@ -358,25 +355,24 @@ class AttentionFields:
     The arrays are updated in place: copy them to keep a snapshot.
     """
 
-    def __init__(self, grid: WorkspaceGrid, task: TaskSpec,
-                 uncertainty, omega, saliency):
+    def __init__(self, grid: WorkspaceGrid, task: TaskSpec, n_materials: int):
         self.grid = grid
         self.task = task
         theta = grid.theta
-        self.uncertainty = _per_voxel(uncertainty, theta)
-        self.omega = _per_voxel(omega, theta)
-        self.saliency = _per_voxel(saliency, theta)
-        self.f_uncertainty = _per_voxel(beta_pdf(UNCERTAINTY_FACTOR, uncertainty),
-                                        theta)
-        self.f_saliency = _per_voxel(beta_pdf(SALIENCY_FACTOR, saliency), theta)
+        uniform = np.full((1, n_materials), 1.0 / n_materials)
+        self.uncertainty, self.f_uncertainty, self.omega = (
+            np.full(theta, row[0])
+            for row in self._rows(uniform, np.zeros(1, dtype=int)))
+        self.saliency = np.zeros(theta)
+        self.f_saliency = np.full(theta, beta_pdf(SALIENCY_FACTOR, 0.0))
         shape = (grid.nz, grid.ny, grid.nx)
         self._saliency3 = self.saliency.reshape(shape)
         self._f_saliency3 = self.f_saliency.reshape(shape)
         # similarity with a border of two neutral voxels, flattened: the
-        # 5x5x5 window that the block around any voxel reads lies inside
-        padded = np.full((grid.nz + 4, grid.ny + 4, grid.nx + 4), OMEGA_NEUTRAL)
-        padded[2:-2, 2:-2, 2:-2] = self.omega.reshape(shape)
-        self._padded = padded.ravel()
+        # 5x5x5 window that the block around any voxel reads lies inside.
+        # No voxel is explored yet, so every similarity is neutral too
+        self._padded = np.full((grid.nz + 4, grid.ny + 4, grid.nx + 4),
+                               OMEGA_NEUTRAL).ravel()
         self._ystep = grid.nx + 4
         self._zstep = (grid.ny + 4) * self._ystep
         # reads[k, o]: offset from the window's corner of the value that
@@ -384,20 +380,23 @@ class AttentionFields:
         self._reads = ((_BLOCK_OFFSETS[:, None, :] + _BLOCK_OFFSETS[None, :, :])
                        @ np.array([self._zstep, self._ystep, 1]))
 
+    def _rows(self, probs: np.ndarray, k_counts: np.ndarray):
+        """Uncertainty, its density and similarity of the posterior rows
+        ``probs`` with sample counts ``k_counts``."""
+        uncertainty = np.clip(_normalized_entropies(probs), 0.0, 1.0)
+        return (uncertainty, beta_pdf(UNCERTAINTY_FACTOR, uncertainty),
+                _omega(probs, k_counts, self.task))
+
     def touch(self, posteriors: PosteriorGrid, j: int) -> None:
         """Refresh every entry that depends on voxel ``j``'s posterior."""
         grid = self.grid
         row = slice(j, j + 1)
-        probs = posteriors.probs[row]
-        uncertainty = np.clip(_normalized_entropies(probs), 0.0, 1.0)
-        self.uncertainty[row] = uncertainty
-        self.f_uncertainty[row] = beta_pdf(UNCERTAINTY_FACTOR, uncertainty)
-        omega = _omega(probs, posteriors.k_counts[row], self.task)
-        self.omega[row] = omega
+        self.uncertainty[row], self.f_uncertainty[row], self.omega[row] = \
+            self._rows(posteriors.probs[row], posteriors.k_counts[row])
 
         ix, iy, iz = grid.voxel_of_linear(j)
         corner = iz * self._zstep + iy * self._ystep + ix
-        self._padded[corner + 2 * (self._zstep + self._ystep + 1)] = omega[0]
+        self._padded[corner + 2 * (self._zstep + self._ystep + 1)] = self.omega[j]
         # Sobel responses of the block around j; the window's corner is
         # padded voxel (iz, iy, ix).  ndimage's correlate adds a kernel's
         # products in the kernel's C order, skipping zero weights.  The sum

@@ -24,13 +24,14 @@ from .attention import (
     AttentionState,
     TaskSpec,
     inhibition_field,
-    omega_field,
-    saliency_field,  # not called here; benchmarks/tracing.py wraps this name
     select_target,
-    target_posterior,
     target_score,
-    uncertainty_field,
 )
+# Not called here.  benchmarks/tracing.py times layers by wrapping these
+# names in this module (and grid.WorkspaceGrid.center_arrays), and
+# benchmarks/test_benchmark.py::originals reads every one of them with
+# vars(owner)[attr], which raises KeyError if one is gone.
+from .attention import omega_field, saliency_field, target_posterior, uncertainty_field
 from .grid import GridConfigError, VoxelIndex, WorkspaceBounds, WorkspaceGrid, make_grid
 from .materials import HapticSample, MaterialLibrary, NoiseSpec, synthesize_sample
 from .perception import PosteriorGrid
@@ -115,7 +116,11 @@ _SECTIONS = {"name", "grid", "task", "symbols", "start", "path", "raster"}
 
 def save_scenario(scenario: Scenario, lib: MaterialLibrary,
                   destination: Union[str, Path]) -> Path:
-    """Write a scenario to its plain-text file format (see module docs)."""
+    """Write a scenario to its plain-text file format (see module docs).
+
+    Raises ``ValueError`` if the task or the ground truth names a
+    material outside ``lib``."""
+    _check_materials(scenario, len(lib))
     grid = scenario.grid
     b = grid.bounds
     names = lib.names
@@ -350,6 +355,23 @@ def _chebyshev(a: VoxelIndex, b: VoxelIndex) -> int:
     return max(abs(a.ix - b.ix), abs(a.iy - b.iy), abs(a.iz - b.iz))
 
 
+def _check_materials(scenario: Scenario, n_materials: int) -> None:
+    """Raise ``ValueError`` if the task or the ground truth names a
+    material outside a library of ``n_materials``."""
+    for name in ("material_a", "material_b"):
+        index = getattr(scenario.task, name)
+        if index >= n_materials:
+            raise ValueError(f"task.{name} is material {index}, but the "
+                             f"library has {n_materials} materials")
+    gt = scenario.ground_truth
+    outside = (gt < 0) | (gt >= n_materials)
+    if outside.any():
+        j = int(np.argmax(outside))
+        v = tuple(scenario.grid.voxel_of_linear(j))
+        raise ValueError(f"ground_truth at voxel {v} is material {gt[j]}, "
+                         f"but the library has {n_materials} materials")
+
+
 def run_trial(scenario: Scenario, lib: MaterialLibrary,
               config: TrialConfig = TrialConfig(),
               on_iteration: Optional[Callable[[int, AttentionState], None]] = None,
@@ -358,39 +380,35 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
 
     Each iteration senses the current voxel, updates its material
     posterior, refreshes the attention fields, scores every voxel as a
-    target and teleports to the highest score.  Every voxel starts at the
-    uniform prior, so the start fields are constant: the uncertainty and
-    similarity of one uniform posterior row, spread over the grid, and
-    zero saliency.  After that an update at voxel j refreshes only the
-    uncertainty and similarity of j and the saliency of the 3x3x3 block
-    around it, with their Beta densities, which gives the same values as
-    a full recompute.  The score is :func:`target_score`: the inhibition
-    density at each voxel's whole-voxel offset from the current position,
-    read from the grid's inhibition table (built in the first trial on
-    the grid), times the saliency and uncertainty densities.  The target
-    is its maximum, ties to the lowest linear index, with no
-    normalization.  A score that is all zero or not finite counts one
-    degenerate event and selects linear index 0.  The trial ends on loop
-    closure (current voxel within one step of the first benchmark voxel
-    visited, once at least ten iterations have run) or when the iteration
-    budget is spent.  The start voxel counts as the first visited voxel.
+    target and teleports to the highest score.  The fields live in an
+    :class:`AttentionFields`, which starts from the uniform prior and
+    then refreshes only what each update changed, with the same values
+    as a full recompute.  The score is :func:`target_score`: the
+    inhibition density at each voxel's whole-voxel offset from the
+    current position, read from the grid's inhibition table (built in
+    the first trial on the grid), times the saliency and uncertainty
+    densities.  The target is its maximum, ties to the lowest linear
+    index, with no normalization.  A score that is all zero or not finite
+    counts one degenerate event and selects linear index 0.  The trial
+    ends on loop closure (current voxel within one step of the first
+    benchmark voxel visited, once at least ten iterations have run) or
+    when the iteration budget is spent.  The start voxel counts as the
+    first visited voxel.  A task or ground truth that names a material
+    the library lacks raises ``ValueError`` before the first touch.
 
     ``on_iteration`` receives ``(k, AttentionState)`` after each target
-    computation, which is how field snapshots are exported.  Only then
-    are the inhibition field and the target posterior, the normalized
-    score, built; the target is still the maximum of the raw score, so an
-    observer never changes the path.  The state's arrays are fresh copies,
-    so a stored state stays unchanged as the trial goes on.
+    selection, which is how field snapshots are exported.  The state's
+    target posterior is the score the loop selected on, divided by its
+    sum, or the uniform vector when that score was degenerate; only its
+    inhibition field is built for the observer, so an observer never
+    changes the path.  The state's arrays are fresh copies, so a stored
+    state stays unchanged as the trial goes on.
     """
     grid = scenario.grid
+    _check_materials(scenario, len(lib))
     rng = np.random.default_rng(config.seed)
     posteriors = PosteriorGrid(grid.theta, len(lib))
-    # every voxel starts at the same uniform posterior: its uncertainty and
-    # similarity are those of one uniform row, and the constant similarity
-    # field has zero saliency
-    prior = PosteriorGrid(1, len(lib))
-    fields = AttentionFields(grid, scenario.task, uncertainty_field(prior),
-                             omega_field(prior, scenario.task), 0.0)
+    fields = AttentionFields(grid, scenario.task, len(lib))
     bench_set = set(scenario.benchmark_path)
 
     current = scenario.start
@@ -420,15 +438,13 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
         # or inf if any score is
         degenerate = not 0.0 < score[grid.linear_index(chosen)] < math.inf
         if on_iteration is not None:
-            inhibition = inhibition_field(grid, current)
-            probs, _ = target_posterior(inhibition, fields.f_saliency,
-                                        fields.f_uncertainty)
             on_iteration(k, AttentionState(
-                inhibition=inhibition,
+                inhibition=inhibition_field(grid, current),
                 uncertainty=fields.uncertainty.copy(),
                 omega=fields.omega.copy(),
                 saliency=fields.saliency.copy(),
-                target_posterior=probs,
+                target_posterior=(np.full(grid.theta, 1.0 / grid.theta)
+                                  if degenerate else score / score.sum()),
                 degenerate=degenerate,
             ))
         if degenerate:

@@ -30,6 +30,7 @@ from hapticbayes import (
 from hapticbayes.attention import (
     BETA_CLAMP,
     FACTORS,
+    AttentionFields,
     _sobel_responses,
     inhibition_table,
     target_score,
@@ -447,3 +448,22 @@ def test_fields_stay_in_range_during_updates(lib):
         for field in (uncertainty_field(pg), omega_field(pg, task),
                       saliency_field(grid, omega_field(pg, task))):
             assert np.all((field >= 0.0) & (field <= 1.0))
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 3), (1, 1, 1)])
+@pytest.mark.parametrize("n_materials", [2, 10])
+def test_attention_fields_start_equals_full_fields_of_a_fresh_grid(shape,
+                                                                   n_materials):
+    # oracle: the full-grid field functions on a fresh, uniform PosteriorGrid
+    grid = grid_of(*shape)
+    task = TaskSpec(n_materials - 1, 0)
+    fields = AttentionFields(grid, task, n_materials)
+    fresh = PosteriorGrid(grid.theta, n_materials)
+    uncertainty = uncertainty_field(fresh)
+    omega = omega_field(fresh, task)
+    saliency = saliency_field(grid, omega)
+    for got, want in ((fields.uncertainty, uncertainty), (fields.omega, omega),
+                      (fields.saliency, saliency),
+                      (fields.f_uncertainty, beta_pdf(UNCERTAINTY_FACTOR, uncertainty)),
+                      (fields.f_saliency, beta_pdf(SALIENCY_FACTOR, saliency))):
+        assert got.shape == want.shape and np.all(got == want)

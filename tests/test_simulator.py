@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -506,12 +507,37 @@ def test_degenerate_score_selects_voxel_zero(lib, scenarios, monkeypatch, bad):
         return out
 
     monkeypatch.setattr(simulator, "target_score", score)
-    origin = scenarios[0].grid.voxel_of_linear(0)
-    for on_iteration in (None, lambda k, state: None):
+    grid = scenarios[0].grid
+    origin = grid.voxel_of_linear(0)
+    states = []
+    for on_iteration in (None, lambda k, state: states.append(state)):
         rec = run_trial(scenarios[0], lib, TrialConfig(max_iterations=3, seed=0),
                         on_iteration=on_iteration)
         assert rec.visited[1:] == (origin, origin)
         assert rec.degenerate_events == 3        # one per scored iteration
+    # the observer sees the loop's own flag and the uniform fallback, though
+    # the real fields would give a proper target posterior
+    assert len(states) == 3
+    for state in states:
+        assert state.degenerate is True
+        assert np.all(state.target_posterior == 1.0 / grid.theta)
+
+
+#: SHA-256 of the visited paths of the three bundled scenarios x seeds 0-9
+#: (each path as int64 (ix, iy, iz) rows, then b";"), as the benchmark's
+#: ``visited_paths_sha256`` hashes them; fixed when the inhibition table
+#: and the raw-score selection landed.
+VISITED_PATHS_SHA256 = \
+    "b80a8865a746d5f1d50c2a026a7102bdda7737045b467a0eaccb9532ce8d01b6"
+
+
+def test_visited_paths_of_bundled_scenarios_are_pinned(lib, scenarios):
+    digest = hashlib.sha256()
+    for scenario in scenarios:
+        for seed in range(10):
+            rec = run_trial(scenario, lib, TrialConfig(seed=seed))
+            digest.update(np.array(rec.visited, dtype=np.int64).tobytes() + b";")
+    assert digest.hexdigest() == VISITED_PATHS_SHA256
 
 
 def test_observer_does_not_change_the_path(lib, scenarios):
@@ -525,3 +551,47 @@ def test_observer_does_not_change_the_path(lib, scenarios):
     config = TrialConfig(max_iterations=120, seed=0)
     assert (run_trial(scenario, lib, config, on_iteration=lambda k, s: None)
             == run_trial(scenario, lib, config))
+
+
+# ---------------------------------------------------------------------------
+# materials a trial may name
+
+def test_task_spec_rejects_negative_material():
+    with pytest.raises(ValueError, match="material_a must be a material index"):
+        TaskSpec(-1, 2)
+    with pytest.raises(ValueError, match="material_b must be a material index"):
+        TaskSpec(2, -3)
+
+
+def test_run_trial_rejects_task_material_outside_library(lib, scenarios):
+    s = scenarios[0]
+    bad = Scenario(s.name, s.grid, s.ground_truth, s.benchmark_path, s.start,
+                   TaskSpec(3, len(lib) + 2))
+    with pytest.raises(ValueError, match="task.material_b is material 12, "
+                                         "but the library has 10 materials"):
+        run_trial(bad, lib, TrialConfig(seed=0))
+
+
+@pytest.mark.parametrize("material", [10, -1])
+def test_run_trial_rejects_ground_truth_material_outside_library(lib, scenarios,
+                                                                 material):
+    s = scenarios[0]
+    gt = s.ground_truth.copy()
+    gt[61] = material          # voxel (1, 2, 0), far from the probe's path
+    bad = Scenario(s.name, s.grid, gt, s.benchmark_path, s.start, s.task)
+    message = (rf"ground_truth at voxel \(1, 2, 0\) is material {material}, "
+               rf"but the library has 10 materials")
+    with pytest.raises(ValueError, match=message):
+        run_trial(bad, lib, TrialConfig(seed=0))
+
+
+def test_save_rejects_ground_truth_material_outside_library(tmp_path, lib,
+                                                            scenarios):
+    # -1 would otherwise be written as the library's last material
+    s = scenarios[0]
+    gt = s.ground_truth.copy()
+    gt[0] = -1
+    bad = Scenario(s.name, s.grid, gt, s.benchmark_path, s.start, s.task)
+    with pytest.raises(ValueError, match=r"ground_truth at voxel \(0, 0, 0\)"):
+        save_scenario(bad, lib, tmp_path / "bad.txt")
+    assert not (tmp_path / "bad.txt").exists()
