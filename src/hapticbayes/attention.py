@@ -8,6 +8,7 @@ order, with every value in [0, 1].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -57,12 +58,13 @@ class TaskSpec:
     material_b: int
 
     def __post_init__(self):
+        for name in ("material_a", "material_b"):
+            index = getattr(self, name)
+            if not isinstance(index, numbers.Integral) or index < 0:
+                raise ValueError(f"{name} must be a material index, an "
+                                 f"integer >= 0, got {index!r}")
         if self.material_a == self.material_b:
             raise ValueError("task materials must differ")
-        for name in ("material_a", "material_b"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be a material index >= 0, "
-                                 f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -99,54 +101,25 @@ def inhibition_profile(d):
     return np.clip(1.0 - kern / _KERNEL_MAX, 0.0, 1.0)
 
 
-class InhibitionTable:
-    """Inhibition of return and its Beta density at every probe offset on
-    one grid.
+class InhibitionTable(NamedTuple):
+    """Inhibition of return and its Beta density at every signed probe
+    offset on one grid.
 
-    Both depend only on a voxel's offset ``(|dx|, |dy|, |dz|)``, in voxels,
-    from the probe: its normalized distance is ``sqrt(dx^2 + dy^2 + dz^2)
-    / sqrt((nx-1)^2 + (ny-1)^2 + (nz-1)^2)``, 1 between opposite corners.
+    Both depend only on a voxel's offset ``(dx, dy, dz)``, in voxels, from
+    the probe: its normalized distance is ``sqrt(dx^2 + dy^2 + dz^2) /
+    sqrt((nx-1)^2 + (ny-1)^2 + (nz-1)^2)``, 1 between opposite corners.
     The squares are exact integers, so voxels at mirrored offsets get the
     same value.  ``inhibition`` holds :func:`inhibition_profile` of that
-    distance and ``density`` its ``beta_pdf(INHIBITION_FACTOR, .)``, one
-    entry per offset (``grid.theta`` in all), as ``(nz * ny, nx)`` arrays
-    indexed ``[|dz| * ny + |dy|, |dx|]``.  A single-voxel grid is fully
+    distance and ``density`` its ``beta_pdf(INHIBITION_FACTOR, .)``, as
+    ``(2nz-1, 2ny-1, 2nx-1)`` arrays indexed ``[nz-1+dz, ny-1+dy, nx-1+dx]``,
+    so the offsets of all voxels from any probe form one slice of them.
+    That is under ``4 * grid.theta`` entries per array on a plane and under
+    ``8 * grid.theta`` in a volume.  A single-voxel grid is fully
     inhibited.  :func:`inhibition_table` builds one per grid and keeps it.
     """
 
-    def __init__(self, grid: WorkspaceGrid):
-        nx, ny, nz = self.grid_shape = grid.shape
-        rows = nz * ny
-        reach2 = (nx - 1) ** 2 + (ny - 1) ** 2 + (nz - 1) ** 2
-        if reach2 == 0:
-            inhibition = np.ones((rows, nx))
-        else:
-            dx2, dy2, dz2 = (np.arange(n, dtype=float) ** 2 for n in (nx, ny, nz))
-            d = np.sqrt(dz2[:, None, None] + dy2[None, :, None] + dx2[None, None, :])
-            d /= math.sqrt(reach2)
-            inhibition = inhibition_profile(d.reshape(rows, nx))
-        self.inhibition = inhibition
-        self.density = beta_pdf(INHIBITION_FACTOR, inhibition)
-        # |offset| vectors: the row offsets of y = 0 .. ny-1 from the probe's
-        # iy are abs_y[ny - 1 - iy:][:ny]; z offsets count ny rows each
-        self._abs_y = np.abs(np.arange(1 - ny, ny))
-        self._abs_z = np.abs(np.arange(1 - nz, nz)) * ny
-
-    def gather(self, values: np.ndarray, probe: VoxelIndex) -> np.ndarray:
-        """``values`` (``inhibition`` or ``density``) at every voxel's
-        offset from ``probe``, as a fresh array in linear-index order."""
-        ix, iy, iz = probe
-        nx, ny, nz = self.grid_shape
-        rows = self._abs_y[ny - 1 - iy:2 * ny - 1 - iy]
-        if nz > 1:
-            rows = (self._abs_z[nz - 1 - iz:2 * nz - 1 - iz, None] + rows).ravel()
-        near = values.take(rows, axis=0)
-        # along x the offsets are ix, ix-1, .., 1 and then 0, 1, ..: two
-        # slices, which copy faster than a gather by index
-        out = np.empty_like(near)
-        out[:, :ix] = near[:, ix:0:-1]
-        out[:, ix:] = near[:, :nx - ix]
-        return out.ravel()
+    inhibition: np.ndarray
+    density: np.ndarray
 
 
 def inhibition_table(grid: WorkspaceGrid) -> InhibitionTable:
@@ -154,8 +127,34 @@ def inhibition_table(grid: WorkspaceGrid) -> InhibitionTable:
     on the grid as derived state (the grid itself is immutable)."""
     table = vars(grid).get("_inhibition_table")
     if table is None:
-        table = vars(grid)["_inhibition_table"] = InhibitionTable(grid)
+        nx, ny, nz = grid.shape
+        reach2 = (nx - 1) ** 2 + (ny - 1) ** 2 + (nz - 1) ** 2
+        if reach2 == 0:
+            inhibition = np.ones((1, 1, 1))
+        else:
+            dx2, dy2, dz2 = (np.arange(1 - n, n, dtype=float) ** 2
+                             for n in (nx, ny, nz))
+            d = np.sqrt(dz2[:, None, None] + dy2[None, :, None] + dx2[None, None, :])
+            d /= math.sqrt(reach2)
+            inhibition = inhibition_profile(d)
+        table = vars(grid)["_inhibition_table"] = InhibitionTable(
+            inhibition, beta_pdf(INHIBITION_FACTOR, inhibition))
     return table
+
+
+def _at_offsets(grid: WorkspaceGrid, values: np.ndarray,
+                probe: VoxelIndex) -> np.ndarray:
+    """``values``, an :class:`InhibitionTable` array, at every voxel's
+    offset from ``probe``, as a fresh array in linear-index order."""
+    # a probe outside the grid would give a negative start, which wraps
+    grid.require(probe)
+    ix, iy, iz = probe
+    nx, ny, nz = grid.shape
+    # flatten, not ravel: on a line grid the window is contiguous, and a
+    # view would let a caller's in-place product write into the table
+    return values[nz - 1 - iz:2 * nz - 1 - iz,
+                  ny - 1 - iy:2 * ny - 1 - iy,
+                  nx - 1 - ix:2 * nx - 1 - ix].flatten()
 
 
 def inhibition_field(grid: WorkspaceGrid, current: VoxelIndex) -> np.ndarray:
@@ -165,11 +164,10 @@ def inhibition_field(grid: WorkspaceGrid, current: VoxelIndex) -> np.ndarray:
     (level 1); the level dips to 0 just off the current position.  A
     single-voxel grid is uniformly inhibited.  The values are
     :func:`inhibition_profile` of each voxel's normalized distance in
-    whole voxels, read from the grid's :class:`InhibitionTable`.
+    whole voxels: one slice of the grid's signed-offset
+    :class:`InhibitionTable`, copied.
     """
-    grid.require(current)
-    table = inhibition_table(grid)
-    return table.gather(table.inhibition, current)
+    return _at_offsets(grid, inhibition_table(grid).inhibition, current)
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +277,13 @@ def target_score(grid: WorkspaceGrid, current: VoxelIndex,
                  f_saliency: np.ndarray, f_uncertainty: np.ndarray) -> np.ndarray:
     """Unnormalized target posterior with the probe at ``current``.
 
-    Each voxel scores its inhibition density, read from the grid's
-    :class:`InhibitionTable`, times ``f_saliency`` times
-    ``f_uncertainty``: the score that :func:`target_posterior` of
+    Each voxel scores its inhibition density, a copied slice of the
+    grid's signed-offset :class:`InhibitionTable`, times ``f_saliency``
+    times ``f_uncertainty``: the score that :func:`target_posterior` of
     :func:`inhibition_field` normalizes, value for value.  The target is
     its first maximum; selecting needs no normalization.
     """
-    grid.require(current)
-    table = inhibition_table(grid)
-    score = table.gather(table.density, current)
+    score = _at_offsets(grid, inhibition_table(grid).density, current)
     score *= f_saliency
     score *= f_uncertainty
     return score

@@ -18,7 +18,7 @@ from .attention import FACTORS, AttentionState
 from .grid import WorkspaceGrid
 from .materials import HapticSample, MaterialLibrary, NoiseSpec, synthesize_sample
 from .perception import MaterialPosterior, map_category, update_posterior
-from .simulator import Scenario, TrialConfig, TrialRecord, run_trial
+from .simulator import Scenario, TrialConfig, TrialRecord, _check_seed, run_trial
 
 
 @dataclass
@@ -165,8 +165,10 @@ def run_classification_experiment(lib: MaterialLibrary,
     cells use derived seeds ``seed + material_index``; trial t of a
     material takes the t-th group of ``k_samples`` samples of its stream.
     Trials run as one batch of posterior rows per block of
-    ``BLOCK_TRIALS`` trials per material.
+    ``BLOCK_TRIALS`` trials per material.  A seed that is not an integer
+    >= 0 raises ``ValueError``.
     """
+    _check_seed(seed)
     if trials_per_material < 1 or k_samples < 1:
         raise ValueError("trials_per_material and k_samples must be >= 1")
     n = len(lib)
@@ -195,8 +197,10 @@ def run_noise_sweep(lib: MaterialLibrary,
     """Mean recognition accuracy across noise scales and sample counts.
 
     Each (scale, k) cell reruns the classification experiment with the
-    derived seed ``seed + cell_index``.
+    derived seed ``seed + cell_index``.  A seed that is not an integer
+    >= 0 raises ``ValueError`` before the first cell.
     """
+    _check_seed(seed)
     if not scales or not k_list:
         raise ValueError("scales and k_list must be non-empty")
     acc = np.zeros((len(scales), len(k_list)))

@@ -19,7 +19,10 @@ DIVISIBILITY_TOL = 1e-9
 
 #: Largest voxel count a grid may have.  A trial holds a ``(theta, n)``
 #: float64 posterior matrix, 800 MB at this count with the bundled
-#: 10-material library, plus a few float arrays of ``theta`` entries.
+#: 10-material library, plus a few float arrays of ``theta`` entries.  The
+#: grid keeps its inhibition table: two float64 arrays over the signed
+#: voxel offsets, each under ``4 * theta`` entries on a plane and under
+#: ``8 * theta`` in a volume, so up to 640 MB or 1.28 GB at this count.
 MAX_VOXELS = 10_000_000
 
 

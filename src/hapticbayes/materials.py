@@ -127,10 +127,10 @@ def load_library(source: Union[str, Path]) -> MaterialLibrary:
 
     The file must be UTF-8 text with exactly the header columns ``name,
     mu_E, sigma_E, mu_C, sigma_C``; lines starting with ``#`` are
-    comments.  Any other encoding, malformed CSV, unknown or missing
-    column, duplicate name, non-finite parameter or non-positive sigma
-    rejects the file with a :class:`LibraryLoadError` naming the path and,
-    where there is one, the offending record.
+    comments.  Any other encoding, malformed CSV, unknown, missing or
+    duplicated column, duplicate name, non-finite parameter or
+    non-positive sigma rejects the file with a :class:`LibraryLoadError`
+    naming the path and, where there is one, the offending record.
     """
     path = Path(source)
     try:
@@ -147,9 +147,11 @@ def load_library(source: Union[str, Path]) -> MaterialLibrary:
     if sorted(header) != sorted(LIBRARY_FIELDS):
         unknown = set(header) - set(LIBRARY_FIELDS)
         missing = set(LIBRARY_FIELDS) - set(header)
+        duplicated = {h for h in header if header.count(h) > 1}
         raise LibraryLoadError(
             f"{path}: bad header (unknown fields {sorted(unknown)}, "
-            f"missing fields {sorted(missing)})"
+            f"missing fields {sorted(missing)}, "
+            f"duplicated fields {sorted(duplicated)})"
         )
     col = {name: header.index(name) for name in LIBRARY_FIELDS}
     materials = []

@@ -137,10 +137,6 @@ class PosteriorGrid:
         self.k_counts = np.zeros(theta, dtype=int)
         self.degenerate_events = 0
 
-    @property
-    def n_materials(self) -> int:
-        return self.probs.shape[1]
-
     def update(self, linear: int, lib: MaterialLibrary,
                sample: HapticSample) -> VoxelUpdate:
         """Recursive update of one voxel's posterior in place.

@@ -11,6 +11,7 @@ out, then scores the executed path against the benchmark.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,11 +60,20 @@ class Scenario:
     task: TaskSpec
 
     def __post_init__(self):
-        gt = np.asarray(self.ground_truth, dtype=int)
-        object.__setattr__(self, "ground_truth", gt)
-        object.__setattr__(self, "benchmark_path", tuple(self.benchmark_path))
+        gt = np.asarray(self.ground_truth)
         if gt.shape != (self.grid.theta,):
             raise ValueError("ground truth must cover every voxel")
+        if gt.dtype.kind not in "biu":
+            # a cast to int would truncate 0.6 to material 0 silently
+            whole = (np.isfinite(gt) & (gt == np.round(gt))
+                     if gt.dtype.kind == "f" else np.zeros(gt.shape, dtype=bool))
+            if not whole.all():
+                j = int(np.argmin(whole))
+                v = tuple(self.grid.voxel_of_linear(j))
+                raise ValueError(f"ground_truth at voxel {v} is {gt[j]}, "
+                                 f"not an integer material index")
+        object.__setattr__(self, "ground_truth", np.asarray(gt, dtype=int))
+        object.__setattr__(self, "benchmark_path", tuple(self.benchmark_path))
         if not self.benchmark_path:
             raise ValueError("benchmark path must be non-empty")
         for v in self.benchmark_path:
@@ -83,9 +93,18 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got "
-                             f"{self.max_iterations}")
+        if (not isinstance(self.max_iterations, numbers.Integral)
+                or self.max_iterations < 1):
+            raise ValueError(f"max_iterations must be an integer >= 1, got "
+                             f"{self.max_iterations!r}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> None:
+    """Raise ``ValueError`` unless ``seed`` is an integer >= 0, the seeds
+    numpy's generators take."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)

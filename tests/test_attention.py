@@ -113,29 +113,76 @@ TABLE_GRIDS = ((30, 60, 1), (5, 4, 3), (1, 1, 1), (7, 1, 1))
 def test_inhibition_table_equals_profile_of_integer_offsets(shape,
                                                             offset_inhibition):
     grid = grid_of(*shape)
+    nx, ny, nz = shape
     table = inhibition_table(grid)
-    # the table itself: entry [|dz| * ny + |dy|, |dx|] is the probe at 0
+    # the table itself: entry [nz-1+dz, ny-1+dy, nx-1+dx] holds offset
+    # (dx, dy, dz), so its corner block from the centre is the probe at 0,
+    # and a mirrored offset holds the same value
     origin = offset_inhibition(grid, VoxelIndex(0, 0, 0))
-    assert np.array_equal(table.inhibition.ravel(), origin)
-    assert np.array_equal(table.density.ravel(), beta_pdf(INHIBITION_FACTOR, origin))
+    for values, want in ((table.inhibition, origin),
+                         (table.density, beta_pdf(INHIBITION_FACTOR, origin))):
+        assert values.shape == (2 * nz - 1, 2 * ny - 1, 2 * nx - 1)
+        assert np.array_equal(values[nz - 1:, ny - 1:, nx - 1:].ravel(), want)
+        for axis in range(3):
+            assert np.array_equal(np.flip(values, axis), values)
+    ones = np.ones(grid.theta)
     for j in range(grid.theta):
         v = grid.voxel_of_linear(j)
         want = offset_inhibition(grid, v)
         assert np.array_equal(inhibition_field(grid, v), want)
-        assert np.array_equal(table.gather(table.density, v),
+        assert np.array_equal(target_score(grid, v, ones, ones),
                               beta_pdf(INHIBITION_FACTOR, want))
 
 
-def test_inhibition_table_has_theta_entries_and_is_built_once_per_grid():
+def test_inhibition_table_has_signed_offset_entries_and_is_built_once_per_grid():
     grid = grid_of(5, 4, 3)
     table = inhibition_table(grid)
-    assert table.inhibition.size == table.density.size == grid.theta
+    assert table.inhibition.shape == table.density.shape == (5, 7, 9)
     assert inhibition_table(grid) is table
     inhibition_field(grid, VoxelIndex(1, 2, 0))
     assert inhibition_table(grid) is table
     other = grid_of(5, 4, 3)            # an equal grid is another object
     assert inhibition_table(other) is not table
-    assert inhibition_table(grid_of(4, 5, 3)).inhibition.shape == (15, 4)
+    assert inhibition_table(grid_of(4, 5, 3)).inhibition.shape == (5, 9, 7)
+    assert inhibition_table(grid_of(1, 1, 1)).inhibition.shape == (1, 1, 1)
+
+
+@pytest.mark.parametrize("shape", ((1, 1, 1), (7, 1, 1), (1, 6, 1), (5, 4, 3)))
+def test_table_reads_share_no_memory_with_the_table(shape):
+    # on a line the window of the table is contiguous: a view of it would
+    # let target_score's in-place products, or a caller, write into it
+    grid = grid_of(*shape)
+    table = inhibition_table(grid)
+    before = (table.inhibition.copy(), table.density.copy())
+    f_saliency = np.full(grid.theta, 3.0)
+    f_uncertainty = np.full(grid.theta, 5.0)
+    for j in range(grid.theta):
+        v = grid.voxel_of_linear(j)
+        first = (inhibition_field(grid, v), target_score(grid, v, f_saliency,
+                                                         f_uncertainty))
+        for out in first:
+            assert not np.shares_memory(out, table.inhibition)
+            assert not np.shares_memory(out, table.density)
+        want = tuple(a.copy() for a in first)
+        for out in first:
+            out[:] = -7.0
+        assert np.array_equal(inhibition_field(grid, v), want[0])
+        assert np.array_equal(target_score(grid, v, f_saliency, f_uncertainty),
+                              want[1])
+    assert np.array_equal(table.inhibition, before[0])
+    assert np.array_equal(table.density, before[1])
+
+
+@pytest.mark.parametrize("probe", [(-1, 0, 0), (0, -2, 1), (5, 0, 0), (0, 4, 0),
+                                   (0, 0, 3)])
+def test_table_reads_reject_a_probe_outside_the_grid(probe):
+    # a negative slice start would wrap and read a window of other offsets
+    grid = grid_of(5, 4, 3)
+    ones = np.ones(grid.theta)
+    with pytest.raises(ValueError, match="outside grid"):
+        inhibition_field(grid, VoxelIndex(*probe))
+    with pytest.raises(ValueError, match="outside grid"):
+        target_score(grid, VoxelIndex(*probe), ones, ones)
 
 
 def test_inhibition_field_matches_center_formula():

@@ -114,6 +114,22 @@ def test_noise_sweep_validates(lib):
         run_noise_sweep(lib, [], trials=5)
 
 
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("called before the seed was checked")
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_experiments_check_the_seed_before_any_work(lib, monkeypatch, seed):
+    # the sweep's cells call bench.run_classification_experiment; this
+    # module keeps its own reference to the real one
+    monkeypatch.setattr(bench, "synthesize_sample", fail_if_called)
+    monkeypatch.setattr(bench, "run_classification_experiment", fail_if_called)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        run_noise_sweep(lib, [NoiseSpec()], trials=5, seed=seed)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        run_classification_experiment(lib, 5, 1, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # exploration benchmark reports
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -78,6 +79,30 @@ def test_dump_maps_reports_snapshots_written(tmp_path, capsys, seed, snapshots):
     assert f"wrote {snapshots} iteration snapshots" in capsys.readouterr().out
 
 
+#: Per seed: files ``dump-maps`` writes for bundled scenario 3 (five field
+#: grids per snapshot and ``trial.json``) and the SHA-256 of the lines
+#: ``"<file name> <SHA-256 of its bytes>"``, one per file in name order.
+DUMP_MAPS_DIGESTS = {
+    0: (51, "a7ea79a16f7c3e7fb47f7c212b2fed68e04c775801eda8d4f8ede0b161713873"),
+    11: (401, "d114f334614e2e8242e182d8f057599de12969064e5aaa4493b6f8cc2187195b"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DUMP_MAPS_DIGESTS))
+def test_dump_maps_files_are_pinned(tmp_path, seed):
+    # seed 0 ends by loop closure, seed 11 by budget
+    run_cli(["gen-scenarios", "--out", tmp_path])
+    out = tmp_path / "maps"
+    assert run_cli(["dump-maps", "--scenario", tmp_path / "scenario-3.txt",
+                    "--seed", seed, "--out", out]) == 0
+    files = sorted(out.iterdir())
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(f"{path.name} "
+                      f"{hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+    assert (len(files), digest.hexdigest()) == DUMP_MAPS_DIGESTS[seed]
+
+
 def test_cli_error_is_machine_readable(tmp_path, capsys):
     code = run_cli(["explore", "--scenario", tmp_path / "missing.txt",
                     "--out", tmp_path])
@@ -85,6 +110,12 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     payload = json.loads(err[-1])
     assert "error" in payload
+
+
+def test_negative_seed_error_names_the_seed(tmp_path, capsys):
+    assert run_cli(["classify", "--seed", -1, "--out", tmp_path]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError: seed must be an integer >= 0, got -1"
 
 
 def test_console_entry_point(tmp_path):

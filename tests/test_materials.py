@@ -67,6 +67,13 @@ def test_load_rejects_unknown_field(tmp_path):
         load_library(path)
 
 
+def test_load_rejects_duplicated_field(tmp_path):
+    path = write_csv(tmp_path, ["a,1,0.1,1,0.1,a", "b,2,0.2,2,0.2,b"],
+                     header="name,mu_E,sigma_E,mu_C,sigma_C,name")
+    with pytest.raises(LibraryLoadError, match=r"duplicated fields \['name'\]"):
+        load_library(path)
+
+
 def test_load_rejects_missing_field(tmp_path):
     path = write_csv(tmp_path, ["a,1,0.1,1", "b,2,0.2,2"],
                      header="name,mu_E,sigma_E,mu_C")

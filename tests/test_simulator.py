@@ -358,6 +358,20 @@ def test_trial_config_rejects_empty_budget(budget):
         TrialConfig(max_iterations=budget)
 
 
+@pytest.mark.parametrize("name, value", [("seed", -1), ("seed", 1.5),
+                                         ("seed", "3"),
+                                         ("max_iterations", 2.5)])
+def test_trial_config_rejects_non_integer_or_negative_seed_and_budget(name,
+                                                                      value):
+    with pytest.raises(ValueError, match=rf"{name} must be an integer >= "):
+        TrialConfig(**{name: value})
+
+
+def test_trial_config_accepts_numpy_integers(toy_lib):
+    config = TrialConfig(max_iterations=np.int32(3), seed=np.uint8(4))
+    assert run_trial(minimal_scenario(toy_lib), toy_lib, config).l <= 3
+
+
 def test_run_trial_budget_termination(lib, scenarios):
     rec = run_trial(scenarios[0], lib, TrialConfig(max_iterations=5, seed=0))
     assert rec.l == 5
@@ -561,6 +575,37 @@ def test_task_spec_rejects_negative_material():
         TaskSpec(-1, 2)
     with pytest.raises(ValueError, match="material_b must be a material index"):
         TaskSpec(2, -3)
+
+
+def test_task_spec_takes_integer_materials_only():
+    # 0.0 used to pass here and fail in the trial with a raw IndexError
+    with pytest.raises(ValueError, match="material_a must be a material index, "
+                                         "an integer >= 0, got 0.0"):
+        TaskSpec(0.0, 1.0)
+    with pytest.raises(ValueError, match="material_b must be a material index"):
+        TaskSpec(0, 1.5)
+    assert TaskSpec(np.int64(0), np.uint8(1)) == TaskSpec(0, 1)
+
+
+def test_scenario_rejects_non_integer_ground_truth(scenarios):
+    s = scenarios[0]
+
+    def scenario_of(gt):
+        return Scenario(s.name, s.grid, gt, s.benchmark_path, s.start, s.task)
+
+    # a cast to int used to truncate 9.6 to material 9
+    with pytest.raises(ValueError, match=r"ground_truth at voxel \(0, 0, 0\) "
+                                         r"is 9.6, not an integer material"):
+        scenario_of(s.ground_truth + 0.6)
+    gt = s.ground_truth.astype(float)
+    gt[61] = np.nan
+    with pytest.raises(ValueError, match=r"voxel \(1, 2, 0\) is nan"):
+        scenario_of(gt)
+    with pytest.raises(ValueError, match=r"voxel \(0, 0, 0\) is 1, not"):
+        scenario_of(np.full(s.grid.theta, "1"))
+    for gt in (s.ground_truth.astype(float), s.ground_truth.astype(np.uint8)):
+        loaded = scenario_of(gt).ground_truth
+        assert loaded.dtype == int and np.array_equal(loaded, s.ground_truth)
 
 
 def test_run_trial_rejects_task_material_outside_library(lib, scenarios):
