@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -69,14 +70,36 @@ class TaskSpec:
 
 @dataclass
 class AttentionState:
-    """Per-voxel scalar fields plus the target posterior for one iteration."""
+    """Per-voxel scalar fields plus the target posterior for one iteration.
 
-    inhibition: np.ndarray
+    A state is built from the ``grid``, the ``probe`` voxel, the target
+    ``score`` the iteration selected on (never mutated afterwards), the
+    ``degenerate`` flag of that score, and the ``uncertainty``, ``omega``
+    and ``saliency`` fields.  ``inhibition`` is
+    ``inhibition_field(grid, probe)`` and ``target_posterior`` is
+    ``score / score.sum()``, or the uniform vector when ``degenerate``;
+    each is computed on its first read and then kept, so a state that is
+    never read costs neither, and an assigned value replaces it.
+    """
+
+    grid: WorkspaceGrid
+    probe: VoxelIndex
+    score: np.ndarray
     uncertainty: np.ndarray
     omega: np.ndarray
     saliency: np.ndarray
-    target_posterior: np.ndarray
-    degenerate: bool = field(default=False)
+    degenerate: bool = False
+
+    @cached_property
+    def inhibition(self) -> np.ndarray:
+        return inhibition_field(self.grid, self.probe)
+
+    @cached_property
+    def target_posterior(self) -> np.ndarray:
+        if self.degenerate:
+            theta = self.grid.theta
+            return np.full(theta, 1.0 / theta)
+        return self.score / self.score.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +199,7 @@ def inhibition_field(grid: WorkspaceGrid, current: VoxelIndex) -> np.ndarray:
 def uncertainty_field(posteriors: PosteriorGrid) -> np.ndarray:
     """Normalized posterior entropy per voxel; unexplored voxels hold the
     uniform prior and therefore read 1."""
-    return np.clip(posteriors.entropies(), 0.0, 1.0)
+    return posteriors.entropies().clip(0.0, 1.0)
 
 
 def _omega(probs: np.ndarray, k_counts: np.ndarray, task: TaskSpec) -> np.ndarray:
@@ -184,7 +207,7 @@ def _omega(probs: np.ndarray, k_counts: np.ndarray, task: TaskSpec) -> np.ndarra
     ``k_counts``; see :func:`omega_field`."""
     om = (1.0 - (probs[:, task.material_b] - probs[:, task.material_a])) / 2.0
     om[k_counts == 0] = OMEGA_NEUTRAL
-    return np.clip(om, 0.0, 1.0)
+    return om.clip(0.0, 1.0)
 
 
 def omega_field(posteriors: PosteriorGrid, task: TaskSpec) -> np.ndarray:
@@ -224,7 +247,7 @@ def _saliency(responses) -> np.ndarray:
     """Saliency from the Sobel responses (s_x, s_y, s_z), stacked on the
     leading axis; see :func:`saliency_field`."""
     s = np.abs(responses).max(axis=0) / SOBEL_NORM
-    return np.clip(s, 0.0, 1.0)
+    return s.clip(0.0, 1.0)
 
 
 def saliency_field(grid: WorkspaceGrid, omega: np.ndarray) -> np.ndarray:
@@ -379,7 +402,7 @@ class AttentionFields:
     def _rows(self, probs: np.ndarray, k_counts: np.ndarray):
         """Uncertainty, its density and similarity of the posterior rows
         ``probs`` with sample counts ``k_counts``."""
-        uncertainty = np.clip(_normalized_entropies(probs), 0.0, 1.0)
+        uncertainty = _normalized_entropies(probs).clip(0.0, 1.0)
         return (uncertainty, beta_pdf(UNCERTAINTY_FACTOR, uncertainty),
                 _omega(probs, k_counts, self.task))
 

@@ -18,7 +18,7 @@ from .attention import FACTORS, AttentionState
 from .grid import WorkspaceGrid
 from .materials import HapticSample, MaterialLibrary, NoiseSpec, synthesize_sample
 from .perception import MaterialPosterior, map_category, update_posterior
-from .simulator import Scenario, TrialConfig, TrialRecord, _check_seed, run_trial
+from .simulator import Scenario, TrialConfig, TrialRecord, _check_integer, run_trial
 
 
 @dataclass
@@ -166,11 +166,12 @@ def run_classification_experiment(lib: MaterialLibrary,
     material takes the t-th group of ``k_samples`` samples of its stream.
     Trials run as one batch of posterior rows per block of
     ``BLOCK_TRIALS`` trials per material.  A seed that is not an integer
-    >= 0 raises ``ValueError``.
+    >= 0, or a count that is not an integer >= 1, raises ``ValueError``
+    naming the argument.
     """
-    _check_seed(seed)
-    if trials_per_material < 1 or k_samples < 1:
-        raise ValueError("trials_per_material and k_samples must be >= 1")
+    _check_integer("seed", seed, 0)
+    _check_integer("trials_per_material", trials_per_material, 1)
+    _check_integer("k_samples", k_samples, 1)
     n = len(lib)
     rngs = [np.random.default_rng(seed + i) for i in range(n)]
     counts = np.zeros(n * n, dtype=int)
@@ -198,11 +199,15 @@ def run_noise_sweep(lib: MaterialLibrary,
 
     Each (scale, k) cell reruns the classification experiment with the
     derived seed ``seed + cell_index``.  A seed that is not an integer
-    >= 0 raises ``ValueError`` before the first cell.
+    >= 0, or a ``trials`` or ``k_list`` entry that is not an integer >= 1,
+    raises ``ValueError`` naming it, before the first cell.
     """
-    _check_seed(seed)
+    _check_integer("seed", seed, 0)
+    _check_integer("trials", trials, 1)
     if not scales or not k_list:
         raise ValueError("scales and k_list must be non-empty")
+    for j, k in enumerate(k_list):
+        _check_integer(f"k_list[{j}]", k, 1)
     acc = np.zeros((len(scales), len(k_list)))
     for i, scale in enumerate(scales):
         for j, k in enumerate(k_list):
@@ -217,9 +222,9 @@ def run_exploration_benchmark(scenario: Scenario, lib: MaterialLibrary,
                               n_trials: int = 10,
                               config: TrialConfig = TrialConfig(),
                               ) -> ExperimentReport:
-    """Run seeded trials on one scenario; trial i uses seed ``seed + i``."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    """Run seeded trials on one scenario; trial i uses seed ``seed + i``.
+    An ``n_trials`` that is not an integer >= 1 raises ``ValueError``."""
+    _check_integer("n_trials", n_trials, 1)
     trials: list[TrialRecord] = []
     for i in range(n_trials):
         cfg = replace(config, seed=config.seed + i)

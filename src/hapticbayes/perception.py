@@ -162,7 +162,9 @@ class PosteriorGrid:
 
 def _normalized_entropies(probs: np.ndarray) -> np.ndarray:
     """Entropy of each row of a ``(rows, n)`` probability matrix over its
-    maximum ``log(n)``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
+    maximum ``log(n)``; a zero probability adds a zero term."""
+    # log only where p > 0, so log(0) is never taken and needs no
+    # errstate; a zero entry's term is then 0.0 * 0.0 = +0.0
+    plogp = np.log(probs, out=np.zeros(probs.shape), where=probs > 0)
+    plogp *= probs
     return -plogp.sum(axis=1) / math.log(probs.shape[1])

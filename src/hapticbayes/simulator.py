@@ -24,7 +24,6 @@ from .attention import (
     AttentionFields,
     AttentionState,
     TaskSpec,
-    inhibition_field,
     select_target,
     target_score,
 )
@@ -32,7 +31,8 @@ from .attention import (
 # names in this module (and grid.WorkspaceGrid.center_arrays), and
 # benchmarks/test_benchmark.py::originals reads every one of them with
 # vars(owner)[attr], which raises KeyError if one is gone.
-from .attention import omega_field, saliency_field, target_posterior, uncertainty_field
+from .attention import (inhibition_field, omega_field, saliency_field,
+                        target_posterior, uncertainty_field)
 from .grid import GridConfigError, VoxelIndex, WorkspaceBounds, WorkspaceGrid, make_grid
 from .materials import HapticSample, MaterialLibrary, NoiseSpec, synthesize_sample
 from .perception import PosteriorGrid
@@ -50,7 +50,12 @@ class ScenarioLoadError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully specified exploration problem."""
+    """A fully specified exploration problem.
+
+    ``benchmark_points`` is the benchmark path as a read-only ``(B, 3)``
+    float array of voxel indices, built once when the scenario is made
+    and scored against by every trial's :func:`gamma_metric`.
+    """
 
     name: str
     grid: WorkspaceGrid
@@ -58,6 +63,7 @@ class Scenario:
     benchmark_path: tuple              # ordered VoxelIndex sequence
     start: VoxelIndex
     task: TaskSpec
+    benchmark_points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gt = np.asarray(self.ground_truth)
@@ -79,6 +85,9 @@ class Scenario:
         for v in self.benchmark_path:
             self.grid.require(v)
         self.grid.require(self.start)
+        points = np.array(self.benchmark_path, dtype=float)
+        points.setflags(write=False)
+        object.__setattr__(self, "benchmark_points", points)
 
     def material_at(self, v: VoxelIndex) -> int:
         return int(self.ground_truth[self.grid.linear_index(v)])
@@ -93,18 +102,16 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if (not isinstance(self.max_iterations, numbers.Integral)
-                or self.max_iterations < 1):
-            raise ValueError(f"max_iterations must be an integer >= 1, got "
-                             f"{self.max_iterations!r}")
-        _check_seed(self.seed)
+        _check_integer("max_iterations", self.max_iterations, 1)
+        _check_integer("seed", self.seed, 0)
 
 
-def _check_seed(seed) -> None:
-    """Raise ``ValueError`` unless ``seed`` is an integer >= 0, the seeds
-    numpy's generators take."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+def _check_integer(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    (numpy integers count) >= ``least``; seeds take ``least`` 0, the
+    seeds numpy's generators take, and counts 1."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -353,15 +360,19 @@ def gamma_metric(grid: WorkspaceGrid, visited: Sequence[VoxelIndex],
                  benchmark: Sequence[VoxelIndex]) -> float:
     """Total divergence of the executed path from the benchmark, in meters:
     the sum over visited voxels of the distance to the nearest benchmark
-    voxel (between voxel centers)."""
-    if not visited or not benchmark:
+    voxel (between voxel centers).
+
+    ``benchmark`` is a sequence of voxel indices or, as :func:`run_trial`
+    passes it, a scenario's ``(B, 3)`` float ``benchmark_points``, which
+    is used as it is rather than converted again."""
+    if len(visited) == 0 or len(benchmark) == 0:
         raise ValueError("visited and benchmark paths must be non-empty")
     v = np.array(visited, dtype=int)
     outside = ~((v >= 0) & (v < grid.shape)).all(axis=1)
     if outside.any():
         grid.require(visited[int(np.argmax(outside))])
     eps = grid.bounds.epsilon
-    b = np.array(benchmark, dtype=float)
+    b = np.asarray(benchmark, dtype=float)
     # (visited, benchmark) squared distances, summed per axis as x, y, z
     d2 = ((b[None, :, 0] - v[:, None, 0]) ** 2
           + (b[None, :, 1] - v[:, None, 1]) ** 2
@@ -416,12 +427,15 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     the library lacks raises ``ValueError`` before the first touch.
 
     ``on_iteration`` receives ``(k, AttentionState)`` after each target
-    selection, which is how field snapshots are exported.  The state's
-    target posterior is the score the loop selected on, divided by its
-    sum, or the uniform vector when that score was degenerate; only its
-    inhibition field is built for the observer, so an observer never
-    changes the path.  The state's arrays are fresh copies, so a stored
-    state stays unchanged as the trial goes on.
+    selection, which is how field snapshots are exported.  The state
+    holds the score the loop selected on and copies of the uncertainty,
+    similarity and saliency fields, so a stored state stays unchanged as
+    the trial goes on.  Its inhibition field and its target posterior
+    (that score divided by its sum, or the uniform vector when the score
+    was degenerate) are built only if the observer reads them, so an
+    observer that reads nothing adds no grid-sized work, and no observer
+    changes the path.  The trial is scored against the scenario's
+    ``benchmark_points``, built once per scenario.
     """
     grid = scenario.grid
     _check_materials(scenario, len(lib))
@@ -458,12 +472,10 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
         degenerate = not 0.0 < score[grid.linear_index(chosen)] < math.inf
         if on_iteration is not None:
             on_iteration(k, AttentionState(
-                inhibition=inhibition_field(grid, current),
+                grid, current, score,
                 uncertainty=fields.uncertainty.copy(),
                 omega=fields.omega.copy(),
                 saliency=fields.saliency.copy(),
-                target_posterior=(np.full(grid.theta, 1.0 / grid.theta)
-                                  if degenerate else score / score.sum()),
                 degenerate=degenerate,
             ))
         if degenerate:
@@ -471,7 +483,7 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
             chosen = grid.voxel_of_linear(0)
         current = chosen
 
-    gamma = gamma_metric(grid, visited, scenario.benchmark_path)
+    gamma = gamma_metric(grid, visited, scenario.benchmark_points)
     return TrialRecord(visited, gamma, config.seed, terminated_by,
                        degenerate_events + posteriors.degenerate_events,
                        len(visited) - len(set(visited)))

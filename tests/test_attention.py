@@ -360,14 +360,18 @@ def test_factor_constants():
 # target posterior and selection
 
 def state_of(grid, inhibition=None, uncertainty=None, saliency=None):
+    """A hand-built state whose inhibition is assigned, not derived from a
+    probe."""
     theta = grid.theta
-    return AttentionState(
-        inhibition=np.full(theta, 0.3) if inhibition is None else np.asarray(inhibition, float),
+    state = AttentionState(
+        grid, VoxelIndex(0, 0, 0), np.ones(theta),
         uncertainty=np.ones(theta) if uncertainty is None else np.asarray(uncertainty, float),
         omega=np.full(theta, 0.5),
         saliency=np.full(theta, 0.4) if saliency is None else np.asarray(saliency, float),
-        target_posterior=np.zeros(theta),
     )
+    state.inhibition = (np.full(theta, 0.3) if inhibition is None
+                        else np.asarray(inhibition, float))
+    return state
 
 
 def posterior_of(state):
@@ -471,14 +475,15 @@ def test_step_field_target_is_on_the_step():
     ix = np.arange(grid.theta) % grid.nx
     omega = np.where(ix >= 2, 1.0, 0.0)
     current = VoxelIndex(2, 2, 0)
-    state = AttentionState(
-        inhibition=inhibition_field(grid, current),
-        uncertainty=np.ones(grid.theta),
-        omega=omega,
-        saliency=saliency_field(grid, omega),
-        target_posterior=np.zeros(grid.theta),
-    )
+    uncertainty = np.ones(grid.theta)
+    saliency = saliency_field(grid, omega)
+    score = target_score(grid, current, beta_pdf(SALIENCY_FACTOR, saliency),
+                         beta_pdf(UNCERTAINTY_FACTOR, uncertainty))
+    state = AttentionState(grid, current, score, uncertainty=uncertainty,
+                           omega=omega, saliency=saliency)
     post, _ = posterior_of(state)
+    assert np.array_equal(state.inhibition, inhibition_field(grid, current))
+    assert np.array_equal(state.target_posterior, post)
     chosen = select_target(post, grid)
     assert chosen.ix in (1, 2)                      # on the omega step
     assert max(abs(chosen.ix - 2), abs(chosen.iy - 2)) <= 1

@@ -11,6 +11,7 @@ from hapticbayes import (
     MaterialPosterior,
     NoiseSpec,
     TrialConfig,
+    VoxelIndex,
     dump_fields,
     make_grid,
     run_classification_experiment,
@@ -130,6 +131,38 @@ def test_experiments_check_the_seed_before_any_work(lib, monkeypatch, seed):
         run_classification_experiment(lib, 5, 1, seed=seed)
 
 
+@pytest.mark.parametrize("bad", [2.5, 0, -1, "3"])
+def test_counts_must_be_integers_and_name_the_argument(lib, scenarios,
+                                                       monkeypatch, bad):
+    monkeypatch.setattr(bench, "synthesize_sample", fail_if_called)
+    monkeypatch.setattr(bench, "run_trial", fail_if_called)
+    # the sweep calls the patched name; this module keeps the real one
+    monkeypatch.setattr(bench, "run_classification_experiment", fail_if_called)
+    for name, call in (
+            ("trials_per_material", lambda: run_classification_experiment(lib, bad, 1)),
+            ("k_samples", lambda: run_classification_experiment(lib, 5, bad)),
+            ("trials", lambda: run_noise_sweep(lib, [NoiseSpec()], trials=bad)),
+            (r"k_list\[1\]", lambda: run_noise_sweep(lib, [NoiseSpec()], trials=5,
+                                                    k_list=(1, bad))),
+            ("n_trials", lambda: run_exploration_benchmark(scenarios[0], lib, bad))):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, "
+                                             rf"got {bad!r}$"):
+            call()
+
+
+def test_counts_accept_numpy_integers(lib, scenarios):
+    assert np.array_equal(
+        run_classification_experiment(lib, np.int64(6), np.int32(2), seed=1).counts,
+        run_classification_experiment(lib, 6, 2, seed=1).counts)
+    sweep = run_noise_sweep(lib, [NoiseSpec()], trials=np.int64(4),
+                            k_list=(np.uint8(1), 2))
+    assert np.array_equal(sweep.accuracy, run_noise_sweep(
+        lib, [NoiseSpec()], trials=4, k_list=(1, 2)).accuracy)
+    config = TrialConfig(max_iterations=3)
+    assert (run_exploration_benchmark(scenarios[0], lib, np.int64(2), config).trials
+            == run_exploration_benchmark(scenarios[0], lib, 2, config).trials)
+
+
 # ---------------------------------------------------------------------------
 # exploration benchmark reports
 
@@ -179,12 +212,13 @@ def load_field_dump(path):
 
 
 def make_state(grid, omega):
+    """A state with the probe in the grid's corner and a flat score, so
+    its target posterior is uniform."""
     return AttentionState(
-        inhibition=np.linspace(0, 1, grid.theta),
+        grid, VoxelIndex(0, 0, 0), np.ones(grid.theta),
         uncertainty=np.ones(grid.theta),
         omega=omega,
         saliency=saliency_field(grid, omega),
-        target_posterior=np.full(grid.theta, 1 / grid.theta),
     )
 
 

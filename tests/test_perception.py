@@ -11,11 +11,16 @@ from hapticbayes import (
     MaterialPosterior,
     NoiseSpec,
     PosteriorGrid,
+    TaskSpec,
+    WorkspaceBounds,
     log_likelihoods,
+    make_grid,
     map_category,
     synthesize_sample,
     update_posterior,
 )
+from hapticbayes.attention import AttentionFields
+from hapticbayes.perception import _normalized_entropies
 
 
 def pair_lib(mu_e_a=0.0, mu_e_b=1.0, sigma_e=1.0, mu_c=5.0, sigma_c=1.0):
@@ -222,6 +227,47 @@ def test_normalized_entropy_cases():
     assert h[0] == pytest.approx(1.0)
     assert h[1] == 0.0
     assert h[2] == pytest.approx(math.log(2) / math.log(10), abs=1e-12)
+
+
+def where_entropies(probs):
+    """Reference form of ``_normalized_entropies``: ``p log p`` under
+    ``np.where``, with the log's warnings silenced."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
+    return -plogp.sum(axis=1) / math.log(probs.shape[1])
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_normalized_entropies_keep_the_bits_of_the_where_form(lib):
+    n = len(lib)
+    # rows with floored zeros: a few touches of one material each
+    rng = np.random.default_rng(6)
+    pg = PosteriorGrid(4 * n, n)
+    for j in range(4 * n):
+        for _ in range(1 + j % 4):
+            pg.update(j, lib, synthesize_sample(lib, j % n, NoiseSpec(), rng))
+    floored = pg.probs
+    h = _normalized_entropies(floored)
+    assert ((floored == 0.0).any(axis=1) & (h > 0.0)).any()
+    one_hot = np.eye(n)
+    rows = np.concatenate([floored, one_hot, np.full((1, n), 1.0 / n),
+                           rng.dirichlet(np.full(n, 0.3), 50)])
+    assert_same_bits(_normalized_entropies(rows), where_entropies(rows))
+    # a one-hot row's entropy is -0.0
+    assert np.all(np.signbit(_normalized_entropies(one_hot)))
+    grid = make_grid(WorkspaceBounds(0, 0.03, 0, 0.02, 0, 0.01, 0.01))
+    for m in range(2, 13):
+        uniform = np.full((3, m), 1.0 / m)
+        assert_same_bits(_normalized_entropies(uniform), where_entropies(uniform))
+        # the start row of a trial's uncertainty field
+        start = AttentionFields(grid, TaskSpec(0, 1), m).uncertainty
+        assert_same_bits(start, np.full(grid.theta, np.clip(
+            where_entropies(uniform[:1]), 0.0, 1.0)[0]))
 
 
 def test_posterior_mass_sharpens_with_more_samples(lib):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -22,6 +23,7 @@ from hapticbayes import (
     beta_pdf,
     bundled_library_path,
     gamma_metric,
+    inhibition_field,
     load_scenario,
     make_grid,
     omega_field,
@@ -31,7 +33,8 @@ from hapticbayes import (
     sense,
     uncertainty_field,
 )
-from hapticbayes import simulator
+from hapticbayes import attention, simulator
+from hapticbayes.attention import target_score
 from hapticbayes.simulator import _boundary_voxels
 
 
@@ -290,6 +293,26 @@ def test_gamma_requires_non_empty(scenarios):
     s = scenarios[0]
     with pytest.raises(ValueError):
         gamma_metric(s.grid, [], s.benchmark_path)
+
+
+def test_trial_gamma_equals_gamma_of_the_path_sequence(lib, scenarios):
+    # run_trial scores against the scenario's cached array; the public
+    # sequence form gives the same bits
+    for scenario in scenarios:
+        points = scenario.benchmark_points
+        assert points.shape == (len(scenario.benchmark_path), 3)
+        assert points.dtype == float and not points.flags.writeable
+        with pytest.raises(ValueError):
+            points[0, 0] = 1.0
+        for seed in range(10):
+            rec = run_trial(scenario, lib, TrialConfig(seed=seed))
+            assert rec.gamma == gamma_metric(scenario.grid, rec.visited,
+                                             scenario.benchmark_path)
+    # a replaced path gets its own array
+    short = dataclasses.replace(scenarios[0],
+                                benchmark_path=scenarios[0].benchmark_path[:3])
+    assert np.array_equal(short.benchmark_points,
+                          np.array(scenarios[0].benchmark_path[:3], dtype=float))
 
 
 def loop_gamma(grid, visited, benchmark):
@@ -565,6 +588,64 @@ def test_observer_does_not_change_the_path(lib, scenarios):
     config = TrialConfig(max_iterations=120, seed=0)
     assert (run_trial(scenario, lib, config, on_iteration=lambda k, s: None)
             == run_trial(scenario, lib, config))
+
+
+def test_an_observer_that_reads_nothing_builds_nothing(lib, scenarios,
+                                                      monkeypatch):
+    # the score reads the inhibition table once per iteration; an unread
+    # state adds no second read and no normalized score
+    reads = []
+    at_offsets = attention._at_offsets
+
+    def counted(grid, values, probe):
+        reads.append(probe)
+        return at_offsets(grid, values, probe)
+
+    monkeypatch.setattr(attention, "_at_offsets", counted)
+    for scenario in scenarios:
+        reads.clear()
+        states = []
+        run_trial(scenario, lib, TrialConfig(seed=0),
+                  on_iteration=lambda k, state: states.append(state))
+        assert len(reads) == len(states) > 0
+        for state in states:
+            assert not {"inhibition", "target_posterior"} & set(vars(state))
+        # a read builds the field once and keeps it
+        first = states[0].inhibition
+        assert states[0].inhibition is first and len(reads) == len(states) + 1
+
+
+def check_stored_states(grid, visited, states):
+    """Read each stored state only now, after its trial ended."""
+    assert len(states) >= 1
+    for v, state in zip(visited, states):
+        assert state.probe == v
+        assert np.array_equal(state.inhibition, inhibition_field(grid, v))
+        if state.degenerate:
+            want = np.full(grid.theta, 1.0 / grid.theta)
+        else:
+            score = target_score(grid, v, beta_pdf(SALIENCY_FACTOR, state.saliency),
+                                 beta_pdf(UNCERTAINTY_FACTOR, state.uncertainty))
+            want = score / score.sum()
+        assert np.array_equal(state.target_posterior, want)
+
+
+def test_stored_states_read_after_the_trial_are_snapshots(lib, scenarios,
+                                                          monkeypatch):
+    for scenario in scenarios:
+        for seed in range(3):
+            states = []
+            rec = run_trial(scenario, lib, TrialConfig(seed=seed),
+                            on_iteration=lambda k, state: states.append(state))
+            check_stored_states(scenario.grid, rec.visited, states)
+    # a degenerate trial: an all-zero score every iteration
+    monkeypatch.setattr(simulator, "target_score",
+                        lambda grid, current, f_s, f_u: np.zeros(grid.theta))
+    states = []
+    rec = run_trial(scenarios[1], lib, TrialConfig(max_iterations=4, seed=0),
+                    on_iteration=lambda k, state: states.append(state))
+    assert all(state.degenerate for state in states)
+    check_stored_states(scenarios[1].grid, rec.visited, states)
 
 
 # ---------------------------------------------------------------------------
