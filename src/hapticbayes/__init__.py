@@ -14,7 +14,6 @@ from .grid import (
     WorkspaceBounds,
     WorkspaceGrid,
     make_grid,
-    max_distance,
 )
 from .materials import (
     HapticSample,
@@ -110,7 +109,6 @@ __all__ = [
     "log_likelihoods",
     "make_grid",
     "map_category",
-    "max_distance",
     "omega_field",
     "run_classification_experiment",
     "run_exploration_benchmark",

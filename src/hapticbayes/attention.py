@@ -61,7 +61,8 @@ class TaskSpec:
     def __post_init__(self):
         for name in ("material_a", "material_b"):
             index = getattr(self, name)
-            if not isinstance(index, numbers.Integral) or index < 0:
+            if (isinstance(index, bool) or not isinstance(index, numbers.Integral)
+                    or index < 0):
                 raise ValueError(f"{name} must be a material index, an "
                                  f"integer >= 0, got {index!r}")
         if self.material_a == self.material_b:
@@ -263,26 +264,17 @@ def saliency_field(grid: WorkspaceGrid, omega: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # evidence factors and target selection
 
-def _log_beta(a: float, b: float) -> float:
-    """Log of the Beta function B(a, b), the density's normaliser."""
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-#: ``_log_beta`` of each factor in ``FACTORS``, keyed by ``(alpha, beta)``.
-_LOG_BETA = {(f.alpha, f.beta): _log_beta(*f) for f in FACTORS}
-
-
 def beta_pdf(factor: BetaFactor, x):
-    """Beta density at ``x``; the argument is clamped to
-    ``[1e-6, 1 - 1e-6]`` so boundary singularities stay finite."""
+    """Beta density with shape ``factor`` at ``x``, a float for a scalar
+    ``x`` and an array otherwise.  The argument is clamped to
+    ``[BETA_CLAMP, 1 - BETA_CLAMP]`` so boundary singularities stay
+    finite; NaN passes through."""
     a, b = factor
     # np.clip's bounds, as two ufuncs: the lower bound is positive, so no
     # signed zero survives, and both pass NaN through
     xs = np.minimum(np.maximum(np.asarray(x, dtype=float), BETA_CLAMP),
                     1.0 - BETA_CLAMP)
-    log_b = _LOG_BETA.get((a, b))
-    if log_b is None:
-        log_b = _log_beta(a, b)
+    log_b = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     # the log-density is (a-1) log x + (b-1) log(1-x).  A term whose
     # exponent is 0 is +-0, and the other term is finite and non-zero on
     # the clamped range, so the sum is that other term: the +-0 is skipped

@@ -15,7 +15,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .attention import FACTORS, AttentionState
-from .grid import WorkspaceGrid
 from .materials import HapticSample, MaterialLibrary, NoiseSpec, synthesize_sample
 from .perception import MaterialPosterior, map_category, update_posterior
 from .simulator import Scenario, TrialConfig, TrialRecord, _check_integer, run_trial
@@ -28,7 +27,7 @@ class ConfusionMatrix:
     counts: np.ndarray
     trials_per_material: int
     k_samples: int
-    material_names: tuple = ()
+    material_names: tuple
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=int)
@@ -40,10 +39,8 @@ class ConfusionMatrix:
         return float(self.diagonal_rates().mean())
 
     def to_csv(self) -> str:
-        names = self.material_names or tuple(
-            f"material_{i + 1}" for i in range(self.counts.shape[0]))
-        lines = ["truth\\predicted," + ",".join(names)]
-        for name, row in zip(names, self.counts):
+        lines = ["truth\\predicted," + ",".join(self.material_names)]
+        for name, row in zip(self.material_names, self.counts):
             lines.append(name + "," + ",".join(str(int(c)) for c in row))
         return "\n".join(lines) + "\n"
 
@@ -83,7 +80,8 @@ class NoiseSweepResult:
 
 @dataclass
 class ExperimentReport:
-    """Per-trial exploration records plus aggregate statistics."""
+    """Per-trial exploration records plus aggregate statistics; a report
+    with no trials raises ``ValueError``."""
 
     scenario_name: str
     trials: tuple
@@ -92,6 +90,8 @@ class ExperimentReport:
 
     def __post_init__(self):
         self.trials = tuple(self.trials)
+        if not self.trials:
+            raise ValueError("trials must hold at least one trial record")
         self.aggregates = self.compute_aggregates()
 
     def compute_aggregates(self) -> dict:
@@ -253,14 +253,16 @@ DUMP_FIELDS = (
 )
 
 
-def dump_fields(grid: WorkspaceGrid, state: AttentionState, iteration: int,
+def dump_fields(state: AttentionState, iteration: int,
                 destination: Union[str, Path]) -> list[Path]:
-    """Write the five per-voxel fields as row-major numeric text grids.
+    """Write the five per-voxel fields of ``state`` as row-major numeric
+    text grids in ``destination``; returns the written paths.
 
-    One file per field named ``<field>_k<iteration>.txt``; each file holds
-    ``ny * nz`` lines of ``nx`` values (z-planes stacked, lowest plane
-    first), printed with 9 significant digits.
+    One file per field named ``<field>_k<iteration:04d>.txt``; each holds
+    ``ny * nz`` lines of ``nx`` values of ``state.grid`` (z-planes
+    stacked, lowest plane first), printed with 9 significant digits.
     """
+    grid = state.grid
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)
     written = []

@@ -37,17 +37,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=False):
+    def common(p, scenario=False, seeded=True, formatted=True):
         p.add_argument("--materials", type=Path, default=None,
                        help="material parameter file (default: bundled)")
         if scenario:
             p.add_argument("--scenario", type=Path, required=True,
                            help="scenario file")
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="base RNG seed")
         p.add_argument("--out", type=Path, required=True,
                        help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="output format for tables and reports")
+        if formatted:
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="output format for tables and reports")
 
     p = sub.add_parser("classify", help="confusion-matrix experiment")
     common(p)
@@ -74,11 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-maps", help="run one trial dumping the "
                                          "attention fields per iteration")
-    common(p, scenario=True)
+    common(p, scenario=True, formatted=False)
     p.add_argument("--noise-scale", type=float, default=1.0)
 
     p = sub.add_parser("gen-scenarios", help="write the builtin scenarios")
-    common(p)
+    common(p, seeded=False, formatted=False)
     return parser
 
 
@@ -135,7 +137,7 @@ def _dispatch(args) -> int:
         snapshots = []
 
         def dump(k, state):
-            dump_fields(scenario.grid, state, k, out)
+            dump_fields(state, k, out)
             snapshots.append(k)
 
         record = run_trial(scenario, lib, config, on_iteration=dump)

@@ -1,4 +1,4 @@
-"""Voxel grid geometry: bounds, indexing and distances.
+"""Voxel grid geometry: bounds, indexing and voxel centers.
 
 The workspace is a box partitioned into cubic voxels of side ``epsilon``.
 All spatial quantities are in meters.  Voxels are addressed by integer
@@ -110,14 +110,6 @@ class WorkspaceGrid:
             raise ValueError(f"linear index {j} outside [0, {self.theta})")
         return VoxelIndex(j % self.nx, (j // self.nx) % self.ny, j // (self.nx * self.ny))
 
-    def center(self, v: VoxelIndex) -> tuple[float, float, float]:
-        """World coordinates of the voxel center, in meters."""
-        self.require(v)
-        eps = self.bounds.epsilon
-        return (self.bounds.x_lo + (v.ix + 0.5) * eps,
-                self.bounds.y_lo + (v.iy + 0.5) * eps,
-                self.bounds.z_lo + (v.iz + 0.5) * eps)
-
     def center_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Center coordinates of every voxel in linear-index order."""
         j = np.arange(self.theta)
@@ -156,9 +148,3 @@ def make_grid(bounds: WorkspaceBounds) -> WorkspaceGrid:
         raise GridConfigError(f"grid has {theta} voxels, more than the "
                               f"{MAX_VOXELS} allowed")
     return WorkspaceGrid(bounds, counts["x"], counts["y"], counts["z"])
-
-
-def max_distance(grid: WorkspaceGrid) -> float:
-    """Distance between the two opposite-corner voxel centers, in meters."""
-    eps = grid.bounds.epsilon
-    return eps * math.sqrt((grid.nx - 1) ** 2 + (grid.ny - 1) ** 2 + (grid.nz - 1) ** 2)

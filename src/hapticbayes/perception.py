@@ -127,31 +127,30 @@ class VoxelUpdate(NamedTuple):
 class PosteriorGrid:
     """Material posteriors for every voxel of a workspace grid.
 
-    Stores a ``(theta, n)`` probability matrix plus per-voxel counts of
-    integrated samples, in linear-index order.  Rows start at the uniform
-    prior.  Distinct voxels may be updated independently.
+    Stores a ``(theta, n)`` probability matrix ``probs`` plus per-voxel
+    counts ``k_counts`` of integrated samples, in linear-index order.  Rows
+    start at the uniform prior.  Distinct voxels may be updated
+    independently; each :meth:`update` reports whether its sample was
+    degenerate.
     """
 
     def __init__(self, theta: int, n_materials: int):
         self.probs = np.full((theta, n_materials), 1.0 / n_materials)
         self.k_counts = np.zeros(theta, dtype=int)
-        self.degenerate_events = 0
 
     def update(self, linear: int, lib: MaterialLibrary,
                sample: HapticSample) -> VoxelUpdate:
         """Recursive update of one voxel's posterior in place.
 
         A degenerate sample (every likelihood floors to zero, e.g. a NaN
-        feature) keeps the prior, adds to ``degenerate_events`` and is not
-        counted in ``k_counts``.  Returns the voxel's sample count and the
-        degenerate flag; the updated row is ``probs[linear]``.
+        feature) keeps the prior and is not counted in ``k_counts``.
+        Returns the voxel's sample count and the degenerate flag; the
+        updated row is ``probs[linear]``.
         """
         new_probs, degenerate = _posterior_update(
             self.probs[linear], log_likelihoods(lib, sample))
         self.probs[linear] = new_probs
-        if degenerate:
-            self.degenerate_events += 1
-        else:
+        if not degenerate:
             self.k_counts[linear] += 1
         return VoxelUpdate(int(self.k_counts[linear]), bool(degenerate))
 

@@ -108,20 +108,29 @@ class TrialConfig:
 
 def _check_integer(name: str, value, least: int) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
-    (numpy integers count) >= ``least``; seeds take ``least`` 0, the
-    seeds numpy's generators take, and counts 1."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    (numpy integers count, ``bool`` does not) >= ``least``; seeds take
+    ``least`` 0, the seeds numpy's generators take, and counts 1."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+#: The causes that end a trial.
+TERMINATIONS = ("loop_closure", "budget")
 
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one trial: the executed path and its divergence."""
+    """Outcome of one trial: the executed path and its divergence.
+
+    A record with an empty ``visited`` path or a ``terminated_by`` outside
+    ``TERMINATIONS`` raises ``ValueError`` naming the field.
+    """
 
     visited: tuple
     gamma: float                       # meters
     seed: int
-    terminated_by: str                 # "loop_closure" or "budget"
+    terminated_by: str                 # one of TERMINATIONS
     degenerate_events: int = 0
     revisit_count: int = 0
     l: int = field(init=False)
@@ -129,6 +138,11 @@ class TrialRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "visited", tuple(self.visited))
+        if not self.visited:
+            raise ValueError("visited must hold at least one voxel")
+        if self.terminated_by not in TERMINATIONS:
+            raise ValueError(f"terminated_by must be one of {TERMINATIONS}, "
+                             f"got {self.terminated_by!r}")
         object.__setattr__(self, "l", len(self.visited))
         object.__setattr__(self, "gamma_per_l", self.gamma / self.l)
 
@@ -356,23 +370,46 @@ def sense(scenario: Scenario, lib: MaterialLibrary, v: VoxelIndex,
     return synthesize_sample(lib, scenario.material_at(v), noise, rng)
 
 
+def _voxel_points(grid: WorkspaceGrid, path, name: str) -> np.ndarray:
+    """``path``, a sequence of ``(ix, iy, iz)`` voxels or a ``(B, 3)``
+    array, as a float array; raises ``ValueError`` naming the first entry
+    that is not a whole voxel index inside ``grid``."""
+    try:
+        points = np.asarray(path, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} holds a coordinate too large for a voxel "
+                         f"index") from None
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"{name} must be a sequence of (ix, iy, iz) voxels")
+    whole = (np.isfinite(points) & (points == np.round(points))).all(axis=1)
+    if not whole.all():
+        i = int(np.argmin(whole))
+        raise ValueError(f"{name} entry {i}: {tuple(points[i].tolist())} is "
+                         f"not a whole voxel index")
+    inside = ((points >= 0) & (points < grid.shape)).all(axis=1)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise ValueError(f"{name} entry {i}: voxel "
+                         f"{tuple(int(x) for x in points[i])} outside grid "
+                         f"{grid.shape}")
+    return points
+
+
 def gamma_metric(grid: WorkspaceGrid, visited: Sequence[VoxelIndex],
                  benchmark: Sequence[VoxelIndex]) -> float:
     """Total divergence of the executed path from the benchmark, in meters:
     the sum over visited voxels of the distance to the nearest benchmark
     voxel (between voxel centers).
 
-    ``benchmark`` is a sequence of voxel indices or, as :func:`run_trial`
-    passes it, a scenario's ``(B, 3)`` float ``benchmark_points``, which
-    is used as it is rather than converted again."""
+    Each argument is a sequence of voxel indices or a ``(n, 3)`` array of
+    them, such as a scenario's float ``benchmark_points``, which
+    :func:`run_trial` passes.  An empty path, or an entry that is not a
+    whole voxel index inside ``grid``, raises ``ValueError`` naming it."""
     if len(visited) == 0 or len(benchmark) == 0:
         raise ValueError("visited and benchmark paths must be non-empty")
-    v = np.array(visited, dtype=int)
-    outside = ~((v >= 0) & (v < grid.shape)).all(axis=1)
-    if outside.any():
-        grid.require(visited[int(np.argmax(outside))])
+    v = _voxel_points(grid, visited, "visited")
+    b = _voxel_points(grid, benchmark, "benchmark")
     eps = grid.bounds.epsilon
-    b = np.asarray(benchmark, dtype=float)
     # (visited, benchmark) squared distances, summed per axis as x, y, z
     d2 = ((b[None, :, 0] - v[:, None, 0]) ** 2
           + (b[None, :, 1] - v[:, None, 1]) ** 2
@@ -419,12 +456,14 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     the first trial on the grid), times the saliency and uncertainty
     densities.  The target is its maximum, ties to the lowest linear
     index, with no normalization.  A score that is all zero or not finite
-    counts one degenerate event and selects linear index 0.  The trial
-    ends on loop closure (current voxel within one step of the first
-    benchmark voxel visited, once at least ten iterations have run) or
-    when the iteration budget is spent.  The start voxel counts as the
-    first visited voxel.  A task or ground truth that names a material
-    the library lacks raises ``ValueError`` before the first touch.
+    selects linear index 0.  The record's ``degenerate_events`` counts
+    both kinds of degenerate event: each posterior update that kept its
+    prior (e.g. a NaN sample) and each such score.  The trial ends on
+    loop closure (current voxel within one step of the first benchmark
+    voxel visited, once at least ten iterations have run) or when the
+    iteration budget is spent.  The start voxel counts as the first
+    visited voxel.  A task or ground truth that names a material the
+    library lacks raises ``ValueError`` before the first touch.
 
     ``on_iteration`` receives ``(k, AttentionState)`` after each target
     selection, which is how field snapshots are exported.  The state
@@ -454,7 +493,8 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
         j = grid.linear_index(current)
         visited.append(current)
         sample = sense(scenario, lib, current, config.noise, rng)
-        posteriors.update(j, lib, sample)
+        if posteriors.update(j, lib, sample).degenerate:
+            degenerate_events += 1
 
         if anchor is None and current in bench_set:
             anchor = current
@@ -485,5 +525,4 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
 
     gamma = gamma_metric(grid, visited, scenario.benchmark_points)
     return TrialRecord(visited, gamma, config.seed, terminated_by,
-                       degenerate_events + posteriors.degenerate_events,
-                       len(visited) - len(set(visited)))
+                       degenerate_events, len(visited) - len(set(visited)))

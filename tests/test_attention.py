@@ -20,7 +20,6 @@ from hapticbayes import (
     inhibition_field,
     inhibition_profile,
     make_grid,
-    max_distance,
     omega_field,
     saliency_field,
     select_target,
@@ -193,12 +192,13 @@ def test_inhibition_field_matches_center_formula():
                                             ((9, 7, 5), (0.3, 0.1, -0.4), 0.013)):
         grid = make_grid(WorkspaceBounds(x0, x0 + nx * eps, y0, y0 + ny * eps,
                                          z0, z0 + nz * eps, eps))
-        d_max = max_distance(grid)
+        # the distance between opposite-corner voxel centers
+        d_max = eps * math.sqrt((nx - 1) ** 2 + (ny - 1) ** 2 + (nz - 1) ** 2)
         cx, cy, cz = grid.center_arrays()
         for j in range(grid.theta):
             v = grid.voxel_of_linear(j)
-            px, py, pz = grid.center(v)
-            d = np.sqrt((cx - px) ** 2 + (cy - py) ** 2 + (cz - pz) ** 2) / d_max
+            d = np.sqrt((cx - cx[j]) ** 2 + (cy - cy[j]) ** 2
+                        + (cz - cz[j]) ** 2) / d_max
             np.testing.assert_allclose(inhibition_field(grid, v),
                                        inhibition_profile(d), rtol=0, atol=1e-14)
 

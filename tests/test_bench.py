@@ -131,7 +131,7 @@ def test_experiments_check_the_seed_before_any_work(lib, monkeypatch, seed):
         run_classification_experiment(lib, 5, 1, seed=seed)
 
 
-@pytest.mark.parametrize("bad", [2.5, 0, -1, "3"])
+@pytest.mark.parametrize("bad", [2.5, 0, -1, "3", True])
 def test_counts_must_be_integers_and_name_the_argument(lib, scenarios,
                                                        monkeypatch, bad):
     monkeypatch.setattr(bench, "synthesize_sample", fail_if_called)
@@ -226,7 +226,7 @@ def test_dump_writes_five_files_and_roundtrips(tmp_path):
     grid = make_grid(WorkspaceBounds(0, 0.05, 0, 0.04, 0, 0.01, 0.01))
     rng = np.random.default_rng(1)
     state = make_state(grid, rng.uniform(0, 1, grid.theta))
-    files = dump_fields(grid, state, 7, tmp_path)
+    files = dump_fields(state, 7, tmp_path)
     assert len(files) == 5
     assert sorted(f.name for f in files) == sorted([
         "inhibition_k0007.txt", "uncertainty_k0007.txt", "omega_k0007.txt",
@@ -239,7 +239,7 @@ def test_dump_writes_five_files_and_roundtrips(tmp_path):
     state2.inhibition = load_field_dump(tmp_path / "inhibition_k0007.txt")
     state2.saliency = load_field_dump(tmp_path / "saliency_k0007.txt")
     state2.target_posterior = load_field_dump(tmp_path / "target_k0007.txt")
-    dump_fields(grid, state2, 7, tmp_path / "again")
+    dump_fields(state2, 7, tmp_path / "again")
     for f in files:
         assert (tmp_path / "again" / f.name).read_text() == f.read_text()
 
@@ -247,16 +247,24 @@ def test_dump_writes_five_files_and_roundtrips(tmp_path):
 def test_dump_constant_omega_saliency_all_zero(tmp_path):
     grid = make_grid(WorkspaceBounds(0, 0.03, 0, 0.03, 0, 0.01, 0.01))
     state = make_state(grid, np.full(grid.theta, 0.5))
-    dump_fields(grid, state, 0, tmp_path)
+    dump_fields(state, 0, tmp_path)
     values = load_field_dump(tmp_path / "saliency_k0000.txt")
     assert np.all(values == 0.0)
 
 
 def test_dump_raster_is_row_major(tmp_path):
-    grid = make_grid(WorkspaceBounds(0, 0.03, 0, 0.02, 0, 0.01, 0.01))
+    # the raster's shape comes from the state's own grid, z-planes stacked
+    grid = make_grid(WorkspaceBounds(0, 0.03, 0, 0.02, 0, 0.02, 0.01))
     state = make_state(grid, np.arange(grid.theta) / grid.theta)
-    dump_fields(grid, state, 1, tmp_path)
+    dump_fields(state, 1, tmp_path)
     lines = (tmp_path / "omega_k0001.txt").read_text().strip().splitlines()
-    assert len(lines) == grid.ny * grid.nz
-    assert len(lines[0].split()) == grid.nx
-    assert [float(x) for x in lines[0].split()] == pytest.approx([0, 1/6, 2/6])
+    assert len(lines) == grid.ny * grid.nz == 4
+    assert [len(line.split()) for line in lines] == [grid.nx] * 4
+    assert [float(x) for x in lines[0].split()] == pytest.approx([0, 1/12, 2/12])
+    assert [float(x) for x in lines[3].split()] == pytest.approx([9/12, 10/12, 11/12])
+
+
+def test_report_needs_a_trial():
+    # no trials used to give numpy's "Mean of empty slice" and NaN aggregates
+    with pytest.raises(ValueError, match="trials must hold at least one"):
+        bench.ExperimentReport("empty", [], {})

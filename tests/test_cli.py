@@ -21,6 +21,21 @@ def test_gen_scenarios_writes_loadable_files(tmp_path, lib):
         assert scenario.grid.theta == 1800
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["gen-scenarios"], ["--seed", 1]),
+    (["gen-scenarios"], ["--format", "json"]),
+    (["dump-maps", "--scenario", "scenario-3.txt"], ["--format", "json"]),
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys,
+                                                           command, flag):
+    # these flags used to be accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command + flag + ["--out", tmp_path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag[0]} {flag[1]}" in err
+
+
 def test_classify_writes_confusion(tmp_path, capsys):
     assert run_cli(["classify", "--trials", 5, "--samples", 2,
                     "--seed", 0, "--out", tmp_path]) == 0

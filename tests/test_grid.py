@@ -7,14 +7,9 @@ from hapticbayes import (
     VoxelIndex,
     WorkspaceBounds,
     make_grid,
-    max_distance,
 )
 
 WORKSPACE = WorkspaceBounds(0, 0.30, 0, 0.60, 0, 0.01, 0.01)
-
-
-def cube(n, eps=0.01):
-    return make_grid(WorkspaceBounds(0, n * eps, 0, n * eps, 0, n * eps, eps))
 
 
 def test_make_grid_workspace_dimensions():
@@ -62,13 +57,6 @@ def test_make_grid_voxel_cap():
         make_grid(WorkspaceBounds(0, 100.0, 0, 100.0, 0, 100.0, 0.01))
     assert make_grid(WorkspaceBounds(0, 1.0, 0, 1.0, 0, 0.1, 0.01)).theta == 100_000
     assert 100_000 < MAX_VOXELS
-
-
-def test_max_distance():
-    assert max_distance(make_grid(WORKSPACE)) == pytest.approx(math.hypot(0.29, 0.59))
-    assert max_distance(cube(1)) == 0.0
-    assert max_distance(make_grid(WorkspaceBounds(0, 0.02, 0, 0.01, 0, 0.01, 0.01))) \
-        == pytest.approx(0.01)
 
 
 def test_linear_index_roundtrip_and_order():

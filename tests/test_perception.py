@@ -312,7 +312,6 @@ def test_posterior_grid_nan_sample_is_not_counted(lib):
         post = pg.update(1, lib, HapticSample(math.nan, 1.0))
     assert post.degenerate and post.k_count == 0
     assert pg.k_counts.tolist() == [0, 0, 0]
-    assert pg.degenerate_events == 1
     assert np.all(pg.probs[1] == 1 / len(lib))
     om = omega_field(pg, TaskSpec(lib.index_of("silicone"), lib.index_of("wood")))
     assert om[1] == 0.5

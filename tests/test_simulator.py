@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hapticbayes import (
     INHIBITION_FACTOR,
     SALIENCY_FACTOR,
     UNCERTAINTY_FACTOR,
+    HapticSample,
     MaterialLibrary,
     MaterialParams,
     NoiseSpec,
@@ -18,6 +20,7 @@ from hapticbayes import (
     ScenarioLoadError,
     TaskSpec,
     TrialConfig,
+    TrialRecord,
     VoxelIndex,
     WorkspaceBounds,
     beta_pdf,
@@ -350,6 +353,55 @@ def test_gamma_rejects_visited_voxel_outside_grid(scenarios):
                      s.benchmark_path)
 
 
+def test_gamma_rejects_benchmark_voxel_outside_grid(scenarios):
+    # used to score a distance of 1e18 m
+    grid = scenarios[0].grid
+    with pytest.raises(ValueError, match=r"^benchmark entry 1: voxel "
+                                         r"\(100000000000000000000, 0, 0\) "
+                                         r"outside grid \(30, 60, 1\)$"):
+        gamma_metric(grid, [(0, 0, 0)], [(1, 1, 0), (10**20, 0, 0)])
+    with pytest.raises(ValueError, match=r"^benchmark entry 0: voxel \(0, -1, 0\)"):
+        gamma_metric(grid, [(0, 0, 0)], np.array([[0.0, -1.0, 0.0]]))
+    # too large for a float: no raw OverflowError
+    with pytest.raises(ValueError, match="^benchmark holds a coordinate too "
+                                         "large for a voxel index$"):
+        gamma_metric(grid, [(0, 0, 0)], [(10**400, 0, 0)])
+
+
+@pytest.mark.parametrize("bad", [(0.7, 0.2, 0), (1, 1, math.nan),
+                                 (math.inf, 0, 0)])
+def test_gamma_rejects_non_integer_voxels(scenarios, bad):
+    # a visited (0.7, 0.2, 0) used to be truncated to voxel (0, 0, 0)
+    grid = scenarios[0].grid
+    entry = re.escape(repr(tuple(float(x) for x in bad)))
+    for name, visited, bench in (("visited", [(2, 2, 0), bad], [(0, 0, 0)]),
+                                 ("benchmark", [(2, 2, 0)], [(0, 0, 0), bad])):
+        with pytest.raises(ValueError, match=rf"^{name} entry 1: {entry} is "
+                                             rf"not a whole voxel index$"):
+            gamma_metric(grid, visited, bench)
+
+
+@pytest.mark.parametrize("path", [[(1, 2)], [1, 2, 3]])
+def test_gamma_rejects_paths_that_are_not_voxel_triples(scenarios, path):
+    grid = scenarios[0].grid
+    with pytest.raises(ValueError, match=r"^visited must be a sequence of "
+                                         r"\(ix, iy, iz\) voxels$"):
+        gamma_metric(grid, path, [(0, 0, 0)])
+
+
+def test_trial_record_rejects_what_it_cannot_score():
+    # an empty path used to raise a raw ZeroDivisionError
+    with pytest.raises(ValueError, match="^visited must hold at least one voxel$"):
+        TrialRecord((), 0.0, 0, "budget")
+    # any other cause used to be stored as given
+    with pytest.raises(ValueError, match=r"^terminated_by must be one of "
+                                         r"\('loop_closure', 'budget'\), "
+                                         r"got 'timeout'$"):
+        TrialRecord([VoxelIndex(0, 0, 0)], 0.0, 0, "timeout")
+    for cause in ("loop_closure", "budget"):
+        assert TrialRecord([VoxelIndex(0, 0, 0)], 0.0, 0, cause).l == 1
+
+
 # ---------------------------------------------------------------------------
 # the exploration loop
 
@@ -382,8 +434,9 @@ def test_trial_config_rejects_empty_budget(budget):
 
 
 @pytest.mark.parametrize("name, value", [("seed", -1), ("seed", 1.5),
-                                         ("seed", "3"),
-                                         ("max_iterations", 2.5)])
+                                         ("seed", "3"), ("seed", True),
+                                         ("max_iterations", 2.5),
+                                         ("max_iterations", True)])
 def test_trial_config_rejects_non_integer_or_negative_seed_and_budget(name,
                                                                       value):
     with pytest.raises(ValueError, match=rf"{name} must be an integer >= "):
@@ -560,6 +613,23 @@ def test_degenerate_score_selects_voxel_zero(lib, scenarios, monkeypatch, bad):
         assert np.all(state.target_posterior == 1.0 / grid.theta)
 
 
+def test_nan_samples_count_as_degenerate_events(lib, scenarios, monkeypatch):
+    # the first two touches read a NaN texture feature; each keeps its
+    # voxel's prior and counts once, and the scores stay proper
+    real = simulator.sense
+    touches = []
+
+    def sense(scenario, lib, v, noise, rng):
+        touches.append(v)
+        sample = real(scenario, lib, v, noise, rng)
+        return HapticSample(math.nan, sample.c) if len(touches) <= 2 else sample
+
+    monkeypatch.setattr(simulator, "sense", sense)
+    rec = run_trial(scenarios[0], lib, TrialConfig(max_iterations=5, seed=0))
+    assert len(touches) == rec.l == 5
+    assert rec.degenerate_events == 2
+
+
 #: SHA-256 of the visited paths of the three bundled scenarios x seeds 0-9
 #: (each path as int64 (ix, iy, iz) rows, then b";"), as the benchmark's
 #: ``visited_paths_sha256`` hashes them; fixed when the inhibition table
@@ -665,6 +735,12 @@ def test_task_spec_takes_integer_materials_only():
         TaskSpec(0.0, 1.0)
     with pytest.raises(ValueError, match="material_b must be a material index"):
         TaskSpec(0, 1.5)
+    # True and False used to mean materials 1 and 0
+    with pytest.raises(ValueError, match="material_a must be a material index, "
+                                         "an integer >= 0, got True"):
+        TaskSpec(True, False)
+    with pytest.raises(ValueError, match="material_b must be a material index"):
+        TaskSpec(1, False)
     assert TaskSpec(np.int64(0), np.uint8(1)) == TaskSpec(0, 1)
 
 
