@@ -203,14 +203,6 @@ def uncertainty_field(posteriors: PosteriorGrid) -> np.ndarray:
     return posteriors.entropies().clip(0.0, 1.0)
 
 
-def _omega(probs: np.ndarray, k_counts: np.ndarray, task: TaskSpec) -> np.ndarray:
-    """Similarity of the posterior rows ``probs`` with sample counts
-    ``k_counts``; see :func:`omega_field`."""
-    om = (1.0 - (probs[:, task.material_b] - probs[:, task.material_a])) / 2.0
-    om[k_counts == 0] = OMEGA_NEUTRAL
-    return om.clip(0.0, 1.0)
-
-
 def omega_field(posteriors: PosteriorGrid, task: TaskSpec) -> np.ndarray:
     """Similarity of each voxel's perceived material to the task pair.
 
@@ -218,7 +210,10 @@ def omega_field(posteriors: PosteriorGrid, task: TaskSpec) -> np.ndarray:
     first task material, 0 certainly the second, 0.5 is neutral.
     Unexplored voxels are pinned to the neutral value.
     """
-    return _omega(posteriors.probs, posteriors.k_counts, task)
+    probs = posteriors.probs
+    om = (1.0 - (probs[:, task.material_b] - probs[:, task.material_a])) / 2.0
+    om[posteriors.k_counts == 0] = OMEGA_NEUTRAL
+    return om.clip(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +365,9 @@ class AttentionFields:
         self.grid = grid
         self.task = task
         theta = grid.theta
-        uniform = np.full((1, n_materials), 1.0 / n_materials)
+        uniform = np.full(n_materials, 1.0 / n_materials)
         self.uncertainty, self.f_uncertainty, self.omega = (
-            np.full(theta, row[0])
-            for row in self._rows(uniform, np.zeros(1, dtype=int)))
+            np.full(theta, value) for value in self._row(uniform, 0))
         self.saliency = np.zeros(theta)
         self.f_saliency = np.full(theta, beta_pdf(SALIENCY_FACTOR, 0.0))
         shape = (grid.nz, grid.ny, grid.nx)
@@ -391,19 +385,25 @@ class AttentionFields:
         self._reads = ((_BLOCK_OFFSETS[:, None, :] + _BLOCK_OFFSETS[None, :, :])
                        @ np.array([self._zstep, self._ystep, 1]))
 
-    def _rows(self, probs: np.ndarray, k_counts: np.ndarray):
-        """Uncertainty, its density and similarity of the posterior rows
-        ``probs`` with sample counts ``k_counts``."""
-        uncertainty = _normalized_entropies(probs).clip(0.0, 1.0)
-        return (uncertainty, beta_pdf(UNCERTAINTY_FACTOR, uncertainty),
-                _omega(probs, k_counts, self.task))
+    def _row(self, probs: np.ndarray, k_count):
+        """Uncertainty, its density and similarity of one posterior row
+        ``probs`` with ``k_count`` samples, as floats: the arithmetic of
+        :func:`uncertainty_field` and :func:`omega_field` on that row
+        (``min``/``max`` clip as ``np.clip`` does, -0.0 and NaN
+        included)."""
+        uncertainty = min(max(_normalized_entropies(probs), 0.0), 1.0)
+        omega = OMEGA_NEUTRAL
+        if k_count:
+            task = self.task
+            omega = min(max((1.0 - (probs[task.material_b]
+                                    - probs[task.material_a])) / 2.0, 0.0), 1.0)
+        return uncertainty, beta_pdf(UNCERTAINTY_FACTOR, uncertainty), omega
 
     def touch(self, posteriors: PosteriorGrid, j: int) -> None:
         """Refresh every entry that depends on voxel ``j``'s posterior."""
         grid = self.grid
-        row = slice(j, j + 1)
-        self.uncertainty[row], self.f_uncertainty[row], self.omega[row] = \
-            self._rows(posteriors.probs[row], posteriors.k_counts[row])
+        self.uncertainty[j], self.f_uncertainty[j], self.omega[j] = \
+            self._row(posteriors.probs[j], posteriors.k_counts[j])
 
         ix, iy, iz = grid.voxel_of_linear(j)
         corner = iz * self._zstep + iy * self._ystep + ix

@@ -22,7 +22,12 @@ from .simulator import Scenario, TrialConfig, TrialRecord, _check_integer, run_t
 
 @dataclass
 class ConfusionMatrix:
-    """Classification outcomes: rows are ground truth, columns MAP picks."""
+    """Classification outcomes: rows are ground truth, columns MAP picks.
+
+    ``counts`` that is not a square matrix, or ``material_names`` that
+    does not name each of its rows, raises ``ValueError`` naming the
+    field.
+    """
 
     counts: np.ndarray
     trials_per_material: int
@@ -31,6 +36,12 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=int)
+        shape = self.counts.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"counts must be a square matrix, got shape {shape}")
+        if len(self.material_names) != shape[0]:
+            raise ValueError(f"material_names has {len(self.material_names)} "
+                             f"names for {shape[0]} materials")
 
     def diagonal_rates(self) -> np.ndarray:
         return np.diag(self.counts) / self.trials_per_material

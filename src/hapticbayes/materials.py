@@ -194,10 +194,24 @@ def synthesize_sample(lib: MaterialLibrary, material_index: int,
     if not 0 <= material_index < len(lib):
         raise ValueError(f"material index {material_index} outside library of "
                          f"{len(lib)}")
-    m = lib[material_index]
-    z_e, z_c, z_qe, z_qc = np.rollaxis(rng.standard_normal(shape + (4,)), -1)
-    e = m.mu_E + m.sigma_E * z_e
-    c = m.mu_C + m.sigma_C * z_c
-    q_e = 0.0 + noise.scale_E * abs(m.mu_E) / 2.0 * z_qe
-    q_c = 0.0 + noise.scale_C * abs(m.mu_C) / 2.0 * z_qc
+    return _samples_of_draws(lib, material_index, noise,
+                             rng.standard_normal(shape + (4,)))
+
+
+def _samples_of_draws(lib: MaterialLibrary, material, noise: NoiseSpec,
+                      z: np.ndarray) -> HapticSample:
+    """The samples of :func:`synthesize_sample` from standard normal draws
+    ``z``, whose last axis holds each sample's (e, c, q_E, q_C) values.
+
+    ``material`` indexes the library's parameter columns: a material
+    index gives samples of ``z.shape[:-1]``, and ``slice(None)`` with
+    ``z`` of shape ``(..., 1, 4)`` gives every material's sample of each
+    draw, along a last axis of length ``len(lib)``.
+    """
+    mu_e, mu_c = lib.mu_e[material], lib.mu_c[material]
+    z_e, z_c, z_qe, z_qc = np.rollaxis(z, -1)
+    e = mu_e + lib.sigma_e[material] * z_e
+    c = mu_c + lib.sigma_c[material] * z_c
+    q_e = 0.0 + noise.scale_E * np.abs(mu_e) / 2.0 * z_qe
+    q_c = 0.0 + noise.scale_C * np.abs(mu_c) / 2.0 * z_qc
     return HapticSample(e + q_e, c + q_c)

@@ -58,36 +58,50 @@ class MaterialPosterior:
 def log_likelihoods(lib: MaterialLibrary, sample: HapticSample) -> np.ndarray:
     """Log of ``NormalPDF(e; mu_E, sigma_E) * NormalPDF(c; mu_C, sigma_C)``
     for every material: shape ``np.shape(sample.e) + (n,)``."""
-    ze = (np.asarray(sample.e)[..., None] - lib.mu_e) / lib.sigma_e
-    zc = (np.asarray(sample.c)[..., None] - lib.mu_c) / lib.sigma_c
+    ze = np.asarray(sample.e)[..., None] - lib.mu_e
+    ze /= lib.sigma_e
+    zc = np.asarray(sample.c)[..., None] - lib.mu_c
+    zc /= lib.sigma_c
+    # -0.5 * (ze * ze + zc * zc) - log_sigma_e - log_sigma_c - log(2 pi),
+    # in place on ze, in that order
     with np.errstate(over="ignore"):      # huge z just pins the log to -inf
-        return (-0.5 * (ze * ze + zc * zc)
-                - lib.log_sigma_e - lib.log_sigma_c - _LOG_2PI)
+        ze *= ze
+        zc *= zc
+        ze += zc
+        ze *= -0.5
+        ze -= lib.log_sigma_e
+        ze -= lib.log_sigma_c
+        ze -= _LOG_2PI
+    return ze
 
 
 def _posterior_update(probs: np.ndarray, log_lik: np.ndarray):
-    """The posterior-update core, row-wise over the last axis.
+    """The posterior-update core, row-wise over the last axis: one
+    ``(n,)`` row or a ``(T, n)`` batch, with log-likelihoods of the same
+    shape.
 
     Returns ``(new_probs, degenerate)``, where ``degenerate`` is a boolean
     mask with one entry per row (0-d for a single row).  A row whose
     log-posterior maximum is not finite keeps its prior row exactly.
     """
     with np.errstate(divide="ignore"):
-        lp = np.log(probs) + log_lik
-    m = lp.max(axis=-1, keepdims=True)
+        lp = np.log(probs)
+    lp += log_lik
+    m = np.maximum.reduce(lp, axis=-1, keepdims=True)
     degenerate = ~np.isfinite(m)
     any_degenerate = degenerate.any()
     if any_degenerate:
         # neutral rows, so no invalid arithmetic; their prior goes back below
-        lp = np.where(degenerate, 0.0, lp)
-        m = np.where(degenerate, 0.0, m)
-    d = lp - m
-    w = np.exp(np.maximum(d, LOG_FLOOR))
-    w[d <= LOG_FLOOR] = 0.0
-    new = w / w.sum(axis=-1, keepdims=True)
+        np.copyto(lp, 0.0, where=degenerate)
+        m[degenerate] = 0.0
+    lp -= m
+    w = np.maximum(lp, LOG_FLOOR)
+    np.exp(w, out=w)
+    w[lp <= LOG_FLOOR] = 0.0
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
     if any_degenerate:
-        new = np.where(degenerate, probs, new)
-    return new, degenerate[..., 0]
+        np.copyto(w, probs, where=degenerate)
+    return w, degenerate[..., 0]
 
 
 def update_posterior(lib: MaterialLibrary, prior: MaterialPosterior,
@@ -138,17 +152,16 @@ class PosteriorGrid:
         self.probs = np.full((theta, n_materials), 1.0 / n_materials)
         self.k_counts = np.zeros(theta, dtype=int)
 
-    def update(self, linear: int, lib: MaterialLibrary,
-               sample: HapticSample) -> VoxelUpdate:
-        """Recursive update of one voxel's posterior in place.
+    def update(self, linear: int, log_lik: np.ndarray) -> VoxelUpdate:
+        """Recursive update of one voxel's posterior in place, from the
+        ``(n,)`` row ``log_lik`` of the sample's :func:`log_likelihoods`.
 
         A degenerate sample (every likelihood floors to zero, e.g. a NaN
         feature) keeps the prior and is not counted in ``k_counts``.
         Returns the voxel's sample count and the degenerate flag; the
         updated row is ``probs[linear]``.
         """
-        new_probs, degenerate = _posterior_update(
-            self.probs[linear], log_likelihoods(lib, sample))
+        new_probs, degenerate = _posterior_update(self.probs[linear], log_lik)
         self.probs[linear] = new_probs
         if not degenerate:
             self.k_counts[linear] += 1
@@ -159,11 +172,12 @@ class PosteriorGrid:
         return _normalized_entropies(self.probs)
 
 
-def _normalized_entropies(probs: np.ndarray) -> np.ndarray:
-    """Entropy of each row of a ``(rows, n)`` probability matrix over its
-    maximum ``log(n)``; a zero probability adds a zero term."""
+def _normalized_entropies(probs: np.ndarray):
+    """Entropy of each row of a ``(rows, n)`` probability matrix, or of
+    one ``(n,)`` row as a scalar, over its maximum ``log(n)``; a zero
+    probability adds a zero term."""
     # log only where p > 0, so log(0) is never taken and needs no
     # errstate; a zero entry's term is then 0.0 * 0.0 = +0.0
     plogp = np.log(probs, out=np.zeros(probs.shape), where=probs > 0)
     plogp *= probs
-    return -plogp.sum(axis=1) / math.log(probs.shape[1])
+    return -np.add.reduce(plogp, axis=-1) / math.log(probs.shape[-1])

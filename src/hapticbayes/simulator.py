@@ -34,8 +34,8 @@ from .attention import (
 from .attention import (inhibition_field, omega_field, saliency_field,
                         target_posterior, uncertainty_field)
 from .grid import GridConfigError, VoxelIndex, WorkspaceBounds, WorkspaceGrid, make_grid
-from .materials import HapticSample, MaterialLibrary, NoiseSpec, synthesize_sample
-from .perception import PosteriorGrid
+from .materials import MaterialLibrary, NoiseSpec, _samples_of_draws
+from .perception import PosteriorGrid, log_likelihoods
 
 #: Iterations that must elapse before loop closure may trigger.
 CLOSURE_MIN_ITERATIONS = 10
@@ -364,10 +364,28 @@ def generate_builtin_scenarios(lib: MaterialLibrary):
 # ---------------------------------------------------------------------------
 # sensing, metric and the exploration loop
 
-def sense(scenario: Scenario, lib: MaterialLibrary, v: VoxelIndex,
-          noise: NoiseSpec, rng: np.random.Generator) -> HapticSample:
-    """Synthesize one haptic sample of the ground-truth material at ``v``."""
-    return synthesize_sample(lib, scenario.material_at(v), noise, rng)
+#: Touches sensed together: :func:`run_trial` draws the noise of this many
+#: consecutive touches at once, so a trial's sensing memory does not grow
+#: with its iteration budget.
+SENSE_BLOCK = 32
+
+
+def sense(lib: MaterialLibrary, noise: NoiseSpec,
+          rng: np.random.Generator) -> np.ndarray:
+    """Sense a block of ``SENSE_BLOCK`` consecutive touches.
+
+    The touches' sensor noise comes from one
+    ``rng.standard_normal((SENSE_BLOCK, 4))`` call, which as
+    :func:`synthesize_sample` documents equals ``SENSE_BLOCK`` per-touch
+    draws.  Each draw gives every library material's sample, by
+    :func:`synthesize_sample`'s formula, and all of them are scored in one
+    :func:`log_likelihoods` call.  Returns the ``(SENSE_BLOCK, n, n)``
+    table whose row ``[k, m]`` is the log-likelihood row of touch ``k``
+    of a voxel of material ``m``: what ``log_likelihoods(lib,
+    synthesize_sample(lib, m, noise, rng))`` gives for that touch.
+    """
+    z = rng.standard_normal((SENSE_BLOCK, 1, 4))
+    return log_likelihoods(lib, _samples_of_draws(lib, slice(None), noise, z))
 
 
 def _voxel_points(grid: WorkspaceGrid, path, name: str) -> np.ndarray:
@@ -481,6 +499,7 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     rng = np.random.default_rng(config.seed)
     posteriors = PosteriorGrid(grid.theta, len(lib))
     fields = AttentionFields(grid, scenario.task, len(lib))
+    ground_truth = scenario.ground_truth
     bench_set = set(scenario.benchmark_path)
 
     current = scenario.start
@@ -492,8 +511,10 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     for k in range(config.max_iterations):
         j = grid.linear_index(current)
         visited.append(current)
-        sample = sense(scenario, lib, current, config.noise, rng)
-        if posteriors.update(j, lib, sample).degenerate:
+        touch = k % SENSE_BLOCK
+        if touch == 0:
+            table = sense(lib, config.noise, rng)
+        if posteriors.update(j, table[touch, ground_truth[j]]).degenerate:
             degenerate_events += 1
 
         if anchor is None and current in bench_set:

@@ -134,13 +134,13 @@ def test_criterion_7_invariant_suite(lib, scenarios):
     failures = []
 
     # posterior normalization across a full seeded trial
-    from hapticbayes import PosteriorGrid, synthesize_sample
+    from hapticbayes import PosteriorGrid, log_likelihoods, synthesize_sample
     rng = np.random.default_rng(BASE_SEED)
     pg = PosteriorGrid(16, len(lib))
     for j in range(16):
         for _ in range(3):
-            pg.update(j, lib, synthesize_sample(lib, j % len(lib),
-                                                NoiseSpec(), rng))
+            pg.update(j, log_likelihoods(lib, synthesize_sample(
+                lib, j % len(lib), NoiseSpec(), rng)))
     if not np.allclose(pg.probs.sum(axis=1), 1.0, atol=1e-9):
         failures.append("posterior normalization")
 

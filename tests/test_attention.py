@@ -494,9 +494,10 @@ def test_fields_stay_in_range_during_updates(lib):
     pg = PosteriorGrid(grid.theta, len(lib))
     task = TaskSpec(lib.index_of("silicone"), lib.index_of("wood"))
     rng = np.random.default_rng(4)
-    from hapticbayes import NoiseSpec, synthesize_sample
+    from hapticbayes import NoiseSpec, log_likelihoods, synthesize_sample
     for j in rng.integers(0, grid.theta, 12):
-        pg.update(int(j), lib, synthesize_sample(lib, 9, NoiseSpec(), rng))
+        pg.update(int(j), log_likelihoods(
+            lib, synthesize_sample(lib, 9, NoiseSpec(), rng)))
         for field in (uncertainty_field(pg), omega_field(pg, task),
                       saliency_field(grid, omega_field(pg, task))):
             assert np.all((field >= 0.0) & (field <= 1.0))

@@ -96,6 +96,18 @@ def test_classification_blocks_match_one_block(lib, monkeypatch):
     assert blocks.counts.sum() == 11 * len(lib)
 
 
+def test_confusion_matrix_rejects_counts_its_names_do_not_cover():
+    # three materials named by two: to_csv would print 2 rows of 3 values
+    with pytest.raises(ValueError, match="material_names has 2 names for 3"):
+        bench.ConfusionMatrix(np.eye(3, dtype=int), 1, 1, ("a", "b"))
+    with pytest.raises(ValueError, match=r"counts must be a square matrix"):
+        bench.ConfusionMatrix(np.ones((2, 3), dtype=int), 1, 1, ("a", "b"))
+    with pytest.raises(ValueError, match=r"counts must be a square matrix"):
+        bench.ConfusionMatrix(np.ones(4, dtype=int), 1, 1, ("a", "b"))
+    cm = bench.ConfusionMatrix(np.eye(2, dtype=int), 1, 1, ("a", "b"))
+    assert cm.to_csv() == "truth\\predicted,a,b\na,1,0\nb,0,1\n"
+
+
 def test_noise_sweep_perfect_library_all_ones(separable_lib):
     sweep = run_noise_sweep(separable_lib, [NoiseSpec(0, 0)], trials=10,
                             k_list=(1, 3), seed=0)

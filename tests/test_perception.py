@@ -20,7 +20,7 @@ from hapticbayes import (
     update_posterior,
 )
 from hapticbayes.attention import AttentionFields
-from hapticbayes.perception import _normalized_entropies
+from hapticbayes.perception import _normalized_entropies, _posterior_update
 
 
 def pair_lib(mu_e_a=0.0, mu_e_b=1.0, sigma_e=1.0, mu_c=5.0, sigma_c=1.0):
@@ -198,6 +198,34 @@ def test_batched_update_rows_match_scalar_updates(lib):
                           [map_category(p) for p in scalar])
 
 
+def test_posterior_kernel_batch_rows_equal_single_row_calls(lib):
+    # the one kernel behind classification batches and the loop's single
+    # voxel: each batch row equals its own single-row call, bit for bit,
+    # and neither call writes into its inputs
+    n = len(lib)
+    rng = np.random.default_rng(12)
+    priors = rng.dirichlet(np.full(n, 0.5), 7)
+    priors[1] = np.eye(n)[3]                 # zeros in the prior
+    log_lik = rng.normal(-5.0, 3.0, (7, n))
+    log_lik[2] = math.nan                    # a NaN feature: keeps the prior
+    log_lik[3] = -800.0                      # every term but the first floors
+    log_lik[3, 0] = 0.0                      # to zero
+    log_lik[4, 5] = -math.inf
+    log_lik[5] = -math.inf                   # no finite term: keeps the prior
+    inputs = priors.copy(), log_lik.copy()
+    batch, degenerate = _posterior_update(priors, log_lik)
+    assert degenerate.tolist() == [False, False, True, False, False, True, False]
+    assert np.array_equal(batch[3], np.eye(n)[0])
+    assert np.array_equal(batch[2], priors[2])
+    assert np.array_equal(batch[5], priors[5])
+    for t in range(len(priors)):
+        row, row_degenerate = _posterior_update(priors[t], log_lik[t])
+        assert row_degenerate.shape == () and row_degenerate == degenerate[t]
+        assert np.array_equal(row.view(np.int64), batch[t].view(np.int64)), t
+    assert np.array_equal(priors, inputs[0])
+    assert np.array_equal(log_lik, inputs[1], equal_nan=True)
+
+
 def test_map_category_tie_break():
     assert map_category(MaterialPosterior(np.array([0.1, 0.7, 0.2]))) == 1
     assert map_category(MaterialPosterior.uniform(10)) == 0
@@ -250,7 +278,8 @@ def test_normalized_entropies_keep_the_bits_of_the_where_form(lib):
     pg = PosteriorGrid(4 * n, n)
     for j in range(4 * n):
         for _ in range(1 + j % 4):
-            pg.update(j, lib, synthesize_sample(lib, j % n, NoiseSpec(), rng))
+            pg.update(j, log_likelihoods(
+                lib, synthesize_sample(lib, j % n, NoiseSpec(), rng)))
     floored = pg.probs
     h = _normalized_entropies(floored)
     assert ((floored == 0.0).any(axis=1) & (h > 0.0)).any()
@@ -296,7 +325,7 @@ def test_posterior_grid_matches_scalar_updates(lib):
     ref = MaterialPosterior.uniform(len(lib))
     for _ in range(4):
         s = synthesize_sample(lib, 9, NoiseSpec(), rng)
-        pg.update(2, lib, s)
+        pg.update(2, log_likelihoods(lib, s))
         ref = update_posterior(lib, ref, s)
     assert pg.probs[2] == pytest.approx(ref.probs, abs=1e-12)
     assert pg.k_counts[2] == ref.k_count == 4
@@ -309,7 +338,7 @@ def test_posterior_grid_nan_sample_is_not_counted(lib):
     from hapticbayes import TaskSpec, omega_field
     pg = PosteriorGrid(3, len(lib))
     with np.errstate(invalid="raise"):
-        post = pg.update(1, lib, HapticSample(math.nan, 1.0))
+        post = pg.update(1, log_likelihoods(lib, HapticSample(math.nan, 1.0)))
     assert post.degenerate and post.k_count == 0
     assert pg.k_counts.tolist() == [0, 0, 0]
     assert np.all(pg.probs[1] == 1 / len(lib))

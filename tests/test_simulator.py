@@ -28,16 +28,18 @@ from hapticbayes import (
     gamma_metric,
     inhibition_field,
     load_scenario,
+    log_likelihoods,
     make_grid,
     omega_field,
     run_trial,
     saliency_field,
     save_scenario,
     sense,
+    synthesize_sample,
     uncertainty_field,
 )
 from hapticbayes import attention, simulator
-from hapticbayes.attention import target_score
+from hapticbayes.attention import AttentionFields, select_target, target_score
 from hapticbayes.simulator import _boundary_voxels
 
 
@@ -238,19 +240,41 @@ def test_builtin_scenarios_use_two_materials(lib, scenarios):
 # sensing
 
 def test_sense_delegates_to_ground_truth(toy_lib):
+    # the trial reads row [touch, ground-truth material] of the block
     scenario = minimal_scenario(toy_lib)
-    rng = np.random.default_rng(0)
-    s0 = sense(scenario, toy_lib, VoxelIndex(0, 0, 0), NoiseSpec(0, 0), rng)
-    s1 = sense(scenario, toy_lib, VoxelIndex(1, 0, 0), NoiseSpec(0, 0), rng)
-    assert s0 == (1.0, 2.0)      # material "hard" exactly at its means
-    assert s1 == (10.0, 20.0)    # material "soft"
+    table = sense(toy_lib, NoiseSpec(0, 0), np.random.default_rng(0))
+    assert table.shape == (simulator.SENSE_BLOCK, 2, 2)
+    hard = log_likelihoods(toy_lib, HapticSample(1.0, 2.0))    # exact means
+    soft = log_likelihoods(toy_lib, HapticSample(10.0, 20.0))
+    for k in range(simulator.SENSE_BLOCK):
+        assert np.array_equal(
+            table[k, scenario.material_at(VoxelIndex(0, 0, 0))], hard)
+        assert np.array_equal(
+            table[k, scenario.material_at(VoxelIndex(1, 0, 0))], soft)
 
 
 def test_sense_same_voxel_different_seeds_differ(lib, scenarios):
-    s = scenarios[0]
-    a = sense(s, lib, s.start, NoiseSpec(), np.random.default_rng(1))
-    b = sense(s, lib, s.start, NoiseSpec(), np.random.default_rng(2))
-    assert a != b
+    material = scenarios[0].material_at(scenarios[0].start)
+    a = sense(lib, NoiseSpec(), np.random.default_rng(1))
+    b = sense(lib, NoiseSpec(), np.random.default_rng(2))
+    assert not np.array_equal(a[:, material], b[:, material])
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(0.0, 2.5)])
+def test_sense_block_equals_per_touch_samples(lib, noise):
+    # row [k, m]: the log-likelihoods of the k-th per-touch sample of
+    # material m, each touch drawing from where the previous one stopped
+    rng = np.random.default_rng(5)
+    table = sense(lib, noise, rng)
+    after_block = rng.bit_generator.state
+    reference = np.random.default_rng(5)
+    for k in range(simulator.SENSE_BLOCK):
+        state = reference.bit_generator.state
+        for m in range(len(lib)):
+            reference.bit_generator.state = state
+            want = log_likelihoods(lib, synthesize_sample(lib, m, noise, reference))
+            assert np.array_equal(table[k, m], want), (k, m)
+    assert reference.bit_generator.state == after_block
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +504,9 @@ def test_run_trial_iteration_callback(lib, scenarios):
 def full_recompute_trial(scenario, lib, config, offset_inhibition):
     """Run a trial and check every ``AttentionState`` it reports against
     the fields recomputed over the whole grid from a mirrored posterior
-    grid (same samples, same voxels), the inhibition against its
+    grid (same voxels, each touch sampled on its own by
+    ``synthesize_sample``, so the trial's block sensing is checked against
+    the per-touch stream), the inhibition against its
     whole-voxel offset oracle and the target against the normalized
     product of the three densities.  Returns the record and the number of
     iterations checked."""
@@ -492,8 +518,10 @@ def full_recompute_trial(scenario, lib, config, offset_inhibition):
 
     def check(k, state):
         v = current[0]
-        mirror.update(grid.linear_index(v), lib,
-                      sense(scenario, lib, v, config.noise, rng))
+        # one draw per touch: the stream a block of draws must equal
+        mirror.update(grid.linear_index(v), log_likelihoods(
+            lib, synthesize_sample(lib, scenario.material_at(v), config.noise,
+                                   rng)))
         inhibition = offset_inhibition(grid, v)
         uncertainty = uncertainty_field(mirror)
         omega = omega_field(mirror, scenario.task)
@@ -614,20 +642,89 @@ def test_degenerate_score_selects_voxel_zero(lib, scenarios, monkeypatch, bad):
 
 
 def test_nan_samples_count_as_degenerate_events(lib, scenarios, monkeypatch):
-    # the first two touches read a NaN texture feature; each keeps its
-    # voxel's prior and counts once, and the scores stay proper
+    # the first two touches of the first sense block read a NaN texture
+    # feature; each keeps its voxel's prior and counts once, and the scores
+    # stay proper
     real = simulator.sense
-    touches = []
+    blocks = []
 
-    def sense(scenario, lib, v, noise, rng):
-        touches.append(v)
-        sample = real(scenario, lib, v, noise, rng)
-        return HapticSample(math.nan, sample.c) if len(touches) <= 2 else sample
+    def sense(lib, noise, rng):
+        table = real(lib, noise, rng)
+        if not blocks:
+            table[:2] = log_likelihoods(lib, HapticSample(math.nan, 1.0))
+        blocks.append(table)
+        return table
 
     monkeypatch.setattr(simulator, "sense", sense)
-    rec = run_trial(scenarios[0], lib, TrialConfig(max_iterations=5, seed=0))
-    assert len(touches) == rec.l == 5
+    states = []
+    rec = run_trial(scenarios[0], lib, TrialConfig(max_iterations=5, seed=0),
+                    on_iteration=lambda k, state: states.append(state))
+    assert len(blocks) == 1
+    assert rec.l == 5
     assert rec.degenerate_events == 2
+    # a NaN-touched voxel keeps the uniform prior: uncertainty 1.0 up to the
+    # rounding of its entropy, as every unexplored voxel reads
+    grid = scenarios[0].grid
+    for k in (0, 1):
+        j = grid.linear_index(rec.visited[k])
+        assert states[k].uncertainty[j] == pytest.approx(1.0, abs=1e-15)
+        assert states[k].uncertainty[j] == states[k].uncertainty[
+            grid.linear_index(rec.visited[4])]
+        assert not states[k].degenerate
+
+
+def per_touch_path(scenario, lib, config):
+    """The visited path of ``run_trial``'s loop without loop closure, each
+    touch sampled on its own by ``synthesize_sample``."""
+    grid = scenario.grid
+    rng = np.random.default_rng(config.seed)
+    posteriors = PosteriorGrid(grid.theta, len(lib))
+    fields = AttentionFields(grid, scenario.task, len(lib))
+    current = scenario.start
+    visited = []
+    for _ in range(config.max_iterations):
+        j = grid.linear_index(current)
+        visited.append(current)
+        posteriors.update(j, log_likelihoods(lib, synthesize_sample(
+            lib, scenario.material_at(current), config.noise, rng)))
+        fields.touch(posteriors, j)
+        score = target_score(grid, current, fields.f_saliency,
+                             fields.f_uncertainty)
+        current = select_target(score, grid)
+    return tuple(visited)
+
+
+def test_block_sensing_follows_the_per_touch_stream_across_blocks(lib):
+    b = simulator.SENSE_BLOCK
+    scenario = tilted_scenario(lib, (8, 6, 3))
+    for budget in (1, b - 1, b, b + 1, 2 * b + 1):
+        for seed in range(3):
+            config = TrialConfig(max_iterations=budget, seed=seed)
+            rec = run_trial(scenario, lib, config)
+            assert rec.terminated_by == "budget" and rec.l == budget
+            assert rec.visited == per_touch_path(scenario, lib, config), \
+                (budget, seed)
+
+
+def test_unbounded_budget_allocates_by_block_not_by_budget(lib, scenarios):
+    import tracemalloc
+
+    scenario = scenarios[2]
+    config = TrialConfig(max_iterations=10**9, seed=0)
+    run_trial(scenario, lib, TrialConfig(max_iterations=1))   # grid tables
+    tracemalloc.start()
+    try:
+        rec = run_trial(scenario, lib, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.terminated_by == "loop_closure"
+    n = len(lib)
+    # the posterior grid and the theta-sized fields, plus one sense block
+    # and its temporaries; a table with a row per budgeted touch would
+    # need 8 * n * n bytes a touch, 800 GB here
+    bound = 8 * (4 * scenario.grid.theta * n + 16 * simulator.SENSE_BLOCK * n * n)
+    assert peak < bound, (peak, bound)
 
 
 #: SHA-256 of the visited paths of the three bundled scenarios x seeds 0-9
