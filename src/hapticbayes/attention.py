@@ -350,13 +350,13 @@ class AttentionFields:
 
     A trial starts with every voxel at the uniform prior over
     ``n_materials``, so the start fields are constant: the uncertainty,
-    its density and the similarity of one uniform row, computed as
-    :meth:`touch` computes a touched row, and zero saliency (a constant
-    similarity field has none).  A posterior update at voxel ``j``
-    changes the uncertainty and similarity of ``j`` alone, and the
-    saliency only in the 3x3x3 block around it, so :meth:`touch`
-    recomputes just those entries, with the arithmetic of
-    :func:`uncertainty_field`, :func:`omega_field` and
+    its density and the similarity of one uniform row, computed by the
+    single-row helper that :meth:`touch` refreshes a touched voxel
+    with, and zero saliency (a constant similarity field has none).  A
+    posterior update at voxel ``j`` changes the uncertainty and
+    similarity of ``j`` alone, and the saliency only in the 3x3x3 block
+    around it, so :meth:`touch` recomputes just those entries, with the
+    arithmetic of :func:`uncertainty_field`, :func:`omega_field` and
     :func:`saliency_field`; every array stays equal to a full recompute.
     The arrays are updated in place: copy them to keep a snapshot.
     """

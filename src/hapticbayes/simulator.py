@@ -375,14 +375,15 @@ def sense(lib: MaterialLibrary, noise: NoiseSpec,
     """Sense a block of ``SENSE_BLOCK`` consecutive touches.
 
     The touches' sensor noise comes from one
-    ``rng.standard_normal((SENSE_BLOCK, 4))`` call, which as
-    :func:`synthesize_sample` documents equals ``SENSE_BLOCK`` per-touch
-    draws.  Each draw gives every library material's sample, by
-    :func:`synthesize_sample`'s formula, and all of them are scored in one
-    :func:`log_likelihoods` call.  Returns the ``(SENSE_BLOCK, n, n)``
-    table whose row ``[k, m]`` is the log-likelihood row of touch ``k``
-    of a voxel of material ``m``: what ``log_likelihoods(lib,
-    synthesize_sample(lib, m, noise, rng))`` gives for that touch.
+    ``rng.standard_normal((SENSE_BLOCK, 1, 4))`` call, the stream of
+    ``(SENSE_BLOCK, 4)``, which as :func:`synthesize_sample` documents
+    equals ``SENSE_BLOCK`` per-touch draws.  Each touch's draw gives
+    every library material's sample, by :func:`synthesize_sample`'s
+    formula, and all of them are scored in one :func:`log_likelihoods`
+    call.  Returns the ``(SENSE_BLOCK, n, n)`` table whose row
+    ``[k, m]`` is the log-likelihood row of touch ``k`` of a voxel of
+    material ``m``: what ``log_likelihoods(lib, synthesize_sample(lib,
+    m, noise, rng))`` gives for that touch.
     """
     z = rng.standard_normal((SENSE_BLOCK, 1, 4))
     return log_likelihoods(lib, _samples_of_draws(lib, slice(None), noise, z))
@@ -465,14 +466,20 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
 
     Each iteration senses the current voxel, updates its material
     posterior, refreshes the attention fields, scores every voxel as a
-    target and teleports to the highest score.  The fields live in an
-    :class:`AttentionFields`, which starts from the uniform prior and
-    then refreshes only what each update changed, with the same values
-    as a full recompute.  The score is :func:`target_score`: the
-    inhibition density at each voxel's whole-voxel offset from the
-    current position, read from the grid's inhibition table (built in
-    the first trial on the grid), times the saliency and uncertainty
-    densities.  The target is its maximum, ties to the lowest linear
+    target and teleports to the highest score.  Sensing runs in blocks:
+    every ``SENSE_BLOCK`` touches one :func:`sense` call draws the next
+    block's noise and scores every material's sample of each touch, and
+    touch ``k`` of a voxel of ground-truth material ``m`` reads row
+    ``[k % SENSE_BLOCK, m]`` of that table.  The draws equal one
+    :func:`synthesize_sample` draw per touch, so the path is the same as
+    with per-touch sensing, and memory does not grow with the budget.
+    The fields live in an :class:`AttentionFields`, which starts from the
+    uniform prior and then refreshes only what each update changed, with
+    the same values as a full recompute.  The score is
+    :func:`target_score`: the inhibition density at each voxel's
+    whole-voxel offset from the current position, read from the grid's
+    inhibition table (built in the first trial on the grid), times the
+    saliency and uncertainty densities.  The target is its maximum, ties to the lowest linear
     index, with no normalization.  A score that is all zero or not finite
     selects linear index 0.  The record's ``degenerate_events`` counts
     both kinds of degenerate event: each posterior update that kept its
