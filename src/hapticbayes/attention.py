@@ -74,13 +74,12 @@ class AttentionState:
     """Per-voxel scalar fields plus the target posterior for one iteration.
 
     A state is built from the ``grid``, the ``probe`` voxel, the target
-    ``score`` the iteration selected on (never mutated afterwards), the
-    ``degenerate`` flag of that score, and the ``uncertainty``, ``omega``
-    and ``saliency`` fields.  ``inhibition`` is
-    ``inhibition_field(grid, probe)`` and ``target_posterior`` is
-    ``score / score.sum()``, or the uniform vector when ``degenerate``;
-    each is computed on its first read and then kept, so a state that is
-    never read costs neither, and an assigned value replaces it.
+    ``score`` the iteration selected on (positive and finite, and never
+    mutated afterwards), and the ``uncertainty``, ``omega`` and
+    ``saliency`` fields.  ``inhibition`` is ``inhibition_field(grid,
+    probe)`` and ``target_posterior`` is ``score / score.sum()``; each is
+    computed on its first read and then kept, so a state that is never
+    read costs neither, and an assigned value replaces it.
     """
 
     grid: WorkspaceGrid
@@ -89,7 +88,6 @@ class AttentionState:
     uncertainty: np.ndarray
     omega: np.ndarray
     saliency: np.ndarray
-    degenerate: bool = False
 
     @cached_property
     def inhibition(self) -> np.ndarray:
@@ -97,9 +95,6 @@ class AttentionState:
 
     @cached_property
     def target_posterior(self) -> np.ndarray:
-        if self.degenerate:
-            theta = self.grid.theta
-            return np.full(theta, 1.0 / theta)
         return self.score / self.score.sum()
 
 

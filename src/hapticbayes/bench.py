@@ -177,12 +177,14 @@ def run_classification_experiment(lib: MaterialLibrary,
     material takes the t-th group of ``k_samples`` samples of its stream.
     Trials run as one batch of posterior rows per block of
     ``BLOCK_TRIALS`` trials per material.  A seed that is not an integer
-    >= 0, or a count that is not an integer >= 1, raises ``ValueError``
-    naming the argument.
+    >= 0, a count that is not an integer >= 1, or a ``noise`` that is not
+    a :class:`NoiseSpec` raises ``ValueError`` naming the argument.
     """
     _check_integer("seed", seed, 0)
     _check_integer("trials_per_material", trials_per_material, 1)
     _check_integer("k_samples", k_samples, 1)
+    if not isinstance(noise, NoiseSpec):
+        raise ValueError(f"noise must be a NoiseSpec, got {noise!r}")
     n = len(lib)
     rngs = [np.random.default_rng(seed + i) for i in range(n)]
     counts = np.zeros(n * n, dtype=int)
@@ -209,14 +211,20 @@ def run_noise_sweep(lib: MaterialLibrary,
     """Mean recognition accuracy across noise scales and sample counts.
 
     Each (scale, k) cell reruns the classification experiment with the
-    derived seed ``seed + cell_index``.  A seed that is not an integer
-    >= 0, or a ``trials`` or ``k_list`` entry that is not an integer >= 1,
-    raises ``ValueError`` naming it, before the first cell.
+    derived seed ``seed + cell_index``; a row is labelled by its one noise
+    scale.  A seed that is not an integer >= 0, a ``trials`` or ``k_list``
+    entry that is not an integer >= 1, or a ``scales`` entry that is not a
+    :class:`NoiseSpec` with ``scale_E == scale_C`` raises ``ValueError``
+    naming it, before the first cell.
     """
     _check_integer("seed", seed, 0)
     _check_integer("trials", trials, 1)
     if not scales or not k_list:
         raise ValueError("scales and k_list must be non-empty")
+    for i, scale in enumerate(scales):
+        if not isinstance(scale, NoiseSpec) or scale.scale_E != scale.scale_C:
+            raise ValueError(f"scales[{i}] must be a NoiseSpec with scale_E == "
+                             f"scale_C, got {scale!r}")
     for j, k in enumerate(k_list):
         _check_integer(f"k_list[{j}]", k, 1)
     acc = np.zeros((len(scales), len(k_list)))

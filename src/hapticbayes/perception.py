@@ -29,22 +29,18 @@ class MaterialPosterior:
 
     ``probs`` is ``(n,)`` for one voxel or ``(T, n)`` for a batch of T
     independent posteriors, one per row; every row must be non-negative
-    and sum to 1.  ``k_count`` is the number of integrated samples (shared
-    by all rows); 0 denotes the uniform prior before any observation.
-    ``degenerate`` reports that the most recent update had all-zero
-    evidence in at least one row, which kept its prior unchanged.
+    and sum to 1, which a NaN entry fails.  ``degenerate`` reports that
+    the most recent update had all-zero evidence in at least one row,
+    which kept its prior unchanged; :class:`PosteriorGrid` counts samples.
     """
 
     probs: np.ndarray
-    k_count: int = 0
     degenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        if self.k_count < 0:
-            raise ValueError("k_count must be non-negative")
-        if ((self.probs < 0).any()
-                or (abs(self.probs.sum(axis=-1) - 1.0) > 1e-9).any()):
+        if not ((self.probs >= 0).all()
+                and (abs(self.probs.sum(axis=-1) - 1.0) <= 1e-9).all()):
             raise ValueError("probs must be non-negative and each row must "
                              "sum to 1")
 
@@ -52,7 +48,7 @@ class MaterialPosterior:
     def uniform(cls, n: int, shape: tuple = ()) -> "MaterialPosterior":
         """Uniform prior over ``n`` materials, one row per element of
         ``shape`` (``()`` for a single ``(n,)`` posterior)."""
-        return cls(np.full(shape + (n,), 1.0 / n), k_count=0)
+        return cls(np.full(shape + (n,), 1.0 / n))
 
 
 def log_likelihoods(lib: MaterialLibrary, sample: HapticSample) -> np.ndarray:
@@ -114,13 +110,10 @@ def update_posterior(lib: MaterialLibrary, prior: MaterialPosterior,
     or a ``(T, n)`` batch with length-T sample arrays, row t updated by
     sample t.  A row whose likelihoods all floor to zero (e.g. a NaN
     feature) keeps its prior unchanged, and then the result carries
-    ``degenerate=True``.  ``k_count`` is shared by the rows: it goes up by
-    one when at least one row integrated its sample, so a mixed batch
-    counts the sample, and stays unchanged when every row was degenerate.
+    ``degenerate=True``.
     """
     probs, degenerate = _posterior_update(prior.probs, log_likelihoods(lib, sample))
-    return MaterialPosterior(probs, prior.k_count + int(not degenerate.all()),
-                             degenerate=bool(degenerate.any()))
+    return MaterialPosterior(probs, degenerate=bool(degenerate.any()))
 
 
 def map_category(post: MaterialPosterior):

@@ -103,6 +103,8 @@ class TrialConfig:
 
     def __post_init__(self):
         _check_integer("max_iterations", self.max_iterations, 1)
+        if not isinstance(self.noise, NoiseSpec):
+            raise ValueError(f"noise must be a NoiseSpec, got {self.noise!r}")
         _check_integer("seed", self.seed, 0)
 
 
@@ -479,27 +481,28 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     :func:`target_score`: the inhibition density at each voxel's
     whole-voxel offset from the current position, read from the grid's
     inhibition table (built in the first trial on the grid), times the
-    saliency and uncertainty densities.  The target is its maximum, ties to the lowest linear
-    index, with no normalization.  A score that is all zero or not finite
-    selects linear index 0.  The record's ``degenerate_events`` counts
-    both kinds of degenerate event: each posterior update that kept its
-    prior (e.g. a NaN sample) and each such score.  The trial ends on
-    loop closure (current voxel within one step of the first benchmark
-    voxel visited, once at least ten iterations have run) or when the
-    iteration budget is spent.  The start voxel counts as the first
-    visited voxel.  A task or ground truth that names a material the
-    library lacks raises ``ValueError`` before the first touch.
+    saliency and uncertainty densities.  The target is its maximum, ties
+    to the lowest linear index, with no normalization.  Every score lies
+    in [3e-38, 30], as the fields stay finite in [0, 1] and ``beta_pdf``
+    clamps its argument, so a selected score that is not positive and
+    finite raises ``FloatingPointError`` naming the iteration, the voxel
+    and the value.  ``degenerate_events`` counts the posterior updates
+    that kept their prior (e.g. a NaN sample).  The trial ends on loop
+    closure (current voxel within one step of the first benchmark voxel
+    visited, once at least ten iterations have run) or when the iteration
+    budget is spent.  The start voxel counts as the first visited voxel.
+    A task or ground truth that names a material the library lacks raises
+    ``ValueError`` before the first touch.
 
     ``on_iteration`` receives ``(k, AttentionState)`` after each target
     selection, which is how field snapshots are exported.  The state
     holds the score the loop selected on and copies of the uncertainty,
     similarity and saliency fields, so a stored state stays unchanged as
     the trial goes on.  Its inhibition field and its target posterior
-    (that score divided by its sum, or the uniform vector when the score
-    was degenerate) are built only if the observer reads them, so an
-    observer that reads nothing adds no grid-sized work, and no observer
-    changes the path.  The trial is scored against the scenario's
-    ``benchmark_points``, built once per scenario.
+    (that score over its sum) are built only if the observer reads them,
+    so an observer that reads nothing adds no grid-sized work, and no
+    observer changes the path.  The trial is scored against the
+    scenario's ``benchmark_points``, built once per scenario.
     """
     grid = scenario.grid
     _check_materials(scenario, len(lib))
@@ -535,20 +538,18 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
         score = target_score(grid, current, fields.f_saliency,
                              fields.f_uncertainty)
         chosen = select_target(score, grid)
-        # scores are >= 0: the maximum is 0 only if every score is, and NaN
-        # or inf if any score is
-        degenerate = not 0.0 < score[grid.linear_index(chosen)] < math.inf
+        best = score[grid.linear_index(chosen)]
+        if not 0.0 < best < math.inf:
+            raise FloatingPointError(
+                f"iteration {k}: the target score {best} at voxel "
+                f"{tuple(chosen)} is not positive and finite")
         if on_iteration is not None:
             on_iteration(k, AttentionState(
                 grid, current, score,
                 uncertainty=fields.uncertainty.copy(),
                 omega=fields.omega.copy(),
                 saliency=fields.saliency.copy(),
-                degenerate=degenerate,
             ))
-        if degenerate:
-            degenerate_events += 1
-            chosen = grid.voxel_of_linear(0)
         current = chosen
 
     gamma = gamma_metric(grid, visited, scenario.benchmark_points)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -354,6 +355,30 @@ def test_factor_constants():
     assert tuple(UNCERTAINTY_FACTOR) == (4.0, 1.0)
     assert tuple(SALIENCY_FACTOR) == (3.0, 1.0)
     assert FACTORS == (INHIBITION_FACTOR, UNCERTAINTY_FACTOR, SALIENCY_FACTOR)
+
+
+@pytest.mark.parametrize("factor", FACTORS)
+def test_factor_on_the_unit_interval_stays_at_or_above_its_clamp_value(factor):
+    # the loop's fields lie in [0, 1]; on these shapes the density is
+    # monotone, so its least value there is at one end of the clamp
+    x = np.concatenate([[0.0, -0.0, 1.0, BETA_CLAMP, 1.0 - BETA_CLAMP,
+                         np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)],
+                        np.linspace(0.0, 1.0, 100_001)])
+    floor = min(beta_pdf(factor, BETA_CLAMP), beta_pdf(factor, 1.0 - BETA_CLAMP))
+    values = beta_pdf(factor, x)
+    assert np.isfinite(values).all()
+    assert values.min() >= floor > 0.0
+
+
+def test_target_score_is_positive_normal_and_finite_on_the_unit_interval():
+    # every score is a product of one value of each factor, so it lies
+    # between the product of their minima and of their maxima over [0, 1]
+    x = np.concatenate([[0.0, -0.0, 1.0], np.linspace(0.0, 1.0, 100_001)])
+    lowest = math.prod(float(beta_pdf(f, x).min()) for f in FACTORS)
+    highest = math.prod(float(beta_pdf(f, x).max()) for f in FACTORS)
+    assert lowest >= sys.float_info.min            # positive and normal
+    assert lowest == pytest.approx(2.5e-9 * 4e-18 * 3e-12, rel=1e-4)
+    assert highest == pytest.approx(30.0, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------

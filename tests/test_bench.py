@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,31 @@ def test_experiments_check_the_seed_before_any_work(lib, monkeypatch, seed):
         run_noise_sweep(lib, [NoiseSpec()], trials=5, seed=seed)
     with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         run_classification_experiment(lib, 5, 1, seed=seed)
+
+
+@pytest.mark.parametrize("bad", [1.0, None])
+def test_experiments_reject_a_noise_that_is_not_a_noise_spec(lib, monkeypatch,
+                                                            bad):
+    monkeypatch.setattr(bench, "synthesize_sample", fail_if_called)
+    monkeypatch.setattr(bench, "run_classification_experiment", fail_if_called)
+    with pytest.raises(ValueError, match=re.escape(
+            f"noise must be a NoiseSpec, got {bad!r}")):
+        run_classification_experiment(lib, 5, 1, bad)
+    with pytest.raises(ValueError, match=re.escape(
+            f"scales[1] must be a NoiseSpec with scale_E == scale_C, "
+            f"got {bad!r}")):
+        run_noise_sweep(lib, [NoiseSpec(), bad], trials=5)
+
+
+def test_noise_sweep_rejects_a_spec_its_labels_cannot_name(lib, monkeypatch):
+    # rows are labelled by one scale, so (1, 2) and (1, 1) would both
+    # read "1"; the check runs before the first cell
+    monkeypatch.setattr(bench, "run_classification_experiment", fail_if_called)
+    with pytest.raises(ValueError, match=re.escape(
+            "scales[1] must be a NoiseSpec with scale_E == scale_C, got "
+            "NoiseSpec(scale_E=1.0, scale_C=2.0)")):
+        run_noise_sweep(lib, [NoiseSpec(1.0, 1.0), NoiseSpec(1.0, 2.0)],
+                        trials=5)
 
 
 @pytest.mark.parametrize("bad", [2.5, 0, -1, "3", True])

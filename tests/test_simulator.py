@@ -467,6 +467,13 @@ def test_trial_config_rejects_non_integer_or_negative_seed_and_budget(name,
         TrialConfig(**{name: value})
 
 
+@pytest.mark.parametrize("bad", [1.0, None])
+def test_trial_config_rejects_a_noise_that_is_not_a_noise_spec(bad):
+    with pytest.raises(ValueError, match=re.escape(
+            f"noise must be a NoiseSpec, got {bad!r}")):
+        TrialConfig(noise=bad)
+
+
 def test_trial_config_accepts_numpy_integers(toy_lib):
     config = TrialConfig(max_iterations=np.int32(3), seed=np.uint8(4))
     assert run_trial(minimal_scenario(toy_lib), toy_lib, config).l <= 3
@@ -529,23 +536,20 @@ def full_recompute_trial(scenario, lib, config, offset_inhibition):
         score = (beta_pdf(INHIBITION_FACTOR, inhibition)
                  * beta_pdf(SALIENCY_FACTOR, saliency)
                  * beta_pdf(UNCERTAINTY_FACTOR, uncertainty))
-        total = score.sum()
-        degenerate = not (total > 0.0 and np.isfinite(total))
-        target = (np.full(grid.theta, 1.0 / grid.theta) if degenerate
-                  else score / total)
+        target = score / score.sum()
         for name, want in (("inhibition", inhibition),
                            ("uncertainty", uncertainty), ("omega", omega),
                            ("saliency", saliency), ("target_posterior", target)):
             got = getattr(state, name)
             assert got.shape == want.shape and np.all(got == want), \
                 f"iteration {k}: {name} differs from a full recompute"
-        assert state.degenerate == degenerate
         kept.append((state, {name: getattr(state, name).copy()
                              for name in ("inhibition", "uncertainty", "omega",
                                           "saliency", "target_posterior")}))
-        # the loop selects on the raw score, voxel 0 when it is degenerate
-        current[0] = grid.voxel_of_linear(
-            0 if degenerate else int(np.argmax(score)))
+        # the loop selects on the raw score, which is positive and finite
+        best = int(np.argmax(score))
+        assert 0.0 < score[best] < math.inf
+        current[0] = grid.voxel_of_linear(best)
 
     rec = run_trial(scenario, lib, config, on_iteration=check)
     # states handed to the callback are snapshots, not live views
@@ -617,8 +621,9 @@ def test_incremental_fields_match_full_recompute_line(lib, nx, offset_inhibition
 # selection on the raw score
 
 @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
-def test_degenerate_score_selects_voxel_zero(lib, scenarios, monkeypatch, bad):
-    # an all-zero score, or one NaN or inf entry among positive scores
+def test_degenerate_score_raises(lib, scenarios, monkeypatch, bad):
+    # an all-zero score, or one NaN or inf entry among positive scores;
+    # real scores lie in [3e-38, 30] (see run_trial), so this is a fault
     def score(grid, current, f_saliency, f_uncertainty):
         out = np.ones(grid.theta) if bad else np.zeros(grid.theta)
         out[grid.theta // 2] = bad
@@ -626,25 +631,22 @@ def test_degenerate_score_selects_voxel_zero(lib, scenarios, monkeypatch, bad):
 
     monkeypatch.setattr(simulator, "target_score", score)
     grid = scenarios[0].grid
-    origin = grid.voxel_of_linear(0)
+    # np.argmax picks the first maximum, or the first NaN
+    voxel = tuple(grid.voxel_of_linear(grid.theta // 2 if bad else 0))
     states = []
     for on_iteration in (None, lambda k, state: states.append(state)):
-        rec = run_trial(scenarios[0], lib, TrialConfig(max_iterations=3, seed=0),
-                        on_iteration=on_iteration)
-        assert rec.visited[1:] == (origin, origin)
-        assert rec.degenerate_events == 3        # one per scored iteration
-    # the observer sees the loop's own flag and the uniform fallback, though
-    # the real fields would give a proper target posterior
-    assert len(states) == 3
-    for state in states:
-        assert state.degenerate is True
-        assert np.all(state.target_posterior == 1.0 / grid.theta)
+        with pytest.raises(FloatingPointError, match=re.escape(
+                f"iteration 0: the target score {bad} at voxel {voxel} ")):
+            run_trial(scenarios[0], lib, TrialConfig(max_iterations=3, seed=0),
+                      on_iteration=on_iteration)
+    # the observer never sees the bad score
+    assert states == []
 
 
 def test_nan_samples_count_as_degenerate_events(lib, scenarios, monkeypatch):
     # the first two touches of the first sense block read a NaN texture
     # feature; each keeps its voxel's prior and counts once, and the scores
-    # stay proper
+    # stay proper (the loop raises otherwise)
     real = simulator.sense
     blocks = []
 
@@ -670,7 +672,6 @@ def test_nan_samples_count_as_degenerate_events(lib, scenarios, monkeypatch):
         assert states[k].uncertainty[j] == pytest.approx(1.0, abs=1e-15)
         assert states[k].uncertainty[j] == states[k].uncertainty[
             grid.linear_index(rec.visited[4])]
-        assert not states[k].degenerate
 
 
 def per_touch_path(scenario, lib, config):
@@ -788,31 +789,18 @@ def check_stored_states(grid, visited, states):
     for v, state in zip(visited, states):
         assert state.probe == v
         assert np.array_equal(state.inhibition, inhibition_field(grid, v))
-        if state.degenerate:
-            want = np.full(grid.theta, 1.0 / grid.theta)
-        else:
-            score = target_score(grid, v, beta_pdf(SALIENCY_FACTOR, state.saliency),
-                                 beta_pdf(UNCERTAINTY_FACTOR, state.uncertainty))
-            want = score / score.sum()
-        assert np.array_equal(state.target_posterior, want)
+        score = target_score(grid, v, beta_pdf(SALIENCY_FACTOR, state.saliency),
+                             beta_pdf(UNCERTAINTY_FACTOR, state.uncertainty))
+        assert np.array_equal(state.target_posterior, score / score.sum())
 
 
-def test_stored_states_read_after_the_trial_are_snapshots(lib, scenarios,
-                                                          monkeypatch):
+def test_stored_states_read_after_the_trial_are_snapshots(lib, scenarios):
     for scenario in scenarios:
         for seed in range(3):
             states = []
             rec = run_trial(scenario, lib, TrialConfig(seed=seed),
                             on_iteration=lambda k, state: states.append(state))
             check_stored_states(scenario.grid, rec.visited, states)
-    # a degenerate trial: an all-zero score every iteration
-    monkeypatch.setattr(simulator, "target_score",
-                        lambda grid, current, f_s, f_u: np.zeros(grid.theta))
-    states = []
-    rec = run_trial(scenarios[1], lib, TrialConfig(max_iterations=4, seed=0),
-                    on_iteration=lambda k, state: states.append(state))
-    assert all(state.degenerate for state in states)
-    check_stored_states(scenarios[1].grid, rec.visited, states)
 
 
 # ---------------------------------------------------------------------------
