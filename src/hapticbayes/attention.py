@@ -236,9 +236,14 @@ def _sobel_responses(f: np.ndarray):
 
 def _saliency(responses) -> np.ndarray:
     """Saliency from the Sobel responses (s_x, s_y, s_z), stacked on the
-    leading axis; see :func:`saliency_field`."""
-    s = np.abs(responses).max(axis=0) / SOBEL_NORM
-    return s.clip(0.0, 1.0)
+    leading axis; see :func:`saliency_field`.
+
+    On a [0, 1] field with 0.5 padding the result lies in [0, 1] unclipped:
+    a response adds products of values in [0, 1] with kernel weights whose
+    positive and negative parts each sum to 16 in magnitude, the products
+    by 1, 2 and 4 are exact, and a float sum is monotone in each term, so
+    no response passes 16 in magnitude."""
+    return np.abs(responses).max(axis=0) / SOBEL_NORM
 
 
 def saliency_field(grid: WorkspaceGrid, omega: np.ndarray) -> np.ndarray:
@@ -248,7 +253,7 @@ def saliency_field(grid: WorkspaceGrid, omega: np.ndarray) -> np.ndarray:
     because each derivative kernel sums to zero.
     """
     f = np.asarray(omega, dtype=float).reshape(grid.nz, grid.ny, grid.nx)
-    return _saliency(_sobel_responses(f)).ravel()
+    return _saliency(_sobel_responses(f)).clip(0.0, 1.0).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +388,20 @@ class AttentionFields:
     def _row(self, probs: np.ndarray, k_count):
         """Uncertainty, its density and similarity of one posterior row
         ``probs`` with ``k_count`` samples, as floats: the arithmetic of
-        :func:`uncertainty_field` and :func:`omega_field` on that row
-        (``min``/``max`` clip as ``np.clip`` does, -0.0 and NaN
-        included)."""
+        :func:`uncertainty_field` and :func:`omega_field` on that row.
+
+        The uncertainty is clipped (``min``/``max`` clip as ``np.clip``
+        does, -0.0 and NaN included), since the entropy of a uniform row
+        can round above 1.  The similarity ``(1 - (p_b - p_a)) / 2`` needs
+        no clip: for probabilities in [0, 1], ``p_b - p_a`` lies in
+        [-1, 1], as each step rounds monotonically to representable
+        bounds, so the similarity lies in [0, 1]."""
         uncertainty = min(max(_normalized_entropies(probs), 0.0), 1.0)
         omega = OMEGA_NEUTRAL
         if k_count:
             task = self.task
-            omega = min(max((1.0 - (probs[task.material_b]
-                                    - probs[task.material_a])) / 2.0, 0.0), 1.0)
+            omega = (1.0 - (probs[task.material_b]
+                            - probs[task.material_a])) / 2.0
         return uncertainty, beta_pdf(UNCERTAINTY_FACTOR, uncertainty), omega
 
     def touch(self, posteriors: PosteriorGrid, j: int) -> None:

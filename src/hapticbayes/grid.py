@@ -9,6 +9,7 @@ and is fixed so that map dumps are bit-stable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -30,6 +31,17 @@ class GridConfigError(ValueError):
     """Raised when workspace bounds cannot form a valid voxel grid."""
 
 
+def _is_finite_real(value) -> bool:
+    """Whether ``value`` is a real number (``bool`` is not) whose float is
+    finite; an integer too large for a float is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 class VoxelIndex(NamedTuple):
     ix: int
     iy: int
@@ -38,7 +50,12 @@ class VoxelIndex(NamedTuple):
 
 @dataclass(frozen=True)
 class WorkspaceBounds:
-    """Axis-aligned workspace box and voxel side length, in meters."""
+    """Axis-aligned workspace box and voxel side length, in meters.
+
+    A value that is not a finite real number (``bool`` is not one), a
+    non-positive epsilon or an empty extent raises
+    :class:`GridConfigError` naming it.
+    """
 
     x_lo: float
     x_hi: float
@@ -51,7 +68,7 @@ class WorkspaceBounds:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
+            if not _is_finite_real(value):
                 raise GridConfigError(f"{f.name} must be finite, got {value!r}")
         if self.epsilon <= 0:
             raise GridConfigError(f"epsilon must be positive, got {self.epsilon}")
@@ -72,6 +89,8 @@ class WorkspaceBounds:
 class WorkspaceGrid:
     """Isometric voxel partition of a workspace box.
 
+    The voxel counts come from the bounds: each extent over epsilon.
+
     Attributes
     ----------
     bounds : WorkspaceBounds
@@ -79,16 +98,40 @@ class WorkspaceGrid:
         Voxel counts per axis.
     theta : int
         Total voxel count, ``nx * ny * nz``.
+
+    Raises
+    ------
+    GridConfigError
+        If any extent is not an integer multiple of epsilon, or its voxel
+        count overflows (the error message names the offending axis), or
+        the grid has more than ``MAX_VOXELS`` voxels.
     """
 
     bounds: WorkspaceBounds
-    nx: int
-    ny: int
-    nz: int
+    nx: int = field(init=False)
+    ny: int = field(init=False)
+    nz: int = field(init=False)
     theta: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", self.nx * self.ny * self.nz)
+        counts = {}
+        for axis in ("x", "y", "z"):
+            extent, eps = self.bounds.extent(axis), self.bounds.epsilon
+            ratio = extent / eps
+            if not math.isfinite(ratio):
+                raise GridConfigError(f"{axis} extent {extent!r} over "
+                                      f"epsilon {eps!r} overflows")
+            n = round(ratio)
+            if n < 1 or abs(ratio - n) > DIVISIBILITY_TOL * max(1.0, abs(ratio)):
+                raise GridConfigError(f"{axis} extent {extent!r} is not a "
+                                      f"multiple of epsilon {eps!r}")
+            counts["n" + axis] = n
+        counts["theta"] = counts["nx"] * counts["ny"] * counts["nz"]
+        if counts["theta"] > MAX_VOXELS:
+            raise GridConfigError(f"grid has {counts['theta']} voxels, more "
+                                  f"than the {MAX_VOXELS} allowed")
+        for name, n in counts.items():
+            object.__setattr__(self, name, n)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -121,30 +164,6 @@ class WorkspaceGrid:
 
 
 def make_grid(bounds: WorkspaceBounds) -> WorkspaceGrid:
-    """Build the voxel grid for the given bounds.
-
-    Raises
-    ------
-    GridConfigError
-        If any extent is not an integer multiple of epsilon, or its voxel
-        count overflows (the error message names the offending axis), or
-        the grid has more than ``MAX_VOXELS`` voxels.
-    """
-    counts = {}
-    for axis in ("x", "y", "z"):
-        ratio = bounds.extent(axis) / bounds.epsilon
-        if not math.isfinite(ratio):
-            raise GridConfigError(f"{axis} extent {bounds.extent(axis)!r} over "
-                                  f"epsilon {bounds.epsilon!r} overflows")
-        n = round(ratio)
-        if n < 1 or abs(ratio - n) > DIVISIBILITY_TOL * max(1.0, abs(ratio)):
-            raise GridConfigError(
-                f"{axis} extent {bounds.extent(axis)!r} is not a multiple of "
-                f"epsilon {bounds.epsilon!r}"
-            )
-        counts[axis] = n
-    theta = counts["x"] * counts["y"] * counts["z"]
-    if theta > MAX_VOXELS:
-        raise GridConfigError(f"grid has {theta} voxels, more than the "
-                              f"{MAX_VOXELS} allowed")
-    return WorkspaceGrid(bounds, counts["x"], counts["y"], counts["z"])
+    """Build the voxel grid for the given bounds; raises
+    :class:`GridConfigError` as :class:`WorkspaceGrid` does."""
+    return WorkspaceGrid(bounds)

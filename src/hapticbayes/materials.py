@@ -10,13 +10,14 @@ mean, optionally rescaled.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
+
+from .grid import _is_finite_real
 
 #: Required columns of a material parameter file.
 LIBRARY_FIELDS = ("name", "mu_E", "sigma_E", "mu_C", "sigma_C")
@@ -42,7 +43,9 @@ class NoiseSpec:
     """Multipliers on the per-material additive noise std ``|mu| / 2``.
 
     ``scale_E = scale_C = 1.0`` reproduces the base noise level; 0 disables
-    the additive noise entirely.
+    the additive noise entirely.  A scale that is not a finite,
+    non-negative real number (``bool`` is not one) raises ``ValueError``
+    naming it.
     """
 
     scale_E: float = 1.0
@@ -51,7 +54,7 @@ class NoiseSpec:
     def __post_init__(self):
         for name in ("scale_E", "scale_C"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            if not (_is_finite_real(value) and value >= 0):
                 raise ValueError(f"noise {name} must be finite and "
                                  f"non-negative, got {value!r}")
 
@@ -62,6 +65,10 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class MaterialParams:
+    """Feature models of one material.  A mean or sigma that is not a
+    finite real number (``bool`` is not one), or a sigma that is not
+    positive, raises ``ValueError`` naming it."""
+
     name: str
     mu_E: float
     sigma_E: float
@@ -70,7 +77,7 @@ class MaterialParams:
 
     def __post_init__(self):
         for name in ("mu_E", "sigma_E", "mu_C", "sigma_C"):
-            if not math.isfinite(getattr(self, name)):
+            if not _is_finite_real(getattr(self, name)):
                 raise ValueError(f"{self.name}: {name} must be finite, "
                                  f"got {getattr(self, name)!r}")
         if self.sigma_E <= 0 or self.sigma_C <= 0:

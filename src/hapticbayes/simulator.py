@@ -54,7 +54,10 @@ class Scenario:
 
     ``benchmark_points`` is the benchmark path as a read-only ``(B, 3)``
     float array of voxel indices, built once when the scenario is made
-    and scored against by every trial's :func:`gamma_metric`.
+    and scored against by every trial's :func:`gamma_metric`.  A
+    ``start`` or benchmark path entry that is not a :class:`VoxelIndex`
+    of integers (``bool`` is not one; numpy integers are, and are stored
+    as Python ints) inside the grid raises ``ValueError`` naming it.
     """
 
     name: str
@@ -79,15 +82,30 @@ class Scenario:
                 raise ValueError(f"ground_truth at voxel {v} is {gt[j]}, "
                                  f"not an integer material index")
         object.__setattr__(self, "ground_truth", np.asarray(gt, dtype=int))
-        object.__setattr__(self, "benchmark_path", tuple(self.benchmark_path))
-        if not self.benchmark_path:
+        path = tuple(self.benchmark_path)
+        if not path:
             raise ValueError("benchmark path must be non-empty")
-        for v in self.benchmark_path:
-            self.grid.require(v)
-        self.grid.require(self.start)
+        object.__setattr__(self, "start", self._voxel("start", self.start))
+        object.__setattr__(self, "benchmark_path", tuple(
+            self._voxel(f"benchmark_path[{i}]", v) for i, v in enumerate(path)))
         points = np.array(self.benchmark_path, dtype=float)
         points.setflags(write=False)
         object.__setattr__(self, "benchmark_points", points)
+
+    def _voxel(self, name: str, v) -> VoxelIndex:
+        """``v`` with Python int indices, so that index arithmetic cannot
+        wrap; raises ``ValueError`` naming ``name`` unless ``v`` is a
+        :class:`VoxelIndex` of integers inside the grid."""
+        if not (isinstance(v, VoxelIndex)
+                and all(isinstance(i, numbers.Integral)
+                        and not isinstance(i, bool) for i in v)):
+            raise ValueError(f"{name} must be a VoxelIndex of integers, "
+                             f"got {v!r}")
+        v = VoxelIndex(*map(int, v))
+        if not self.grid.contains(v):
+            raise ValueError(f"{name}: voxel {tuple(v)} outside grid "
+                             f"{self.grid.shape}")
+        return v
 
     def material_at(self, v: VoxelIndex) -> int:
         return int(self.ground_truth[self.grid.linear_index(v)])

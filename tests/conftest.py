@@ -1,16 +1,21 @@
-import math
-
-import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from hapticbayes import (
     MaterialLibrary,
     MaterialParams,
     bundled_library_path,
     generate_builtin_scenarios,
-    inhibition_profile,
     load_library,
 )
+
+#: One profile for every property test: fixed examples (no example
+#: database, the same draws every run), so CI and a local run see the
+#: same cases.
+settings.register_profile("hapticbayes", max_examples=150, deadline=None,
+                          database=None, derandomize=True,
+                          suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("hapticbayes")
 
 
 @pytest.fixture(scope="session")
@@ -31,20 +36,3 @@ def toy_lib():
         MaterialParams("hard", 1.0, 1e-300, 2.0, 1e-300),
         MaterialParams("soft", 10.0, 1e-300, 20.0, 1e-300),
     ])
-
-
-@pytest.fixture(scope="session")
-def offset_inhibition():
-    """Oracle of ``inhibition_field``: ``inhibition_profile`` of every
-    voxel's distance from the probe in whole voxels over the
-    corner-to-corner one; 1 everywhere on a single-voxel grid."""
-    def oracle(grid, probe):
-        reach2 = (grid.nx - 1) ** 2 + (grid.ny - 1) ** 2 + (grid.nz - 1) ** 2
-        if reach2 == 0:
-            return np.ones(grid.theta)
-        dx = np.arange(grid.nx, dtype=float) - probe.ix
-        dy = np.arange(grid.ny, dtype=float) - probe.iy
-        dz = np.arange(grid.nz, dtype=float) - probe.iz
-        d2 = dz[:, None, None] ** 2 + dy[None, :, None] ** 2 + dx[None, None, :] ** 2
-        return inhibition_profile(np.sqrt(d2.ravel()) / math.sqrt(reach2))
-    return oracle

@@ -35,6 +35,7 @@ from hapticbayes.attention import (
     inhibition_table,
     target_score,
 )
+from reference_loop import offset_inhibition
 
 EPS = 0.01
 
@@ -110,8 +111,7 @@ TABLE_GRIDS = ((30, 60, 1), (5, 4, 3), (1, 1, 1), (7, 1, 1))
 
 
 @pytest.mark.parametrize("shape", TABLE_GRIDS)
-def test_inhibition_table_equals_profile_of_integer_offsets(shape,
-                                                            offset_inhibition):
+def test_inhibition_table_equals_profile_of_integer_offsets(shape):
     grid = grid_of(*shape)
     nx, ny, nz = shape
     table = inhibition_table(grid)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -6,8 +7,10 @@ from hapticbayes import (
     GridConfigError,
     VoxelIndex,
     WorkspaceBounds,
+    WorkspaceGrid,
     make_grid,
 )
+from hapticbayes.grid import MAX_VOXELS
 
 WORKSPACE = WorkspaceBounds(0, 0.30, 0, 0.60, 0, 0.01, 0.01)
 
@@ -51,7 +54,6 @@ def test_make_grid_rejects_non_finite_bound_or_overflowing_count():
 
 
 def test_make_grid_voxel_cap():
-    from hapticbayes.grid import MAX_VOXELS
     # 10^4 voxels per axis: rejected from the counts alone, nothing allocated
     with pytest.raises(GridConfigError, match="1000000000000 voxels"):
         make_grid(WorkspaceBounds(0, 100.0, 0, 100.0, 0, 100.0, 0.01))
@@ -66,3 +68,27 @@ def test_linear_index_roundtrip_and_order():
     assert grid.linear_index(VoxelIndex(0, 1, 0)) == 30
     for j in (0, 17, 1799):
         assert grid.linear_index(grid.voxel_of_linear(j)) == j
+
+
+def test_grid_counts_come_from_the_bounds():
+    # WorkspaceGrid(bounds, 3, 3, 1) used to build 9 voxels over this
+    # 30x60 workspace, and (bounds, 0, -2, 1) a grid of none
+    grid = WorkspaceGrid(WORKSPACE)
+    assert (grid.shape, grid.theta) == ((30, 60, 1), 1800)
+    assert grid == make_grid(WORKSPACE)
+    with pytest.raises(TypeError):
+        WorkspaceGrid(WORKSPACE, 3, 3, 1)
+    # the rule and errors of make_grid, which now only builds the grid
+    with pytest.raises(GridConfigError, match="y extent 0.25 is not a multiple"):
+        WorkspaceGrid(WorkspaceBounds(0, 0.30, 0, 0.25, 0, 0.01, 0.02))
+    with pytest.raises(GridConfigError, match="more than the"):
+        WorkspaceGrid(WorkspaceBounds(0, 100.0, 0, 100.0, 0, 100.0, 0.01))
+
+
+@pytest.mark.parametrize("bad", [10**400, "1", True],
+                         ids=["10**400", "str", "bool"])
+@pytest.mark.parametrize("field", [f.name for f in fields(WorkspaceBounds)])
+def test_bounds_reject_what_is_not_a_finite_real(field, bad):
+    # 10**400 used to raise a raw OverflowError and "1" a raw TypeError
+    with pytest.raises(GridConfigError, match=rf"^{field} must be finite, got"):
+        replace(WORKSPACE, **{field: bad})

@@ -3,7 +3,7 @@ material parameter file holds, loading it either succeeds or raises the
 loader's own error (``ScenarioLoadError``, ``LibraryLoadError``)."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hapticbayes import (
@@ -13,12 +13,6 @@ from hapticbayes import (
     load_library,
     load_scenario,
 )
-
-#: Fixed examples (no example database, same draws every run), so the
-#: suite stays deterministic.
-PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None,
-                             derandomize=True,
-                             suppress_health_check=[HealthCheck.too_slow])
 
 #: Byte strings that a mutation splices in: separators and keywords of
 #: both formats, numbers at the edges of what floats and grids accept,
@@ -74,25 +68,21 @@ def load_library_bytes(data, directory):
         assert str(path) in str(exc)
 
 
-@PROPERTY_SETTINGS
 @given(data=st.binary(max_size=600))
 def test_scenario_loader_arbitrary_bytes(data, scratch, lib):
     load_scenario_bytes(data, scratch, lib)
 
 
-@PROPERTY_SETTINGS
 @given(data=mutated(SCENARIO_BYTES))
 def test_scenario_loader_mutated_bundled_file(data, scratch, lib):
     load_scenario_bytes(data, scratch, lib)
 
 
-@PROPERTY_SETTINGS
 @given(data=st.binary(max_size=600))
 def test_library_loader_arbitrary_bytes(data, scratch):
     load_library_bytes(data, scratch)
 
 
-@PROPERTY_SETTINGS
 @given(data=mutated(LIBRARY_BYTES))
 def test_library_loader_mutated_bundled_file(data, scratch):
     load_library_bytes(data, scratch)

@@ -1,59 +1,40 @@
-"""Generated-scenario oracle for the exploration loop.
+"""Every test of the exploration loop against the reference loop.
 
-Each example draws a small scenario (each grid side 1-9 voxels, a
-library of 2-6 bundled materials, a ground truth over 1-4 of them, a
-task pair that may be absent from it, a start voxel and a benchmark
-path), a trial configuration and the iterations whose sample reads a NaN
-feature.  ``run_trial`` must agree, with ``==``, with a plain reference
-loop written here: one ``synthesize_sample`` per touch, the full-grid
+``check_against_reference`` (in ``reference_loop.py``) runs ``run_trial``
+observed and unobserved and asserts that it agrees, with ``==``, with a
+plain reference loop: one ``synthesize_sample`` per touch, the full-grid
 field functions, the product of the three ``beta_pdf`` factors and
-``np.argmax``.
+``np.argmax``.  It runs on generated scenarios (each grid side 1-9
+voxels, a library of 2-6 bundled materials, a ground truth over 1-4 of
+them, a task pair that may be absent from it, a start voxel, a benchmark
+path and the iterations whose sample reads a NaN feature) and on fixed
+ones: the bundled scenarios, a tilted volume, two lines and budgets
+around the sense block.
 """
 
 import itertools
-import math
-from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hapticbayes import (
-    INHIBITION_FACTOR,
-    SALIENCY_FACTOR,
-    UNCERTAINTY_FACTOR,
-    HapticSample,
     MaterialLibrary,
     NoiseSpec,
-    PosteriorGrid,
     Scenario,
     TaskSpec,
     TrialConfig,
     VoxelIndex,
     WorkspaceBounds,
-    beta_pdf,
     bundled_library_path,
     load_library,
     make_grid,
-    omega_field,
-    run_trial,
-    saliency_field,
-    synthesize_sample,
-    uncertainty_field,
 )
-from hapticbayes import simulator
-from hapticbayes.perception import log_likelihoods
-
-#: Fixed examples (no example database, same draws every run), so the
-#: suite stays deterministic.
-LOOP_SETTINGS = settings(max_examples=150, deadline=None, database=None,
-                         derandomize=True,
-                         suppress_health_check=[HealthCheck.too_slow])
+from hapticbayes.simulator import DEFAULT_MAX_ITERATIONS, SENSE_BLOCK
+from reference_loop import check_against_reference
 
 BUNDLED = load_library(bundled_library_path())
-
-#: A sample whose texture feature is NaN: every likelihood floors to zero.
-NAN_SAMPLE = HapticSample(math.nan, 1.0)
 
 EPS = 0.01
 
@@ -97,95 +78,94 @@ def trials(draw):
     return scenario, lib, config, nan_iterations
 
 
-def reference_trial(scenario, lib, config, nan_iterations, offset_inhibition):
-    """The loop, written out: returns the visited path, the termination
-    cause, the degenerate update count and, per scored iteration, its
-    fields and score."""
-    grid = scenario.grid
-    rng = np.random.default_rng(config.seed)
-    posteriors = PosteriorGrid(grid.theta, len(lib))
-    current = scenario.start
-    visited, iterations = [], []
-    anchor, terminated_by, degenerate = None, "budget", 0
-    for k in range(config.max_iterations):
-        visited.append(current)
-        sample = synthesize_sample(lib, scenario.material_at(current),
-                                   config.noise, rng)
-        if k in nan_iterations:
-            sample = NAN_SAMPLE
-        if posteriors.update(grid.linear_index(current),
-                             log_likelihoods(lib, sample)).degenerate:
-            degenerate += 1
-        if anchor is None and current in scenario.benchmark_path:
-            anchor = current
-        if (anchor is not None and len(visited) >= 10
-                and max(abs(a - b) for a, b in zip(current, anchor)) <= 1):
-            terminated_by = "loop_closure"
-            break
-        fields = {"inhibition": offset_inhibition(grid, current),
-                  "uncertainty": uncertainty_field(posteriors),
-                  "omega": omega_field(posteriors, scenario.task)}
-        fields["saliency"] = saliency_field(grid, fields["omega"])
-        fields["score"] = (beta_pdf(INHIBITION_FACTOR, fields["inhibition"])
-                           * beta_pdf(SALIENCY_FACTOR, fields["saliency"])
-                           * beta_pdf(UNCERTAINTY_FACTOR, fields["uncertainty"]))
-        iterations.append((current, fields))
-        current = grid.voxel_of_linear(int(np.argmax(fields["score"])))
-    return visited, terminated_by, degenerate, iterations
-
-
-def with_nan_samples(lib, nan_iterations):
-    """A patch of ``simulator.sense`` for one trial: the rows of
-    ``nan_iterations`` are replaced by the log-likelihoods of
-    ``NAN_SAMPLE``, for every material."""
-    real = simulator.sense
-    nan_row = log_likelihoods(lib, NAN_SAMPLE)
-    blocks = itertools.count()
-
-    def sense(lib, noise, rng):
-        table = real(lib, noise, rng)
-        first = next(blocks) * simulator.SENSE_BLOCK
-        for k in nan_iterations:
-            if first <= k < first + simulator.SENSE_BLOCK:
-                table[k - first] = nan_row
-        return table
-
-    return mock.patch.object(simulator, "sense", sense)
-
-
-@LOOP_SETTINGS
 @given(trials())
-def test_run_trial_equals_the_reference_loop(offset_inhibition, trial):
-    scenario, lib, config, nan_iterations = trial
-    visited, terminated_by, degenerate, iterations = reference_trial(
-        scenario, lib, config, nan_iterations, offset_inhibition)
+def test_run_trial_equals_the_reference_loop(trial):
+    check_against_reference(*trial)
 
-    def check(k, state):
-        probe, want = iterations[k]
-        assert state.probe == probe
-        for name, value in want.items():
-            got = getattr(state, name)
-            assert got.shape == value.shape and np.all(got == value), \
-                f"iteration {k}: {name} differs from the reference"
-        best = int(np.argmax(state.score))
-        assert 0.0 < state.score[best] < math.inf
-        checked.append(k)
 
-    checked = []
-    with with_nan_samples(lib, nan_iterations):
-        rec = run_trial(scenario, lib, config, on_iteration=check)
-    with with_nan_samples(lib, nan_iterations):
-        unobserved = run_trial(scenario, lib, config)
-    assert checked == list(range(len(iterations)))
-    assert rec.visited == tuple(visited)
-    assert rec.terminated_by == terminated_by
-    assert rec.degenerate_events == degenerate == len(
-        nan_iterations & set(range(len(visited))))
-    assert rec.revisit_count == len(visited) - len(set(visited))
-    points = scenario.benchmark_path
-    assert rec.gamma == sum(
-        EPS * math.sqrt(min(sum((a - b) ** 2 for a, b in zip(v, p))
-                            for p in points))
-        for v in visited)
-    # an observer never changes the trial
-    assert unobserved == rec
+# ---------------------------------------------------------------------------
+# fixed inputs
+
+def tilted_scenario(lib, shape):
+    """A material boundary along a plane tilted against all three axes;
+    the benchmark path is the far corner alone, so loop closure waits
+    until the probe gets there."""
+    nx, ny, nz = shape
+    grid = make_grid(WorkspaceBounds(0, nx * EPS, 0, ny * EPS, 0, nz * EPS, EPS))
+    j = np.arange(grid.theta)
+    ix, iy, iz = j % nx, (j // nx) % ny, j // (nx * ny)
+    sil, wood = lib.index_of("silicone"), lib.index_of("wood")
+    gt = np.where(2 * ix + iy + 2 * iz > nx + 1, sil, wood)
+    return Scenario("tilted", grid, gt, [VoxelIndex(nx - 1, ny - 1, nz - 1)],
+                    VoxelIndex(0, 0, 0), TaskSpec(sil, wood))
+
+
+def line_scenario(lib, nx):
+    """``nx`` voxels in a row, silicone from voxel 3 on.  On 1x1x1 every
+    saliency window side is cut and the corner-to-corner distance is 0;
+    on 7x1x1 the y and z sides are cut."""
+    grid = make_grid(WorkspaceBounds(0, nx * EPS, 0, EPS, 0, EPS, EPS))
+    sil, wood = lib.index_of("silicone"), lib.index_of("wood")
+    gt = np.where(np.arange(nx) >= 3, sil, wood)
+    return Scenario("line", grid, gt, [VoxelIndex(nx - 1, 0, 0)],
+                    VoxelIndex(0, 0, 0), TaskSpec(sil, wood))
+
+
+def scores_at_least(least):
+    def expect(scenario, budget, results):
+        assert all(checked >= least for _, checked in results)
+    return expect
+
+
+def reaches_every_face(scenario, budget, results):
+    scores_at_least(40)(scenario, budget, results)
+    # the probe reached every face and several corners, so saliency
+    # windows were cut on every side
+    visited = {tuple(v) for rec, _ in results for v in rec.visited}
+    nx, ny, nz = scenario.grid.shape
+    for axis, n in enumerate((nx, ny, nz)):
+        assert {v[axis] for v in visited} >= {0, n - 1}
+    corners = set(itertools.product((0, nx - 1), (0, ny - 1), (0, nz - 1)))
+    assert len(corners & visited) >= 3
+
+
+def moves_every_iteration(scenario, budget, results):
+    # not an invariant: a probe can stay on a line or a two-voxel grid
+    for rec, _ in results:
+        assert all(a != b for a, b in zip(rec.visited, rec.visited[1:]))
+
+
+def spends_the_budget(scenario, budget, results):
+    for rec, _ in results:
+        assert rec.terminated_by == "budget" and rec.l == budget
+
+
+#: case id: (scenario from the library and the bundled scenarios, budget,
+#: seeds, what the trials must show beyond agreeing with the reference).
+#: The ``blocks`` cases end one touch before, on and after a sense block.
+FIXED = {
+    **{f"bundled-{i + 1}": (lambda lib, bundled, i=i: bundled[i],
+                            DEFAULT_MAX_ITERATIONS, range(10),
+                            moves_every_iteration)
+       for i in range(3)},
+    "tilted-volume": (lambda lib, _: tilted_scenario(lib, (5, 4, 3)), 120,
+                      range(3), reaches_every_face),
+    **{f"line-{nx}": (lambda lib, _, nx=nx: line_scenario(lib, nx), 30,
+                      range(3), scores_at_least(9))
+       for nx in (1, 7)},
+    **{f"blocks-{budget}": (lambda lib, _: tilted_scenario(lib, (8, 6, 3)),
+                            budget, range(3), spends_the_budget)
+       for budget in (1, SENSE_BLOCK - 1, SENSE_BLOCK, SENSE_BLOCK + 1,
+                      2 * SENSE_BLOCK + 1)},
+}
+
+
+@pytest.mark.parametrize("case", FIXED)
+def test_run_trial_equals_the_reference_loop_on_fixed_inputs(lib, scenarios,
+                                                             case):
+    make, budget, seeds, expect = FIXED[case]
+    scenario = make(lib, scenarios)
+    expect(scenario, budget, [
+        check_against_reference(scenario, lib,
+                                TrialConfig(max_iterations=budget, seed=seed))
+        for seed in seeds])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -164,3 +166,24 @@ def test_noise_spec_validation():
         MaterialParams("x", 1.0, -0.2, 1.0, 0.1)
     with pytest.raises(ValueError):
         MaterialLibrary([MaterialParams("x", 1, 0.1, 1, 0.1)])
+
+
+#: Values no numeric constructor may take: an integer too large for a
+#: float (used to raise a raw OverflowError), a string (a raw TypeError)
+#: and a bool (used to be taken as 1).
+NOT_FINITE_REALS = [pytest.param(10**400, id="10**400"),
+                    pytest.param("1", id="str"), pytest.param(True, id="bool")]
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE_REALS)
+@pytest.mark.parametrize("field", ["scale_E", "scale_C"])
+def test_noise_spec_rejects_what_is_not_a_finite_real(field, bad):
+    with pytest.raises(ValueError, match=rf"^noise {field} must be finite"):
+        NoiseSpec(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE_REALS)
+@pytest.mark.parametrize("field", ["mu_E", "sigma_E", "mu_C", "sigma_C"])
+def test_material_params_reject_what_is_not_a_finite_real(field, bad):
+    with pytest.raises(ValueError, match=rf"^a: {field} must be finite"):
+        replace(MaterialParams("a", 1.0, 0.1, 1.0, 0.1), **{field: bad})
