@@ -350,14 +350,16 @@ class AttentionFields:
 
     A trial starts with every voxel at the uniform prior over
     ``n_materials``, so the start fields are constant: the uncertainty,
-    its density and the similarity of one uniform row, computed by the
-    single-row helper that :meth:`touch` refreshes a touched voxel
-    with, and zero saliency (a constant similarity field has none).  A
-    posterior update at voxel ``j`` changes the uncertainty and
-    similarity of ``j`` alone, and the saliency only in the 3x3x3 block
-    around it, so :meth:`touch` recomputes just those entries, with the
-    arithmetic of :func:`uncertainty_field`, :func:`omega_field` and
+    its density and the similarity of one uniform row, computed by
+    :meth:`row_values`, and zero saliency (a constant similarity field
+    has none).  A posterior update at voxel ``j`` changes the uncertainty
+    and similarity of ``j`` alone, and the saliency only in the 3x3x3
+    block around it, so :meth:`touch` recomputes just those entries, with
+    the arithmetic of :func:`uncertainty_field`, :func:`omega_field` and
     :func:`saliency_field`; every array stays equal to a full recompute.
+    :meth:`row_values` is the one helper for a voxel's own entries: the
+    loop calls it once per sense block on every first-touch outcome of
+    the block, and :meth:`touch` calls it on a revisited voxel's row.
     The arrays are updated in place: copy them to keep a snapshot.
     """
 
@@ -367,7 +369,7 @@ class AttentionFields:
         theta = grid.theta
         uniform = np.full(n_materials, 1.0 / n_materials)
         self.uncertainty, self.f_uncertainty, self.omega = (
-            np.full(theta, value) for value in self._row(uniform, 0))
+            np.full(theta, value) for value in self.row_values(uniform, False))
         self.saliency = np.zeros(theta)
         self.f_saliency = np.full(theta, beta_pdf(SALIENCY_FACTOR, 0.0))
         shape = (grid.nz, grid.ny, grid.nx)
@@ -385,30 +387,41 @@ class AttentionFields:
         self._reads = ((_BLOCK_OFFSETS[:, None, :] + _BLOCK_OFFSETS[None, :, :])
                        @ np.array([self._zstep, self._ystep, 1]))
 
-    def _row(self, probs: np.ndarray, k_count):
-        """Uncertainty, its density and similarity of one posterior row
-        ``probs`` with ``k_count`` samples, as floats: the arithmetic of
-        :func:`uncertainty_field` and :func:`omega_field` on that row.
+    def row_values(self, probs: np.ndarray, explored):
+        """Uncertainty, its density and similarity of posterior rows
+        ``probs``, each row along the last axis, as arrays of the leading
+        shape (0-d for one ``(n,)`` row): the arithmetic of
+        :func:`uncertainty_field` and :func:`omega_field` row by row.
+        ``explored``, a bool or a bool array of the leading shape, marks
+        the rows with a sample integrated; the others are neutral.
 
-        The uncertainty is clipped (``min``/``max`` clip as ``np.clip``
-        does, -0.0 and NaN included), since the entropy of a uniform row
-        can round above 1.  The similarity ``(1 - (p_b - p_a)) / 2`` needs
-        no clip: for probabilities in [0, 1], ``p_b - p_a`` lies in
-        [-1, 1], as each step rounds monotonically to representable
-        bounds, so the similarity lies in [0, 1]."""
-        uncertainty = min(max(_normalized_entropies(probs), 0.0), 1.0)
-        omega = OMEGA_NEUTRAL
-        if k_count:
-            task = self.task
-            omega = (1.0 - (probs[task.material_b]
-                            - probs[task.material_a])) / 2.0
+        Every entry equals the single-row result, as each step is
+        elementwise or reduces the last axis alone.  The similarity
+        ``(1 - (p_b - p_a)) / 2`` needs no clip: for probabilities in
+        [0, 1], ``p_b - p_a`` lies in [-1, 1], as each step rounds
+        monotonically to representable bounds, so the similarity lies in
+        [0, 1]."""
+        task = self.task
+        # the entropy of a uniform row can round above 1
+        uncertainty = _normalized_entropies(probs).clip(0.0, 1.0)
+        omega = np.where(explored, (1.0 - (probs[..., task.material_b]
+                                           - probs[..., task.material_a])) / 2.0,
+                         OMEGA_NEUTRAL)
         return uncertainty, beta_pdf(UNCERTAINTY_FACTOR, uncertainty), omega
 
-    def touch(self, posteriors: PosteriorGrid, j: int) -> None:
-        """Refresh every entry that depends on voxel ``j``'s posterior."""
+    def touch(self, posteriors: PosteriorGrid, j: int, values=None) -> None:
+        """Refresh every entry that depends on voxel ``j``'s posterior.
+
+        ``values``, if given, holds the voxel's uncertainty, its density
+        and its similarity, already computed by :meth:`row_values` from
+        the voxel's new posterior row (the loop computes a first touch's
+        with its sense block); otherwise they are computed here from
+        ``posteriors``."""
+        if values is None:
+            values = self.row_values(posteriors.probs[j],
+                                     posteriors.k_counts[j] > 0)
         grid = self.grid
-        self.uncertainty[j], self.f_uncertainty[j], self.omega[j] = \
-            self._row(posteriors.probs[j], posteriors.k_counts[j])
+        self.uncertainty[j], self.f_uncertainty[j], self.omega[j] = values
 
         ix, iy, iz = grid.voxel_of_linear(j)
         corner = iz * self._zstep + iy * self._ystep + ix

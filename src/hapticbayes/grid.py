@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -40,6 +41,18 @@ def _is_finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _as_index(value) -> int:
+    """``value`` as a Python int, so that index arithmetic cannot wrap;
+    raises ``ValueError`` naming ``value`` unless it is an integer (numpy
+    integers are, ``bool`` is not)."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"index {value!r} is not an integer")
 
 
 class VoxelIndex(NamedTuple):
@@ -145,10 +158,25 @@ class WorkspaceGrid:
             raise ValueError(f"voxel {tuple(v)} outside grid {self.shape}")
 
     def linear_index(self, v: VoxelIndex) -> int:
-        self.require(v)
-        return v.ix + self.nx * (v.iy + self.ny * v.iz)
+        """The linear index of voxel ``v``, a Python int.  An index of
+        ``v`` that is not an integer (numpy integers are, ``bool`` is not)
+        or a voxel outside the grid raises ``ValueError`` naming it."""
+        try:
+            ix, iy, iz = _as_index(v.ix), _as_index(v.iy), _as_index(v.iz)
+        except ValueError as exc:
+            raise ValueError(f"voxel {tuple(v)}: {exc}") from None
+        if not (0 <= ix < self.nx and 0 <= iy < self.ny and 0 <= iz < self.nz):
+            raise ValueError(f"voxel {tuple(v)} outside grid {self.shape}")
+        return ix + self.nx * (iy + self.ny * iz)
 
     def voxel_of_linear(self, j: int) -> VoxelIndex:
+        """The voxel of linear index ``j``, with Python int indices; a
+        ``j`` that is not an integer (numpy integers are, ``bool`` is not)
+        or lies outside ``[0, theta)`` raises ``ValueError`` naming it."""
+        try:
+            j = _as_index(j)
+        except ValueError as exc:
+            raise ValueError(f"linear {exc}") from None
         if not 0 <= j < self.theta:
             raise ValueError(f"linear index {j} outside [0, {self.theta})")
         return VoxelIndex(j % self.nx, (j // self.nx) % self.ny, j // (self.nx * self.ny))

@@ -211,9 +211,11 @@ def _samples_of_draws(lib: MaterialLibrary, material, noise: NoiseSpec,
     ``z``, whose last axis holds each sample's (e, c, q_E, q_C) values.
 
     ``material`` indexes the library's parameter columns: a material
-    index gives samples of ``z.shape[:-1]``, and ``slice(None)`` with
-    ``z`` of shape ``(..., 1, 4)`` gives every material's sample of each
-    draw, along a last axis of length ``len(lib)``.
+    index gives samples of ``z.shape[:-1]``, and an array of material
+    indices with ``z`` of shape ``(..., 1, 4)`` gives each of those
+    materials' sample of each draw, along a last axis of the array's
+    length.  Each sample is computed elementwise, so it does not depend
+    on which other materials are indexed with it.
     """
     mu_e, mu_c = lib.mu_e[material], lib.mu_c[material]
     z_e, z_c, z_qe, z_qc = np.rollaxis(z, -1)

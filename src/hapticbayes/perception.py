@@ -136,25 +136,50 @@ class PosteriorGrid:
 
     Stores a ``(theta, n)`` probability matrix ``probs`` plus per-voxel
     counts ``k_counts`` of integrated samples, in linear-index order.  Rows
-    start at the uniform prior.  Distinct voxels may be updated
-    independently; each :meth:`update` reports whether its sample was
-    degenerate.
+    start at the uniform prior, and a voxel with no sample integrated
+    (``k_counts`` 0) still holds it exactly, since a degenerate update
+    keeps its prior.  Distinct voxels may be updated independently; each
+    :meth:`update` reports whether its sample was degenerate.
     """
 
     def __init__(self, theta: int, n_materials: int):
+        self._prior = np.full(n_materials, 1.0 / n_materials)
         self.probs = np.full((theta, n_materials), 1.0 / n_materials)
         self.k_counts = np.zeros(theta, dtype=int)
 
-    def update(self, linear: int, log_lik: np.ndarray) -> VoxelUpdate:
+    def first_updates(self, log_lik: np.ndarray):
+        """What :meth:`update` makes of an unexplored voxel's row, the
+        uniform prior, for every ``(n,)`` row of ``log_lik`` at once:
+        one :func:`_posterior_update` call over the batch, whose rows equal
+        single-row calls.  Returns ``(rows, degenerate)``, shaped like
+        ``log_lik`` and like its leading axes."""
+        return _posterior_update(np.broadcast_to(self._prior, log_lik.shape),
+                                 log_lik)
+
+    def update(self, linear: int, log_lik: np.ndarray,
+               first=None) -> VoxelUpdate:
         """Recursive update of one voxel's posterior in place, from the
         ``(n,)`` row ``log_lik`` of the sample's :func:`log_likelihoods`.
 
-        A degenerate sample (every likelihood floors to zero, e.g. a NaN
-        feature) keeps the prior and is not counted in ``k_counts``.
-        Returns the voxel's sample count and the degenerate flag; the
-        updated row is ``probs[linear]``.
+        ``first``, if given, is the ``(row, degenerate)`` entry of
+        :meth:`first_updates` for this ``log_lik``, computed with the
+        sample's sense block, and the voxel must be unexplored
+        (``k_counts[linear] == 0``): its row is then the uniform prior, so
+        that entry is the update's outcome and is stored without running
+        the kernel again.  Otherwise the voxel's own row goes through
+        :func:`_posterior_update`.  A degenerate sample (every likelihood
+        floors to zero, e.g. a NaN feature) keeps the prior and is not
+        counted in ``k_counts``.  Returns the voxel's sample count and the
+        degenerate flag; the updated row is ``probs[linear]``.
         """
-        new_probs, degenerate = _posterior_update(self.probs[linear], log_lik)
+        if first is None:
+            new_probs, degenerate = _posterior_update(self.probs[linear], log_lik)
+        elif self.k_counts[linear]:
+            raise ValueError(f"voxel {linear} has {self.k_counts[linear]} "
+                             f"samples, so its row is not the prior that "
+                             f"`first` was computed from")
+        else:
+            new_probs, degenerate = first
         self.probs[linear] = new_probs
         if not degenerate:
             self.k_counts[linear] += 1
@@ -166,8 +191,8 @@ class PosteriorGrid:
 
 
 def _normalized_entropies(probs: np.ndarray):
-    """Entropy of each row of a ``(rows, n)`` probability matrix, or of
-    one ``(n,)`` row as a scalar, over its maximum ``log(n)``; a zero
+    """Entropy of each row of a probability array over its last axis, or
+    of one ``(n,)`` row as a scalar, over its maximum ``log(n)``; a zero
     probability adds a zero term."""
     # log only where p > 0, so log(0) is never taken and needs no
     # errstate; a zero entry's term is then 0.0 * 0.0 = +0.0

@@ -52,9 +52,13 @@ class ScenarioLoadError(ValueError):
 class Scenario:
     """A fully specified exploration problem.
 
-    ``benchmark_points`` is the benchmark path as a read-only ``(B, 3)``
-    float array of voxel indices, built once when the scenario is made
-    and scored against by every trial's :func:`gamma_metric`.  A
+    Three read-only arrays are derived once when the scenario is made:
+    ``benchmark_points``, the benchmark path as a ``(B, 3)`` float array
+    of voxel indices, which every trial's :func:`gamma_metric` scores
+    against; ``materials``, the sorted distinct ground-truth material
+    indices, the only materials a trial's sense blocks score; and
+    ``material_rows``, each voxel's row in ``materials``, so that
+    ``materials[material_rows] == ground_truth``.  A
     ``start`` or benchmark path entry that is not a :class:`VoxelIndex`
     of integers (``bool`` is not one; numpy integers are, and are stored
     as Python ints) inside the grid raises ``ValueError`` naming it.
@@ -67,6 +71,8 @@ class Scenario:
     start: VoxelIndex
     task: TaskSpec
     benchmark_points: np.ndarray = field(init=False, repr=False, compare=False)
+    materials: np.ndarray = field(init=False, repr=False, compare=False)
+    material_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gt = np.asarray(self.ground_truth)
@@ -82,6 +88,10 @@ class Scenario:
                 raise ValueError(f"ground_truth at voxel {v} is {gt[j]}, "
                                  f"not an integer material index")
         object.__setattr__(self, "ground_truth", np.asarray(gt, dtype=int))
+        materials, rows = np.unique(self.ground_truth, return_inverse=True)
+        for name, derived in (("materials", materials), ("material_rows", rows)):
+            derived.setflags(write=False)
+            object.__setattr__(self, name, derived)
         path = tuple(self.benchmark_path)
         if not path:
             raise ValueError("benchmark path must be non-empty")
@@ -390,23 +400,33 @@ def generate_builtin_scenarios(lib: MaterialLibrary):
 SENSE_BLOCK = 32
 
 
-def sense(lib: MaterialLibrary, noise: NoiseSpec,
+def sense(lib: MaterialLibrary, materials, noise: NoiseSpec,
           rng: np.random.Generator) -> np.ndarray:
-    """Sense a block of ``SENSE_BLOCK`` consecutive touches.
+    """Sense a block of ``SENSE_BLOCK`` consecutive touches of voxels
+    whose materials are among ``materials``, a sequence of distinct
+    library indices (a scenario's ``materials``).
 
     The touches' sensor noise comes from one
     ``rng.standard_normal((SENSE_BLOCK, 1, 4))`` call, the stream of
     ``(SENSE_BLOCK, 4)``, which as :func:`synthesize_sample` documents
-    equals ``SENSE_BLOCK`` per-touch draws.  Each touch's draw gives
-    every library material's sample, by :func:`synthesize_sample`'s
-    formula, and all of them are scored in one :func:`log_likelihoods`
-    call.  Returns the ``(SENSE_BLOCK, n, n)`` table whose row
-    ``[k, m]`` is the log-likelihood row of touch ``k`` of a voxel of
-    material ``m``: what ``log_likelihoods(lib, synthesize_sample(lib,
-    m, noise, rng))`` gives for that touch.
+    equals ``SENSE_BLOCK`` per-touch draws; the draw does not depend on
+    ``materials``.  Each touch's draw gives the sample of every material
+    in ``materials``, by :func:`synthesize_sample`'s formula, and all of
+    them are scored against the whole library in one
+    :func:`log_likelihoods` call.  Returns the ``(SENSE_BLOCK,
+    len(materials), n)`` table whose row ``[k, r]`` is the log-likelihood
+    row of touch ``k`` of a voxel of material ``materials[r]``: what
+    ``log_likelihoods(lib, synthesize_sample(lib, materials[r], noise,
+    rng))`` gives for that touch.  A material that is not an index into
+    ``lib`` raises ``ValueError`` naming it.
     """
+    materials = np.asarray(materials)
+    if (materials.ndim != 1 or materials.dtype.kind not in "iu"
+            or not ((materials >= 0) & (materials < len(lib))).all()):
+        raise ValueError(f"materials must be a sequence of indices into a "
+                         f"library of {len(lib)}, got {materials!r}")
     z = rng.standard_normal((SENSE_BLOCK, 1, 4))
-    return log_likelihoods(lib, _samples_of_draws(lib, slice(None), noise, z))
+    return log_likelihoods(lib, _samples_of_draws(lib, materials, noise, z))
 
 
 def _voxel_points(grid: WorkspaceGrid, path, name: str) -> np.ndarray:
@@ -488,14 +508,25 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     posterior, refreshes the attention fields, scores every voxel as a
     target and teleports to the highest score.  Sensing runs in blocks:
     every ``SENSE_BLOCK`` touches one :func:`sense` call draws the next
-    block's noise and scores every material's sample of each touch, and
-    touch ``k`` of a voxel of ground-truth material ``m`` reads row
-    ``[k % SENSE_BLOCK, m]`` of that table.  The draws equal one
-    :func:`synthesize_sample` draw per touch, so the path is the same as
-    with per-touch sensing, and memory does not grow with the budget.
-    The fields live in an :class:`AttentionFields`, which starts from the
-    uniform prior and then refreshes only what each update changed, with
-    the same values as a full recompute.  The score is
+    block's noise and scores the sample of each of the scenario's
+    ``materials`` at each touch (not the rest of the library), and touch
+    ``k`` of a voxel reads row ``[k % SENSE_BLOCK, r]`` of that table,
+    ``r`` being the voxel's entry of ``material_rows``.  The draws equal
+    one :func:`synthesize_sample` draw per touch, so the path is the same
+    as with per-touch sensing, and memory does not grow with the budget.
+    A first touch is computed with its block: right after each
+    :func:`sense` call, :meth:`PosteriorGrid.first_updates` updates the
+    uniform prior with every row of the table in one batch, and
+    :meth:`AttentionFields.row_values` gives every resulting row's
+    uncertainty, its density and its similarity in another.  A touch of
+    an unexplored voxel (no sample integrated, so its row is still the
+    prior) takes its entry of both; a revisit of an explored voxel runs
+    the posterior kernel on the voxel's own row.  Either way
+    :meth:`PosteriorGrid.update` runs once per touch, and the values
+    equal per-touch computation bit for bit.  The fields live in an
+    :class:`AttentionFields`, which starts from the uniform prior and
+    then refreshes only what each update changed, with the same values
+    as a full recompute.  The score is
     :func:`target_score`: the inhibition density at each voxel's
     whole-voxel offset from the current position, read from the grid's
     inhibition table (built in the first trial on the grid), times the
@@ -527,7 +558,7 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     rng = np.random.default_rng(config.seed)
     posteriors = PosteriorGrid(grid.theta, len(lib))
     fields = AttentionFields(grid, scenario.task, len(lib))
-    ground_truth = scenario.ground_truth
+    material_rows = scenario.material_rows
     bench_set = set(scenario.benchmark_path)
 
     current = scenario.start
@@ -541,8 +572,19 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
         visited.append(current)
         touch = k % SENSE_BLOCK
         if touch == 0:
-            table = sense(lib, config.noise, rng)
-        if posteriors.update(j, table[touch, ground_truth[j]]).degenerate:
+            table = sense(lib, scenario.materials, config.noise, rng)
+            # what each entry gives a voxel's first touch, for the block
+            first_probs, first_degenerate = posteriors.first_updates(table)
+            first_values = fields.row_values(first_probs, ~first_degenerate)
+        at = touch, material_rows[j]
+        if posteriors.k_counts[j]:
+            update = posteriors.update(j, table[at])
+            values = None
+        else:
+            update = posteriors.update(j, table[at],
+                                       (first_probs[at], first_degenerate[at]))
+            values = [entries[at] for entries in first_values]
+        if update.degenerate:
             degenerate_events += 1
 
         if anchor is None and current in bench_set:
@@ -552,7 +594,7 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
             terminated_by = "loop_closure"
             break
 
-        fields.touch(posteriors, j)
+        fields.touch(posteriors, j, values)
         score = target_score(grid, current, fields.f_saliency,
                              fields.f_uncertainty)
         chosen = select_target(score, grid)

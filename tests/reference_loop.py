@@ -93,13 +93,14 @@ def reference_trial(scenario, lib, config, nan_iterations=frozenset()):
 def with_nan_samples(lib, nan_iterations):
     """A patch of ``simulator.sense`` for one trial: the rows of
     ``nan_iterations`` are replaced by the log-likelihoods of
-    ``NAN_SAMPLE``, for every material."""
+    ``NAN_SAMPLE``, for every material sensed.  The loop computes its
+    first-touch outcomes from the table the patch returns."""
     real = simulator.sense
     nan_row = log_likelihoods(lib, NAN_SAMPLE)
     blocks = itertools.count()
 
-    def sense(lib, noise, rng):
-        table = real(lib, noise, rng)
+    def sense(lib, materials, noise, rng):
+        table = real(lib, materials, noise, rng)
         first = next(blocks) * simulator.SENSE_BLOCK
         for k in nan_iterations:
             if first <= k < first + simulator.SENSE_BLOCK:

@@ -1,6 +1,7 @@
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from hapticbayes import (
@@ -68,6 +69,39 @@ def test_linear_index_roundtrip_and_order():
     assert grid.linear_index(VoxelIndex(0, 1, 0)) == 30
     for j in (0, 17, 1799):
         assert grid.linear_index(grid.voxel_of_linear(j)) == j
+
+
+def test_indices_are_computed_in_python_ints():
+    # numpy uint8 indices used to wrap (RuntimeWarning) in linear_index,
+    # and voxel_of_linear(np.uint8(200)) raised a stray OverflowError
+    grid = make_grid(WORKSPACE)
+    j = grid.linear_index(VoxelIndex(np.uint8(1), np.uint8(10), np.uint8(0)))
+    assert j == 301 and type(j) is int
+    v = grid.voxel_of_linear(np.uint8(200))
+    assert v == (20, 6, 0) and all(type(i) is int for i in v)
+    assert grid.voxel_of_linear(np.int64(1799)) == (29, 59, 0)
+
+
+@pytest.mark.parametrize("voxel", [VoxelIndex(1.5, 2, 0), VoxelIndex(0, 2.0, 0),
+                                   VoxelIndex(True, 0, 0),
+                                   VoxelIndex(0, 0, np.bool_(False)),
+                                   VoxelIndex(0, "1", 0)],
+                         ids=["1.5", "2.0", "bool", "numpy-bool", "str"])
+def test_linear_index_rejects_an_index_that_is_not_an_integer(voxel):
+    # VoxelIndex(1.5, 2, 0) used to give linear index 61.5
+    bad = next(i for i in voxel if type(i) is not int)
+    with pytest.raises(ValueError, match=rf"^voxel .*: index {bad!r} is not "
+                                         rf"an integer$"):
+        make_grid(WORKSPACE).linear_index(voxel)
+
+
+@pytest.mark.parametrize("j", [3.7, 3.0, True, np.bool_(True), "3"],
+                         ids=["3.7", "3.0", "bool", "numpy-bool", "str"])
+def test_voxel_of_linear_rejects_an_index_that_is_not_an_integer(j):
+    # voxel_of_linear(3.7) used to give (3.7, 0.0, 0.0)
+    with pytest.raises(ValueError, match=rf"^linear index {j!r} is not an "
+                                         rf"integer$"):
+        make_grid(WORKSPACE).voxel_of_linear(j)
 
 
 def test_grid_counts_come_from_the_bounds():

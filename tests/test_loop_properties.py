@@ -8,8 +8,9 @@ field functions, the product of the three ``beta_pdf`` factors and
 voxels, a library of 2-6 bundled materials, a ground truth over 1-4 of
 them, a task pair that may be absent from it, a start voxel, a benchmark
 path and the iterations whose sample reads a NaN feature) and on fixed
-ones: the bundled scenarios, a tilted volume, two lines and budgets
-around the sense block.
+ones: the bundled scenarios, a tilted volume, two lines, budgets around
+the sense block, and small grids that revisit voxels within and across
+sense blocks, with NaN samples on a first touch and on a revisit.
 """
 
 import itertools
@@ -111,6 +112,17 @@ def line_scenario(lib, nx):
                     VoxelIndex(0, 0, 0), TaskSpec(sil, wood))
 
 
+def square_scenario(lib):
+    """A 3x3x1 grid, silicone from column 1 on, benchmark at the far
+    corner: at seed 7 a 40-touch trial stays away from it after its
+    tenth touch, so it never closes and revisits voxels all along."""
+    grid = make_grid(WorkspaceBounds(0, 3 * EPS, 0, 3 * EPS, 0, EPS, EPS))
+    sil, wood = lib.index_of("silicone"), lib.index_of("wood")
+    gt = np.where(np.arange(grid.theta) % 3 >= 1, sil, wood)
+    return Scenario("square", grid, gt, [VoxelIndex(2, 2, 0)],
+                    VoxelIndex(0, 0, 0), TaskSpec(sil, wood))
+
+
 def scores_at_least(least):
     def expect(scenario, budget, results):
         assert all(checked >= least for _, checked in results)
@@ -140,32 +152,63 @@ def spends_the_budget(scenario, budget, results):
         assert rec.terminated_by == "budget" and rec.l == budget
 
 
+def revisits_around_blocks(nan_first, nan_revisit):
+    """The trials spend the budget and revisit a voxel within one sense
+    block and a voxel first touched in an earlier block.  The NaN sample
+    at iteration ``nan_first`` falls on a voxel's first touch, a
+    degenerate first touch that leaves the voxel unexplored, and the one
+    at ``nan_revisit`` on a voxel that an earlier touch explored, so that
+    update runs the kernel on the voxel's own row."""
+    def expect(scenario, budget, results):
+        spends_the_budget(scenario, budget, results)
+        for rec, _ in results:
+            v = rec.visited
+            first = {}
+            for k, voxel in enumerate(v):
+                first.setdefault(voxel, k)
+            block = [k // SENSE_BLOCK for k in range(len(v))]
+            assert any(v[k] in v[SENSE_BLOCK * block[k]:k] for k in range(len(v)))
+            assert any(block[first[voxel]] < block[k] for k, voxel in enumerate(v))
+            assert first[v[nan_first]] == nan_first
+            assert any(v[k] == v[nan_revisit]
+                       for k in range(nan_revisit) if k != nan_first)
+    return expect
+
+
 #: case id: (scenario from the library and the bundled scenarios, budget,
-#: seeds, what the trials must show beyond agreeing with the reference).
-#: The ``blocks`` cases end one touch before, on and after a sense block.
+#: seeds, the iterations whose sample is ``NAN_SAMPLE``, what the trials
+#: must show beyond agreeing with the reference).  The ``blocks`` cases
+#: end one touch before, on and after a sense block; the ``revisits``
+#: cases revisit voxels within and across blocks, with a NaN sample on a
+#: first touch and one on a revisit.
 FIXED = {
     **{f"bundled-{i + 1}": (lambda lib, bundled, i=i: bundled[i],
-                            DEFAULT_MAX_ITERATIONS, range(10),
+                            DEFAULT_MAX_ITERATIONS, range(10), (),
                             moves_every_iteration)
        for i in range(3)},
     "tilted-volume": (lambda lib, _: tilted_scenario(lib, (5, 4, 3)), 120,
-                      range(3), reaches_every_face),
+                      range(3), (), reaches_every_face),
     **{f"line-{nx}": (lambda lib, _, nx=nx: line_scenario(lib, nx), 30,
-                      range(3), scores_at_least(9))
+                      range(3), (), scores_at_least(9))
        for nx in (1, 7)},
     **{f"blocks-{budget}": (lambda lib, _: tilted_scenario(lib, (8, 6, 3)),
-                            budget, range(3), spends_the_budget)
+                            budget, range(3), (), spends_the_budget)
        for budget in (1, SENSE_BLOCK - 1, SENSE_BLOCK, SENSE_BLOCK + 1,
                       2 * SENSE_BLOCK + 1)},
+    **{f"revisits-{name}": (make, 40, [seed], nan, revisits_around_blocks(*nan))
+       for name, make, seed, nan in (
+           ("line-6", lambda lib, _: line_scenario(lib, 6), 3, (1, 33)),
+           ("square", lambda lib, _: square_scenario(lib), 7, (2, 35)))},
 }
 
 
 @pytest.mark.parametrize("case", FIXED)
 def test_run_trial_equals_the_reference_loop_on_fixed_inputs(lib, scenarios,
                                                              case):
-    make, budget, seeds, expect = FIXED[case]
+    make, budget, seeds, nan_iterations, expect = FIXED[case]
     scenario = make(lib, scenarios)
     expect(scenario, budget, [
         check_against_reference(scenario, lib,
-                                TrialConfig(max_iterations=budget, seed=seed))
+                                TrialConfig(max_iterations=budget, seed=seed),
+                                frozenset(nan_iterations))
         for seed in seeds])

@@ -249,41 +249,69 @@ def test_builtin_scenarios_use_two_materials(lib, scenarios):
 # sensing
 
 def test_sense_delegates_to_ground_truth(toy_lib):
-    # the trial reads row [touch, ground-truth material] of the block
+    # the trial reads row [touch, the voxel's material_rows entry] of the
+    # block it senses for the scenario's materials
     scenario = minimal_scenario(toy_lib)
-    table = sense(toy_lib, NoiseSpec(0, 0), np.random.default_rng(0))
+    table = sense(toy_lib, scenario.materials, NoiseSpec(0, 0),
+                  np.random.default_rng(0))
     assert table.shape == (simulator.SENSE_BLOCK, 2, 2)
     hard = log_likelihoods(toy_lib, HapticSample(1.0, 2.0))    # exact means
     soft = log_likelihoods(toy_lib, HapticSample(10.0, 20.0))
     for k in range(simulator.SENSE_BLOCK):
-        assert np.array_equal(
-            table[k, scenario.material_at(VoxelIndex(0, 0, 0))], hard)
-        assert np.array_equal(
-            table[k, scenario.material_at(VoxelIndex(1, 0, 0))], soft)
+        assert np.array_equal(table[k, scenario.material_rows[0]], hard)
+        assert np.array_equal(table[k, scenario.material_rows[1]], soft)
 
 
 def test_sense_same_voxel_different_seeds_differ(lib, scenarios):
-    material = scenarios[0].material_at(scenarios[0].start)
-    a = sense(lib, NoiseSpec(), np.random.default_rng(1))
-    b = sense(lib, NoiseSpec(), np.random.default_rng(2))
-    assert not np.array_equal(a[:, material], b[:, material])
+    s = scenarios[0]
+    row = s.material_rows[s.grid.linear_index(s.start)]
+    a = sense(lib, s.materials, NoiseSpec(), np.random.default_rng(1))
+    b = sense(lib, s.materials, NoiseSpec(), np.random.default_rng(2))
+    assert not np.array_equal(a[:, row], b[:, row])
 
 
 @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(0.0, 2.5)])
 def test_sense_block_equals_per_touch_samples(lib, noise):
-    # row [k, m]: the log-likelihoods of the k-th per-touch sample of
-    # material m, each touch drawing from where the previous one stopped
-    rng = np.random.default_rng(5)
-    table = sense(lib, noise, rng)
-    after_block = rng.bit_generator.state
-    reference = np.random.default_rng(5)
-    for k in range(simulator.SENSE_BLOCK):
-        state = reference.bit_generator.state
-        for m in range(len(lib)):
-            reference.bit_generator.state = state
-            want = log_likelihoods(lib, synthesize_sample(lib, m, noise, reference))
-            assert np.array_equal(table[k, m], want), (k, m)
-    assert reference.bit_generator.state == after_block
+    # row [k, r]: the log-likelihoods of the k-th per-touch sample of
+    # material materials[r], each touch drawing from where the previous
+    # one stopped, whichever materials are sensed
+    for materials in (range(len(lib)), [9], [0, 4, 9], [3, 7]):
+        rng = np.random.default_rng(5)
+        table = sense(lib, list(materials), noise, rng)
+        assert table.shape == (simulator.SENSE_BLOCK, len(materials), len(lib))
+        after_block = rng.bit_generator.state
+        reference = np.random.default_rng(5)
+        for k in range(simulator.SENSE_BLOCK):
+            state = reference.bit_generator.state
+            for r, m in enumerate(materials):
+                reference.bit_generator.state = state
+                want = log_likelihoods(lib, synthesize_sample(lib, m, noise,
+                                                              reference))
+                assert np.array_equal(table[k, r], want), (k, m)
+        assert reference.bit_generator.state == after_block
+
+
+@pytest.mark.parametrize("materials", [[10], [-1], [0.0, 1.0], [], [[0, 1]],
+                                       [True, False]])
+def test_sense_rejects_what_is_not_a_library_index(lib, materials):
+    # numpy indexing would score a -1 as the library's last material
+    with pytest.raises(ValueError, match="materials must be a sequence of "
+                                         "indices into a library of 10"):
+        sense(lib, materials, NoiseSpec(), np.random.default_rng(0))
+
+
+def test_scenario_materials_are_its_distinct_ground_truth(lib, scenarios):
+    sil, wood = lib.index_of("silicone"), lib.index_of("wood")
+    s = minimal_scenario(lib)
+    assert s.materials.tolist() == [0, 1]
+    for s in scenarios:
+        assert s.materials.tolist() == sorted((sil, wood))
+        assert np.array_equal(s.materials[s.material_rows], s.ground_truth)
+        assert not (s.materials.flags.writeable
+                    or s.material_rows.flags.writeable)
+    one = Scenario("one", s.grid, np.full(s.grid.theta, 7), s.benchmark_path,
+                   s.start, s.task)
+    assert one.materials.tolist() == [7] and not one.material_rows.any()
 
 
 # ---------------------------------------------------------------------------
