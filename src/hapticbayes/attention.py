@@ -333,15 +333,98 @@ def select_target(score: np.ndarray, grid: WorkspaceGrid) -> VoxelIndex:
 
 
 # ---------------------------------------------------------------------------
-# per-trial field cache
+# saliency stencil
 
-#: Weights of the Sobel kernels: [k, a, o] is entry k (C order) of kernel
-#: a in (_KX, _KY, _KZ), repeated for each of the 27 block outputs o (a
-#: contiguous operand multiplies faster than a broadcast one).
-_SOBEL_WEIGHTS = np.repeat(
-    np.stack([k.ravel() for k in (_KX, _KY, _KZ)], axis=1)[:, :, None], 27, axis=2)
-#: Offsets (0-2 per axis) of the 27 entries of a 3x3x3 block, C order.
+#: Weights of the Sobel kernels: [k, a] is entry k (C order) of kernel a in
+#: (_KX, _KY, _KZ).
+_SOBEL_WEIGHTS = np.stack([k.ravel() for k in (_KX, _KY, _KZ)], axis=1)
+#: Offsets (0-2 per axis, z, y, x) of the 27 entries of a 3x3x3 block, C order.
 _BLOCK_OFFSETS = np.indices((3, 3, 3)).reshape(3, -1).T
+
+
+class StencilCase(NamedTuple):
+    """How the saliency block around a voxel of one border case is
+    computed, for its ``m`` outputs inside the grid, in C order.
+
+    ``reads[k, o]`` is the offset, from the window's corner in the padded
+    similarity field, of the value that Sobel kernel entry ``k`` (C order)
+    multiplies for output ``o``; ``weights[k, a, o]`` is that entry's
+    weight in kernel ``a`` of (x, y, z), repeated for each output (a
+    contiguous operand multiplies faster than a broadcast one); and
+    ``outputs[o]`` is the output's linear index minus the voxel's.
+    """
+
+    reads: np.ndarray
+    weights: np.ndarray
+    outputs: np.ndarray
+
+
+class SaliencyStencil:
+    """The :class:`StencilCase` of every border case of one grid, each
+    built on its first use; :func:`saliency_stencil` keeps one per grid.
+
+    Which outputs of the 3x3x3 block around a voxel lie inside the grid
+    depends only on the voxel's border case, per axis: interior (code 0),
+    low edge (1), high edge (2), or both on a one-voxel axis (3).  A case
+    is keyed ``cx + 4 * cy + 16 * cz``, so a grid has at most 64 cases,
+    and 9 on a plane of at least 3x3 voxels.  The cases read the trial's
+    similarity field padded by two neutral voxels per side, as a flat
+    array of ``padded_shape`` whose z and y strides are ``zstep`` and
+    ``ystep``; a voxel's corner there is ``iz * zstep + iy * ystep + ix``
+    and the voxel itself lies ``centre`` past its corner.
+    """
+
+    def __init__(self, grid: WorkspaceGrid):
+        nx, ny, nz = grid.shape
+        self.last = (nx - 1, ny - 1, nz - 1)
+        self.padded_shape = (nz + 4, ny + 4, nx + 4)
+        self.ystep = nx + 4
+        self.zstep = (ny + 4) * self.ystep
+        self.centre = 2 * (self.zstep + self.ystep + 1)
+        self._grid_steps = np.array([ny * nx, nx, 1])
+        self.cases: dict[int, StencilCase] = {}
+
+    def case(self, ix: int, iy: int, iz: int) -> StencilCase:
+        """The case of voxel ``(ix, iy, iz)``, built on first use."""
+        lx, ly, lz = self.last
+        key = ((ix == 0) + 2 * (ix == lx) + 4 * ((iy == 0) + 2 * (iy == ly))
+               + 16 * ((iz == 0) + 2 * (iz == lz)))
+        case = self.cases.get(key)
+        if case is None:
+            case = self.cases[key] = self._build(key)
+        return case
+
+    def _build(self, key: int) -> StencilCase:
+        # block entry 0 on an axis is grid index i - 1: a low edge drops
+        # it and a high edge drops entry 2
+        keep = np.ones(27, dtype=bool)
+        for offsets, shift in zip(_BLOCK_OFFSETS.T, (4, 2, 0)):
+            code = key >> shift & 3
+            if code & 1:
+                keep &= offsets != 0
+            if code & 2:
+                keep &= offsets != 2
+        kept = _BLOCK_OFFSETS[keep]
+        reads = ((_BLOCK_OFFSETS[:, None, :] + kept[None, :, :])
+                 @ np.array([self.zstep, self.ystep, 1]))
+        weights = np.repeat(_SOBEL_WEIGHTS[:, :, None], len(kept), axis=2)
+        outputs = (kept - 1) @ self._grid_steps
+        for array in (reads, weights, outputs):
+            array.setflags(write=False)
+        return StencilCase(reads, weights, outputs)
+
+
+def saliency_stencil(grid: WorkspaceGrid) -> SaliencyStencil:
+    """The :class:`SaliencyStencil` of ``grid``, built on first use and
+    kept on the grid as derived state, as :func:`inhibition_table` is."""
+    stencil = vars(grid).get("_saliency_stencil")
+    if stencil is None:
+        stencil = vars(grid)["_saliency_stencil"] = SaliencyStencil(grid)
+    return stencil
+
+
+# ---------------------------------------------------------------------------
+# per-trial field cache
 
 
 class AttentionFields:
@@ -357,6 +440,9 @@ class AttentionFields:
     block around it, so :meth:`touch` recomputes just those entries, with
     the arithmetic of :func:`uncertainty_field`, :func:`omega_field` and
     :func:`saliency_field`; every array stays equal to a full recompute.
+    Of the saliency block, :meth:`touch` computes and writes only the
+    outputs inside the grid, through the grid's :class:`SaliencyStencil`
+    (9 cases of at most 9 outputs on a bundled 30x60x1 plane).
     :meth:`row_values` is the one helper for a voxel's own entries: the
     loop calls it once per sense block on every first-touch outcome of
     the block, and :meth:`touch` calls it on a revisited voxel's row.
@@ -372,20 +458,11 @@ class AttentionFields:
             np.full(theta, value) for value in self.row_values(uniform, False))
         self.saliency = np.zeros(theta)
         self.f_saliency = np.full(theta, beta_pdf(SALIENCY_FACTOR, 0.0))
-        shape = (grid.nz, grid.ny, grid.nx)
-        self._saliency3 = self.saliency.reshape(shape)
-        self._f_saliency3 = self.f_saliency.reshape(shape)
+        self._stencil = saliency_stencil(grid)
         # similarity with a border of two neutral voxels, flattened: the
         # 5x5x5 window that the block around any voxel reads lies inside.
         # No voxel is explored yet, so every similarity is neutral too
-        self._padded = np.full((grid.nz + 4, grid.ny + 4, grid.nx + 4),
-                               OMEGA_NEUTRAL).ravel()
-        self._ystep = grid.nx + 4
-        self._zstep = (grid.ny + 4) * self._ystep
-        # reads[k, o]: offset from the window's corner of the value that
-        # kernel entry k multiplies for block output o
-        self._reads = ((_BLOCK_OFFSETS[:, None, :] + _BLOCK_OFFSETS[None, :, :])
-                       @ np.array([self._zstep, self._ystep, 1]))
+        self._padded = np.full(self._stencil.padded_shape, OMEGA_NEUTRAL).ravel()
 
     def row_values(self, probs: np.ndarray, explored):
         """Uncertainty, its density and similarity of posterior rows
@@ -420,28 +497,21 @@ class AttentionFields:
         if values is None:
             values = self.row_values(posteriors.probs[j],
                                      posteriors.k_counts[j] > 0)
-        grid = self.grid
         self.uncertainty[j], self.f_uncertainty[j], self.omega[j] = values
 
-        ix, iy, iz = grid.voxel_of_linear(j)
-        corner = iz * self._zstep + iy * self._ystep + ix
-        self._padded[corner + 2 * (self._zstep + self._ystep + 1)] = self.omega[j]
-        # Sobel responses of the block around j; the window's corner is
-        # padded voxel (iz, iy, ix).  ndimage's correlate adds a kernel's
-        # products in the kernel's C order, skipping zero weights.  The sum
-        # over the leading axis k adds the rows one after another, in that
-        # order.  A zero weight adds +0.0, which can change a sum only in
-        # the sign of a zero, and saliency takes absolute values.
-        window = self._padded[self._reads + corner]
-        block = _saliency((_SOBEL_WEIGHTS * window[:, None, :]).sum(axis=0))
-        block = block.reshape(3, 3, 3)
-        # keep the outputs inside the grid: block entry 0 on an axis is
-        # grid index i - 1
-        inside, cut = [], []
-        for i, n in ((iz, grid.nz), (iy, grid.ny), (ix, grid.nx)):
-            lo, hi = max(i - 1, 0), min(i + 2, n)
-            inside.append(slice(lo, hi))
-            cut.append(slice(lo - i + 1, hi - i + 1))
-        block = block[tuple(cut)]
-        self._saliency3[tuple(inside)] = block
-        self._f_saliency3[tuple(inside)] = beta_pdf(SALIENCY_FACTOR, block)
+        ix, iy, iz = self.grid.voxel_of_linear(j)
+        stencil = self._stencil
+        corner = iz * stencil.zstep + iy * stencil.ystep + ix
+        self._padded[corner + stencil.centre] = self.omega[j]
+        # Sobel responses of the block's outputs inside the grid.  ndimage's
+        # correlate adds a kernel's products in the kernel's C order,
+        # skipping zero weights.  The sum over the leading axis k adds the
+        # rows one after another, in that order, for any number of outputs.
+        # A zero weight adds +0.0, which can change a sum only in the sign
+        # of a zero, and saliency takes absolute values.
+        reads, weights, outputs = stencil.case(ix, iy, iz)
+        window = self._padded[reads + corner]
+        block = _saliency(np.add.reduce(weights * window[:, None, :], 0))
+        outputs = outputs + j
+        self.saliency[outputs] = block
+        self.f_saliency[outputs] = beta_pdf(SALIENCY_FACTOR, block)

@@ -78,7 +78,10 @@ class Scenario:
         gt = np.asarray(self.ground_truth)
         if gt.shape != (self.grid.theta,):
             raise ValueError("ground truth must cover every voxel")
-        if gt.dtype.kind not in "biu":
+        if gt.dtype.kind == "b":
+            raise ValueError("ground_truth must hold integer material "
+                             "indices, got a bool array")
+        if gt.dtype.kind not in "iu":
             # a cast to int would truncate 0.6 to material 0 silently
             whole = (np.isfinite(gt) & (gt == np.round(gt))
                      if gt.dtype.kind == "f" else np.zeros(gt.shape, dtype=bool))
@@ -153,8 +156,10 @@ TERMINATIONS = ("loop_closure", "budget")
 class TrialRecord:
     """Outcome of one trial: the executed path and its divergence.
 
-    A record with an empty ``visited`` path or a ``terminated_by`` outside
-    ``TERMINATIONS`` raises ``ValueError`` naming the field.
+    A record with an empty ``visited`` path, a ``terminated_by`` outside
+    ``TERMINATIONS``, a ``gamma`` that is not a finite real >= 0, or a
+    ``seed``, ``degenerate_events`` or ``revisit_count`` that is not an
+    integer >= 0 raises ``ValueError`` naming the field.
     """
 
     visited: tuple
@@ -173,6 +178,12 @@ class TrialRecord:
         if self.terminated_by not in TERMINATIONS:
             raise ValueError(f"terminated_by must be one of {TERMINATIONS}, "
                              f"got {self.terminated_by!r}")
+        if (isinstance(self.gamma, bool) or not isinstance(self.gamma, numbers.Real)
+                or not 0.0 <= self.gamma < math.inf):
+            raise ValueError(f"gamma must be a finite real >= 0, got {self.gamma!r}")
+        _check_integer("seed", self.seed, 0)
+        _check_integer("degenerate_events", self.degenerate_events, 0)
+        _check_integer("revisit_count", self.revisit_count, 0)
         object.__setattr__(self, "l", len(self.visited))
         object.__setattr__(self, "gamma_per_l", self.gamma / self.l)
 

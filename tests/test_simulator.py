@@ -461,6 +461,29 @@ def test_trial_record_rejects_what_it_cannot_score():
         TrialRecord([VoxelIndex(0, 0, 0)], 0.0, 0, "timeout")
     for cause in ("loop_closure", "budget"):
         assert TrialRecord([VoxelIndex(0, 0, 0)], 0.0, 0, cause).l == 1
+    record = TrialRecord([VoxelIndex(0, 0, 0)], np.float64(0.25), np.int64(3),
+                         "budget", np.int64(0), 0)
+    assert record.gamma_per_l == 0.25
+
+
+@pytest.mark.parametrize("field, args, kwargs", [
+    ("gamma", (math.nan, 0), {}),
+    ("gamma", (math.inf, 0), {}),
+    ("gamma", (-0.5, 0), {}),
+    ("gamma", ("0.5", 0), {}),
+    ("gamma", (True, 0), {}),
+    ("seed", (0.0, -1), {}),
+    ("seed", (0.0, 1.5), {}),
+    ("degenerate_events", (0.0, 0), {"degenerate_events": -1}),
+    ("revisit_count", (0.0, 0), {"revisit_count": -2}),
+    ("revisit_count", (0.0, 0), {"revisit_count": True}),
+])
+def test_trial_record_rejects_a_value_it_cannot_score(field, args, kwargs):
+    # each used to be stored as given: a NaN gamma made gamma_per_l NaN,
+    # which then poisoned ExperimentReport.aggregates
+    gamma, seed = args
+    with pytest.raises(ValueError, match=rf"^{field} must be "):
+        TrialRecord([VoxelIndex(0, 0, 0)], gamma, seed, "budget", **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +694,10 @@ def test_scenario_rejects_non_integer_ground_truth(scenarios):
         scenario_of(gt)
     with pytest.raises(ValueError, match=r"voxel \(0, 0, 0\) is 1, not"):
         scenario_of(np.full(s.grid.theta, "1"))
+    # a bool array used to pass as materials 0 and 1
+    with pytest.raises(ValueError, match=r"^ground_truth must hold integer "
+                                         r"material indices, got a bool array$"):
+        scenario_of(s.ground_truth.astype(bool))
     for gt in (s.ground_truth.astype(float), s.ground_truth.astype(np.uint8)):
         loaded = scenario_of(gt).ground_truth
         assert loaded.dtype == int and np.array_equal(loaded, s.ground_truth)
