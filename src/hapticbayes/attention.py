@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import VoxelIndex, WorkspaceGrid
 from .perception import PosteriorGrid, _normalized_entropies
@@ -214,24 +213,36 @@ def omega_field(posteriors: PosteriorGrid, task: TaskSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # saliency
 
-def _sobel_kernels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    deriv = np.array([-1.0, 0.0, 1.0])
-    smooth = np.array([1.0, 2.0, 1.0])
-    # field arrays are reshaped to (nz, ny, nx): x is the last axis
-    kx = smooth[:, None, None] * smooth[None, :, None] * deriv[None, None, :]
-    ky = smooth[:, None, None] * deriv[None, :, None] * smooth[None, None, :]
-    kz = deriv[:, None, None] * smooth[None, :, None] * smooth[None, None, :]
-    return kx, ky, kz
+#: Offsets (0-2 per axis, z, y, x) of the 27 entries of a 3x3x3 block, C order.
+_BLOCK_OFFSETS = np.indices((3, 3, 3)).reshape(3, -1).T
+_DERIVATIVE = np.array([-1.0, 0.0, 1.0])
+_SMOOTHING = np.array([1.0, 2.0, 1.0])
+#: Weights of the Sobel kernels: [k, a] is the weight of block entry k in
+#: the kernel of axis a of (x, y, z), the derivative along that axis times
+#: the smoothing along the other two.
+_SOBEL_WEIGHTS = np.array([[sz * sy * dx, sz * dy * sx, dz * sy * sx]
+                           for (dz, dy, dx), (sz, sy, sx)
+                           in zip(_DERIVATIVE[_BLOCK_OFFSETS],
+                                  _SMOOTHING[_BLOCK_OFFSETS])])
 
 
-_KX, _KY, _KZ = _sobel_kernels()
-
-
-def _sobel_responses(f: np.ndarray):
+def _sobel_responses(f: np.ndarray) -> np.ndarray:
     """Raw volumetric Sobel responses (s_x, s_y, s_z) of a ``(nz, ny, nx)``
-    similarity block; values outside the block count as neutral 0.5."""
-    return tuple(ndimage.correlate(f, k, mode="constant", cval=OMEGA_NEUTRAL)
-                 for k in (_KX, _KY, _KZ))
+    similarity block, stacked on the leading axis; values outside the block
+    count as neutral 0.5.
+
+    Each response adds the products of the 27 block entries in C order,
+    zero weights included, as :meth:`AttentionFields.touch` does; a zero
+    weight adds +0.0, which changes a sum at most in the sign of a zero,
+    and saliency takes absolute values."""
+    nz, ny, nx = f.shape
+    padded = np.full((nz + 2, ny + 2, nx + 2), OMEGA_NEUTRAL)
+    padded[1:-1, 1:-1, 1:-1] = f
+    responses = np.zeros((3, nz, ny, nx))
+    for (z, y, x), weights in zip(_BLOCK_OFFSETS.tolist(),
+                                  _SOBEL_WEIGHTS[:, :, None, None, None]):
+        responses += weights * padded[z:z + nz, y:y + ny, x:x + nx]
+    return responses
 
 
 def _saliency(responses) -> np.ndarray:
@@ -334,13 +345,6 @@ def select_target(score: np.ndarray, grid: WorkspaceGrid) -> VoxelIndex:
 
 # ---------------------------------------------------------------------------
 # saliency stencil
-
-#: Weights of the Sobel kernels: [k, a] is entry k (C order) of kernel a in
-#: (_KX, _KY, _KZ).
-_SOBEL_WEIGHTS = np.stack([k.ravel() for k in (_KX, _KY, _KZ)], axis=1)
-#: Offsets (0-2 per axis, z, y, x) of the 27 entries of a 3x3x3 block, C order.
-_BLOCK_OFFSETS = np.indices((3, 3, 3)).reshape(3, -1).T
-
 
 class StencilCase(NamedTuple):
     """How the saliency block around a voxel of one border case is
@@ -503,12 +507,10 @@ class AttentionFields:
         stencil = self._stencil
         corner = iz * stencil.zstep + iy * stencil.ystep + ix
         self._padded[corner + stencil.centre] = self.omega[j]
-        # Sobel responses of the block's outputs inside the grid.  ndimage's
-        # correlate adds a kernel's products in the kernel's C order,
-        # skipping zero weights.  The sum over the leading axis k adds the
-        # rows one after another, in that order, for any number of outputs.
-        # A zero weight adds +0.0, which can change a sum only in the sign
-        # of a zero, and saliency takes absolute values.
+        # Sobel responses of the block's outputs inside the grid, adding the
+        # products in the order of _sobel_responses: the sum over the
+        # leading axis k adds the rows one after another, in C order, for
+        # any number of outputs.
         reads, weights, outputs = stencil.case(ix, iy, iz)
         window = self._padded[reads + corner]
         block = _saliency(np.add.reduce(weights * window[:, None, :], 0))

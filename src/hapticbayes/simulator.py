@@ -10,6 +10,7 @@ out, then scores the executed path against the benchmark.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import re
@@ -18,7 +19,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import ndimage
 
 from .attention import (
     AttentionFields,
@@ -81,15 +81,20 @@ class Scenario:
         if gt.dtype.kind == "b":
             raise ValueError("ground_truth must hold integer material "
                              "indices, got a bool array")
-        if gt.dtype.kind not in "iu":
-            # a cast to int would truncate 0.6 to material 0 silently
+        # a cast to int would truncate 0.6 to material 0 silently, and wrap
+        # a value outside int64, such as 2**63 or 1e300, to another material
+        if gt.dtype.kind == "f":
             whole = (np.isfinite(gt) & (gt == np.round(gt))
-                     if gt.dtype.kind == "f" else np.zeros(gt.shape, dtype=bool))
-            if not whole.all():
-                j = int(np.argmin(whole))
-                v = tuple(self.grid.voxel_of_linear(j))
-                raise ValueError(f"ground_truth at voxel {v} is {gt[j]}, "
-                                 f"not an integer material index")
+                     & (gt >= -2.0 ** 63) & (gt < 2.0 ** 63))
+        elif gt.dtype.kind == "u":
+            whole = gt <= np.iinfo(np.int64).max
+        else:
+            whole = np.full(gt.shape, gt.dtype.kind == "i")
+        if not whole.all():
+            j = int(np.argmin(whole))
+            v = tuple(self.grid.voxel_of_linear(j))
+            raise ValueError(f"ground_truth at voxel {v} is {gt[j]}, not an "
+                             f"integer material index in the int64 range")
         object.__setattr__(self, "ground_truth", np.asarray(gt, dtype=int))
         materials, rows = np.unique(self.ground_truth, return_inverse=True)
         for name, derived in (("materials", materials), ("material_rows", rows)):
@@ -193,20 +198,37 @@ class TrialRecord:
 
 _SECTION_RE = re.compile(r"^([A-Za-z_]+):\s*(.*)$")
 _SECTIONS = {"name", "grid", "task", "symbols", "start", "path", "raster"}
+#: Raster symbols of a saved scenario's materials, in order: "A" and the
+#: characters after it, up to chr(0x85), the first that ``strip`` removes.
+_SYMBOLS = "".join(itertools.takewhile(str.strip,
+                                        map(chr, itertools.count(ord("A")))))
 
 
 def save_scenario(scenario: Scenario, lib: MaterialLibrary,
                   destination: Union[str, Path]) -> Path:
     """Write a scenario to its plain-text file format (see module docs).
 
-    Raises ``ValueError`` if the task or the ground truth names a
-    material outside ``lib``."""
+    Raises ``ValueError``, before anything is written, if the task or the
+    ground truth names a material outside ``lib``, if it uses more
+    materials than there are raster symbols, or if a material name it
+    writes would not read back: an empty name, one with surrounding
+    whitespace, or one holding a comma or a line break."""
     _check_materials(scenario, len(lib))
     grid = scenario.grid
     b = grid.bounds
     names = lib.names
     used = sorted(set(int(m) for m in scenario.ground_truth))
-    symbols = {m: chr(ord("A") + i) for i, m in enumerate(used)}
+    if len(used) > len(_SYMBOLS):
+        raise ValueError(f"scenario uses {len(used)} materials, but a scenario "
+                         f"file has symbols for {len(_SYMBOLS)}")
+    for m in (scenario.task.material_a, scenario.task.material_b, *used):
+        name = names[m]
+        if name.splitlines() != [name] or name != name.strip() or "," in name:
+            raise ValueError(f"material name {name!r} cannot be saved: a "
+                             f"scenario file needs names that are not empty "
+                             f"and hold no surrounding whitespace, comma or "
+                             f"line break")
+    symbols = dict(zip(used, _SYMBOLS))
     lines = [
         f"name: {scenario.name}",
         f"grid: {b.x_lo:g} {b.x_hi:g} {b.y_lo:g} {b.y_hi:g} {b.z_lo:g} {b.z_hi:g} {b.epsilon:g}",
@@ -355,8 +377,11 @@ def _boundary_voxels(grid: WorkspaceGrid, gt: np.ndarray) -> list[VoxelIndex]:
     """All voxels with at least one 26-neighbor of a different material,
     in linear-index order."""
     g = gt.reshape(grid.nz, grid.ny, grid.nx)
-    edge = (ndimage.maximum_filter(g, size=3, mode="nearest")
-            != ndimage.minimum_filter(g, size=3, mode="nearest"))
+    # edge padding only repeats in-grid neighbours
+    padded = np.pad(g, 1, mode="edge")
+    edge = np.zeros(g.shape, dtype=bool)
+    for z, y, x in itertools.product(range(3), repeat=3):
+        edge |= padded[z:z + grid.nz, y:y + grid.ny, x:x + grid.nx] != g
     iz, iy, ix = np.nonzero(edge)
     return [VoxelIndex(int(x), int(y), int(z)) for x, y, z in zip(ix, iy, iz)]
 

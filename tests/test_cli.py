@@ -140,3 +140,37 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "confusion.csv").exists()
+
+
+#: Runs every subcommand through ``cli.main`` in a fresh interpreter whose
+#: import system refuses scipy, then prints the scipy modules loaded.
+WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+import hapticbayes
+from hapticbayes.cli import main
+
+out = sys.argv[1]
+for args in (["gen-scenarios"], ["classify", "--trials", "20"],
+             ["sweep-noise", "--trials", "20"],
+             ["explore", "--scenario", f"{out}/scenario-1.txt", "--trials", "2"],
+             ["dump-maps", "--scenario", f"{out}/scenario-3.txt"]):
+    code = main(args + ["--out", out])
+    if code:
+        sys.exit(f"{args[0]} exited {code}")
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_the_runtime_runs_without_scipy(tmp_path):
+    result = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "trial.json").exists()

@@ -118,7 +118,7 @@ def test_stencil_is_built_once_per_grid_and_reused_by_every_trial(monkeypatch):
 
 @pytest.mark.parametrize("width", range(1, 28))
 def test_axis_0_sum_adds_the_rows_in_order(width):
-    # the stencil's bit-identity with ndimage's correlate rests on this:
+    # the stencil's bit-identity with _sobel_responses rests on this:
     # numpy reduces the leading axis of a C-contiguous (27, 3, m) product
     # one row after another, for any number m of in-grid outputs
     rng = np.random.default_rng(width)

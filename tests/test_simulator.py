@@ -9,6 +9,8 @@ import pytest
 
 from hapticbayes import (
     HapticSample,
+    MaterialLibrary,
+    MaterialParams,
     NoiseSpec,
     Scenario,
     ScenarioLoadError,
@@ -207,7 +209,8 @@ def bruteforce_boundary(grid, gt):
     return out
 
 
-@pytest.mark.parametrize("shape", [(5, 4, 3), (1, 1, 1), (7, 1, 1), (3, 3, 3)],
+@pytest.mark.parametrize("shape", [(5, 4, 3), (1, 1, 1), (7, 1, 1), (3, 3, 3),
+                                   (4, 1, 3), (4, 3, 1)],
                          ids=lambda s: "x".join(map(str, s)))
 def test_boundary_voxels_match_bruteforce(shape):
     eps = 0.01
@@ -701,6 +704,75 @@ def test_scenario_rejects_non_integer_ground_truth(scenarios):
     for gt in (s.ground_truth.astype(float), s.ground_truth.astype(np.uint8)):
         loaded = scenario_of(gt).ground_truth
         assert loaded.dtype == int and np.array_equal(loaded, s.ground_truth)
+
+
+@pytest.mark.parametrize("value", [np.uint64(2**63), 2.0**63, 1e300, -1e300])
+def test_scenario_rejects_ground_truth_outside_int64(scenarios, value):
+    # these used to build as material -9223372036854775808 (1e300 with only
+    # a RuntimeWarning), which run_trial then reported as the voxel's material
+    s = scenarios[0]
+
+    def scenario_with(value):
+        gt = s.ground_truth.astype(np.asarray(value).dtype)
+        gt[61] = value
+        return Scenario(s.name, s.grid, gt, s.benchmark_path, s.start, s.task)
+
+    with pytest.raises(ValueError, match=r"ground_truth at voxel \(1, 2, 0\) is "
+                                         + re.escape(str(value)) + r", not an "
+                                         r"integer material index in the int64 "
+                                         r"range$"):
+        scenario_with(value)
+    # the ends of int64 still build; run_trial rejects them against a library
+    for end in (np.uint64(2**63 - 1), -2.0**63):
+        assert scenario_with(end).ground_truth[61] == int(end)
+
+
+def library_of(names):
+    return MaterialLibrary([MaterialParams(name, 1.0 + i, 0.1, 2.0 + i, 0.1)
+                            for i, name in enumerate(names)])
+
+
+def line_scenario(n_voxels, gt, task=TaskSpec(0, 1)):
+    grid = make_grid(WorkspaceBounds(0, n_voxels * 0.01, 0, 0.01, 0, 0.01, 0.01))
+    return Scenario("line", grid, np.asarray(gt), [VoxelIndex(0, 0, 0)],
+                    VoxelIndex(0, 0, 0), task)
+
+
+@pytest.mark.parametrize("name", ["soft, wet", " pad", "pad ", "", "a\x85b",
+                                  "a\nb", "pad\r", "a\u2028b", "a\x0cb"])
+@pytest.mark.parametrize("where", ["task", "ground truth"])
+def test_save_rejects_a_material_name_the_file_cannot_carry(tmp_path, name,
+                                                            where):
+    # each used to be written, and then failed to load with "task needs two
+    # material names", "unknown material name" or a bad section
+    lib = library_of(["hard", "soft", name])
+    scenario = (line_scenario(2, [0, 1], TaskSpec(0, 2)) if where == "task"
+                else line_scenario(3, [0, 1, 2]))
+    with pytest.raises(ValueError, match=f"^material name {re.escape(repr(name))} "
+                                         f"cannot be saved"):
+        save_scenario(scenario, lib, tmp_path / "bad.txt")
+    assert not (tmp_path / "bad.txt").exists()
+
+
+def test_save_writes_names_the_file_can_carry_and_skips_unused_ones(tmp_path):
+    lib = library_of(["soft silicone", "a=b", "#wood", " unused, name\n"])
+    scenario = line_scenario(3, [0, 1, 2], TaskSpec(2, 0))
+    loaded = load_scenario(save_scenario(scenario, lib, tmp_path / "s.txt"), lib)
+    assert np.array_equal(loaded.ground_truth, scenario.ground_truth)
+    assert loaded.task == scenario.task
+
+
+def test_save_rejects_more_materials_than_raster_symbols(tmp_path):
+    # the 69th symbol used to be chr(0x85), which strip() removes, so the
+    # file failed to load with "bad symbol entry"
+    lib = library_of([f"m{i}" for i in range(69)])
+    scenario = line_scenario(68, range(68))
+    loaded = load_scenario(save_scenario(scenario, lib, tmp_path / "s.txt"), lib)
+    assert np.array_equal(loaded.ground_truth, scenario.ground_truth)
+    with pytest.raises(ValueError, match="^scenario uses 69 materials, but a "
+                                         "scenario file has symbols for 68$"):
+        save_scenario(line_scenario(69, range(69)), lib, tmp_path / "bad.txt")
+    assert not (tmp_path / "bad.txt").exists()
 
 
 def test_run_trial_rejects_task_material_outside_library(lib, scenarios):
