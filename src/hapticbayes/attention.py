@@ -7,6 +7,7 @@ order, with every value in [0, 1].
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -224,6 +225,12 @@ _SOBEL_WEIGHTS = np.array([[sz * sy * dx, sz * dy * sx, dz * sy * sx]
                            for (dz, dy, dx), (sz, sy, sx)
                            in zip(_DERIVATIVE[_BLOCK_OFFSETS],
                                   _SMOOTHING[_BLOCK_OFFSETS])])
+#: The non-zero terms of each axis kernel, in C order of the block: per
+#: axis of (x, y, z), ``(z, y, x, weight)`` with weight +-1, +-2 or +-4.
+_SOBEL_TERMS = tuple(tuple((*offset, w) for offset, w
+                           in zip(_BLOCK_OFFSETS.tolist(), weights.tolist())
+                           if w != 0.0)
+                     for weights in _SOBEL_WEIGHTS.T)
 
 
 def _sobel_responses(f: np.ndarray) -> np.ndarray:
@@ -231,17 +238,24 @@ def _sobel_responses(f: np.ndarray) -> np.ndarray:
     similarity block, stacked on the leading axis; values outside the block
     count as neutral 0.5.
 
-    Each response adds the products of the 27 block entries in C order,
-    zero weights included, as :meth:`AttentionFields.touch` does; a zero
-    weight adds +0.0, which changes a sum at most in the sign of a zero,
-    and saliency takes absolute values."""
+    Each response adds the non-zero products of the 27 block entries to
+    zero in C order.  A product by 1, 2 or 4 is exact, so the block is
+    scaled once per weight magnitude and each term adds or subtracts a
+    view of it.  :meth:`AttentionFields.touch` adds the zero-weight
+    products too; a zero weight adds +0.0, which changes a sum at most in
+    the sign of a zero, and saliency takes absolute values."""
     nz, ny, nx = f.shape
     padded = np.full((nz + 2, ny + 2, nx + 2), OMEGA_NEUTRAL)
     padded[1:-1, 1:-1, 1:-1] = f
+    scaled = {1.0: padded, 2.0: 2.0 * padded, 4.0: 4.0 * padded}
     responses = np.zeros((3, nz, ny, nx))
-    for (z, y, x), weights in zip(_BLOCK_OFFSETS.tolist(),
-                                  _SOBEL_WEIGHTS[:, :, None, None, None]):
-        responses += weights * padded[z:z + nz, y:y + ny, x:x + nx]
+    for response, terms in zip(responses, _SOBEL_TERMS):
+        for z, y, x, w in terms:
+            view = scaled[abs(w)][z:z + nz, y:y + ny, x:x + nx]
+            if w > 0.0:
+                response += view
+            else:
+                response -= view
     return responses
 
 
@@ -270,6 +284,13 @@ def saliency_field(grid: WorkspaceGrid, omega: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # evidence factors and target selection
 
+@functools.lru_cache(maxsize=64)
+def _log_beta(a, b) -> float:
+    """The log of the Beta function at ``(a, b)``, the normaliser of
+    :func:`beta_pdf`, computed once per factor."""
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
 def beta_pdf(factor: BetaFactor, x):
     """Beta density with shape ``factor`` at ``x``, a float for a scalar
     ``x`` and an array otherwise.  The argument is clamped to
@@ -280,7 +301,7 @@ def beta_pdf(factor: BetaFactor, x):
     # signed zero survives, and both pass NaN through
     xs = np.minimum(np.maximum(np.asarray(x, dtype=float), BETA_CLAMP),
                     1.0 - BETA_CLAMP)
-    log_b = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    log_b = _log_beta(a, b)
     # the log-density is (a-1) log x + (b-1) log(1-x).  A term whose
     # exponent is 0 is +-0, and the other term is finite and non-zero on
     # the clamped range, so the sum is that other term: the +-0 is skipped
@@ -430,6 +451,26 @@ def saliency_stencil(grid: WorkspaceGrid) -> SaliencyStencil:
 # ---------------------------------------------------------------------------
 # per-trial field cache
 
+@functools.lru_cache(maxsize=64)
+def _start_values(task: TaskSpec, n_materials: int) -> tuple:
+    """The uncertainty, its density and the similarity of a uniform
+    posterior row over ``n_materials``, by :meth:`AttentionFields.row_values`,
+    and the saliency density of zero saliency: every voxel's value at the
+    start of a trial, computed once per task and library size."""
+    uniform = np.full(n_materials, 1.0 / n_materials)
+    return tuple(map(float, (*_row_values(task, uniform, False),
+                             beta_pdf(SALIENCY_FACTOR, 0.0))))
+
+
+def _row_values(task: TaskSpec, probs: np.ndarray, explored):
+    """:meth:`AttentionFields.row_values` for ``task``."""
+    # the entropy of a uniform row can round above 1
+    uncertainty = _normalized_entropies(probs).clip(0.0, 1.0)
+    omega = np.where(explored, (1.0 - (probs[..., task.material_b]
+                                       - probs[..., task.material_a])) / 2.0,
+                     OMEGA_NEUTRAL)
+    return uncertainty, beta_pdf(UNCERTAINTY_FACTOR, uncertainty), omega
+
 
 class AttentionFields:
     """The uncertainty, similarity and saliency fields of one trial, with
@@ -438,10 +479,11 @@ class AttentionFields:
     A trial starts with every voxel at the uniform prior over
     ``n_materials``, so the start fields are constant: the uncertainty,
     its density and the similarity of one uniform row, computed by
-    :meth:`row_values`, and zero saliency (a constant similarity field
-    has none).  A posterior update at voxel ``j`` changes the uncertainty
-    and similarity of ``j`` alone, and the saliency only in the 3x3x3
-    block around it, so :meth:`touch` recomputes just those entries, with
+    :meth:`row_values` once per task and library size, and zero saliency
+    (a constant similarity field has none).  A posterior update at voxel
+    ``j`` changes the uncertainty and similarity of ``j`` alone, and the
+    saliency only in the 3x3x3 block around it, so :meth:`touch`
+    recomputes just those entries, with
     the arithmetic of :func:`uncertainty_field`, :func:`omega_field` and
     :func:`saliency_field`; every array stays equal to a full recompute.
     Of the saliency block, :meth:`touch` computes and writes only the
@@ -457,11 +499,13 @@ class AttentionFields:
         self.grid = grid
         self.task = task
         theta = grid.theta
-        uniform = np.full(n_materials, 1.0 / n_materials)
-        self.uncertainty, self.f_uncertainty, self.omega = (
-            np.full(theta, value) for value in self.row_values(uniform, False))
+        uncertainty, f_uncertainty, omega, f_saliency = _start_values(
+            task, n_materials)
+        self.uncertainty = np.full(theta, uncertainty)
+        self.f_uncertainty = np.full(theta, f_uncertainty)
+        self.omega = np.full(theta, omega)
         self.saliency = np.zeros(theta)
-        self.f_saliency = np.full(theta, beta_pdf(SALIENCY_FACTOR, 0.0))
+        self.f_saliency = np.full(theta, f_saliency)
         self._stencil = saliency_stencil(grid)
         # similarity with a border of two neutral voxels, flattened: the
         # 5x5x5 window that the block around any voxel reads lies inside.
@@ -482,13 +526,7 @@ class AttentionFields:
         [0, 1], ``p_b - p_a`` lies in [-1, 1], as each step rounds
         monotonically to representable bounds, so the similarity lies in
         [0, 1]."""
-        task = self.task
-        # the entropy of a uniform row can round above 1
-        uncertainty = _normalized_entropies(probs).clip(0.0, 1.0)
-        omega = np.where(explored, (1.0 - (probs[..., task.material_b]
-                                           - probs[..., task.material_a])) / 2.0,
-                         OMEGA_NEUTRAL)
-        return uncertainty, beta_pdf(UNCERTAINTY_FACTOR, uncertainty), omega
+        return _row_values(self.task, probs, explored)
 
     def touch(self, posteriors: PosteriorGrid, j: int, values=None) -> None:
         """Refresh every entry that depends on voxel ``j``'s posterior.
@@ -497,20 +535,29 @@ class AttentionFields:
         and its similarity, already computed by :meth:`row_values` from
         the voxel's new posterior row (the loop computes a first touch's
         with its sense block); otherwise they are computed here from
-        ``posteriors``."""
+        ``posteriors``.  A ``j`` that is not an integer in ``[0, theta)``
+        (numpy integers are, ``bool`` is not) raises ``ValueError`` naming
+        it, before any entry changes."""
+        grid = self.grid
+        if (isinstance(j, bool) or not isinstance(j, (int, np.integer))
+                or not 0 <= j < grid.theta):
+            raise ValueError(f"j must be a linear index, an integer in "
+                             f"[0, {grid.theta}), got {j!r}")
+        j = int(j)
         if values is None:
             values = self.row_values(posteriors.probs[j],
                                      posteriors.k_counts[j] > 0)
         self.uncertainty[j], self.f_uncertainty[j], self.omega[j] = values
 
-        ix, iy, iz = self.grid.voxel_of_linear(j)
+        nx = grid.nx
+        ix, iy, iz = j % nx, j // nx % grid.ny, j // (nx * grid.ny)
         stencil = self._stencil
         corner = iz * stencil.zstep + iy * stencil.ystep + ix
         self._padded[corner + stencil.centre] = self.omega[j]
         # Sobel responses of the block's outputs inside the grid, adding the
-        # products in the order of _sobel_responses: the sum over the
-        # leading axis k adds the rows one after another, in C order, for
-        # any number of outputs.
+        # products in the C order of _sobel_responses, zero weights
+        # included: the sum over the leading axis k adds the rows one after
+        # another, for any number of outputs.
         reads, weights, outputs = stencil.case(ix, iy, iz)
         window = self._padded[reads + corner]
         block = _saliency(np.add.reduce(weights * window[:, None, :], 0))

@@ -24,7 +24,6 @@ from .attention import (
     AttentionFields,
     AttentionState,
     TaskSpec,
-    select_target,
     target_score,
 )
 # Not called here.  benchmarks/tracing.py times layers by wrapping these
@@ -32,7 +31,7 @@ from .attention import (
 # benchmarks/test_benchmark.py::originals reads every one of them with
 # vars(owner)[attr], which raises KeyError if one is gone.
 from .attention import (inhibition_field, omega_field, saliency_field,
-                        target_posterior, uncertainty_field)
+                        select_target, target_posterior, uncertainty_field)
 from .grid import GridConfigError, VoxelIndex, WorkspaceBounds, WorkspaceGrid, make_grid
 from .materials import MaterialLibrary, NoiseSpec, _samples_of_draws
 from .perception import PosteriorGrid, log_likelihoods
@@ -52,10 +51,12 @@ class ScenarioLoadError(ValueError):
 class Scenario:
     """A fully specified exploration problem.
 
-    Three read-only arrays are derived once when the scenario is made:
+    Four read-only arrays are derived once when the scenario is made:
     ``benchmark_points``, the benchmark path as a ``(B, 3)`` float array
-    of voxel indices, which every trial's :func:`gamma_metric` scores
-    against; ``materials``, the sorted distinct ground-truth material
+    of voxel indices, which every trial's divergence is scored against;
+    ``benchmark_mask``, a ``(theta,)`` bool array that marks the voxels
+    on the benchmark path by linear index, which a trial's loop closure
+    reads; ``materials``, the sorted distinct ground-truth material
     indices, the only materials a trial's sense blocks score; and
     ``material_rows``, each voxel's row in ``materials``, so that
     ``materials[material_rows] == ground_truth``.  A
@@ -71,6 +72,7 @@ class Scenario:
     start: VoxelIndex
     task: TaskSpec
     benchmark_points: np.ndarray = field(init=False, repr=False, compare=False)
+    benchmark_mask: np.ndarray = field(init=False, repr=False, compare=False)
     materials: np.ndarray = field(init=False, repr=False, compare=False)
     material_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -106,9 +108,14 @@ class Scenario:
         object.__setattr__(self, "start", self._voxel("start", self.start))
         object.__setattr__(self, "benchmark_path", tuple(
             self._voxel(f"benchmark_path[{i}]", v) for i, v in enumerate(path)))
-        points = np.array(self.benchmark_path, dtype=float)
-        points.setflags(write=False)
-        object.__setattr__(self, "benchmark_points", points)
+        ixyz = np.array(self.benchmark_path, dtype=np.intp)
+        ix, iy, iz = ixyz.T
+        mask = np.zeros(self.grid.theta, dtype=bool)
+        mask[ix + self.grid.nx * (iy + self.grid.ny * iz)] = True
+        for name, derived in (("benchmark_points", ixyz.astype(float)),
+                              ("benchmark_mask", mask)):
+            derived.setflags(write=False)
+            object.__setattr__(self, name, derived)
 
     def _voxel(self, name: str, v) -> VoxelIndex:
         """``v`` with Python int indices, so that index arithmetic cannot
@@ -210,9 +217,18 @@ def save_scenario(scenario: Scenario, lib: MaterialLibrary,
 
     Raises ``ValueError``, before anything is written, if the task or the
     ground truth names a material outside ``lib``, if it uses more
-    materials than there are raster symbols, or if a material name it
-    writes would not read back: an empty name, one with surrounding
-    whitespace, or one holding a comma or a line break."""
+    materials than there are raster symbols, or if a name it writes would
+    not read back: a scenario name that is not a string, or that is
+    empty, has surrounding whitespace or holds a line break, or a
+    material name that is empty, has surrounding whitespace or holds a
+    comma or a line break."""
+    name = scenario.name
+    if (not isinstance(name, str) or name.splitlines() != [name]
+            or name != name.strip()):
+        raise ValueError(f"scenario name {name!r} cannot be saved: a "
+                         f"scenario file needs a name that is not empty "
+                         f"and holds no surrounding whitespace or line "
+                         f"break")
     _check_materials(scenario, len(lib))
     grid = scenario.grid
     b = grid.bounds
@@ -497,24 +513,26 @@ def gamma_metric(grid: WorkspaceGrid, visited: Sequence[VoxelIndex],
     voxel (between voxel centers).
 
     Each argument is a sequence of voxel indices or a ``(n, 3)`` array of
-    them, such as a scenario's float ``benchmark_points``, which
-    :func:`run_trial` passes.  An empty path, or an entry that is not a
-    whole voxel index inside ``grid``, raises ``ValueError`` naming it."""
+    them, such as a scenario's float ``benchmark_points``.  An empty path,
+    or an entry that is not a whole voxel index inside ``grid``, raises
+    ``ValueError`` naming it.  :func:`run_trial` scores its own path, whose
+    voxels need no checks, through the same arithmetic."""
     if len(visited) == 0 or len(benchmark) == 0:
         raise ValueError("visited and benchmark paths must be non-empty")
-    v = _voxel_points(grid, visited, "visited")
-    b = _voxel_points(grid, benchmark, "benchmark")
-    eps = grid.bounds.epsilon
+    return _divergence(grid.bounds.epsilon,
+                       _voxel_points(grid, visited, "visited"),
+                       _voxel_points(grid, benchmark, "benchmark"))
+
+
+def _divergence(eps: float, v: np.ndarray, b: np.ndarray) -> float:
+    """:func:`gamma_metric` of the ``(n, 3)`` float voxel arrays ``v`` and
+    ``b``, already checked, on a grid of voxel side ``eps``."""
     # (visited, benchmark) squared distances, summed per axis as x, y, z
     d2 = ((b[None, :, 0] - v[:, None, 0]) ** 2
           + (b[None, :, 1] - v[:, None, 1]) ** 2
           + (b[None, :, 2] - v[:, None, 2]) ** 2)
     # left-to-right running sum, as a loop would add the terms
     return float(np.cumsum(eps * np.sqrt(d2.min(axis=1)))[-1])
-
-
-def _chebyshev(a: VoxelIndex, b: VoxelIndex) -> int:
-    return max(abs(a.ix - b.ix), abs(a.iy - b.iy), abs(a.iz - b.iz))
 
 
 def _check_materials(scenario: Scenario, n_materials: int) -> None:
@@ -573,11 +591,21 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     finite raises ``FloatingPointError`` naming the iteration, the voxel
     and the value.  ``degenerate_events`` counts the posterior updates
     that kept their prior (e.g. a NaN sample).  The trial ends on loop
-    closure (current voxel within one step of the first benchmark voxel
-    visited, once at least ten iterations have run) or when the iteration
-    budget is spent.  The start voxel counts as the first visited voxel.
-    A task or ground truth that names a material the library lacks raises
-    ``ValueError`` before the first touch.
+    closure (current voxel within one step, in Chebyshev distance, of the
+    first benchmark voxel visited, once at least ten iterations have run)
+    or when the iteration budget is spent; a voxel is on the benchmark
+    path if the scenario's ``benchmark_mask`` marks it.  The start voxel
+    counts as the first visited voxel.  A task or ground truth that names
+    a material the library lacks raises ``ValueError`` before the first
+    touch.
+
+    The loop keeps its state (the current voxel, the visited path and the
+    closure anchor) in linear indices, and takes a voxel's ``(ix, iy,
+    iz)`` from its index once per iteration, unchecked: every index it
+    holds comes from the scenario's checked ``start`` or from the score's
+    argmax.  A :class:`VoxelIndex` is built only for the score's probe,
+    an observer's state, an error message and the record, whose visited
+    path is converted in one pass when the trial ends.
 
     ``on_iteration`` receives ``(k, AttentionState)`` after each target
     selection, which is how field snapshots are exported.  The state
@@ -586,8 +614,11 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     the trial goes on.  Its inhibition field and its target posterior
     (that score over its sum) are built only if the observer reads them,
     so an observer that reads nothing adds no grid-sized work, and no
-    observer changes the path.  The trial is scored against the
-    scenario's ``benchmark_points``, built once per scenario.
+    observer changes the path.  The trial's divergence is the
+    :func:`gamma_metric` arithmetic on its own path and the scenario's
+    ``benchmark_points``, built once per scenario, without the checks of
+    caller-given paths, and equals ``gamma_metric(grid, visited,
+    scenario.benchmark_path)``.
     """
     grid = scenario.grid
     _check_materials(scenario, len(lib))
@@ -595,17 +626,20 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     posteriors = PosteriorGrid(grid.theta, len(lib))
     fields = AttentionFields(grid, scenario.task, len(lib))
     material_rows = scenario.material_rows
-    bench_set = set(scenario.benchmark_path)
+    on_benchmark = scenario.benchmark_mask
+    nx, ny = grid.nx, grid.ny
+    nxy = nx * ny
 
-    current = scenario.start
-    visited: list[VoxelIndex] = []
-    anchor: Optional[VoxelIndex] = None
+    current = grid.linear_index(scenario.start)
+    visited: list[int] = []
+    anchor: Optional[tuple] = None
     terminated_by = "budget"
     degenerate_events = 0
 
     for k in range(config.max_iterations):
-        j = grid.linear_index(current)
-        visited.append(current)
+        j = current
+        ix, iy, iz = j % nx, j // nx % ny, j // nxy
+        visited.append(j)
         touch = k % SENSE_BLOCK
         if touch == 0:
             table = sense(lib, scenario.materials, config.noise, rng)
@@ -623,31 +657,38 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
         if update.degenerate:
             degenerate_events += 1
 
-        if anchor is None and current in bench_set:
-            anchor = current
+        if anchor is None and on_benchmark[j]:
+            anchor = ix, iy, iz
         if (anchor is not None and len(visited) >= CLOSURE_MIN_ITERATIONS
-                and _chebyshev(current, anchor) <= 1):
+                and max(abs(ix - anchor[0]), abs(iy - anchor[1]),
+                        abs(iz - anchor[2])) <= 1):
             terminated_by = "loop_closure"
             break
 
         fields.touch(posteriors, j, values)
-        score = target_score(grid, current, fields.f_saliency,
+        probe = VoxelIndex(ix, iy, iz)
+        score = target_score(grid, probe, fields.f_saliency,
                              fields.f_uncertainty)
-        chosen = select_target(score, grid)
-        best = score[grid.linear_index(chosen)]
+        chosen = int(score.argmax())
+        best = score[chosen]
         if not 0.0 < best < math.inf:
             raise FloatingPointError(
                 f"iteration {k}: the target score {best} at voxel "
-                f"{tuple(chosen)} is not positive and finite")
+                f"{(chosen % nx, chosen // nx % ny, chosen // nxy)} is not "
+                f"positive and finite")
         if on_iteration is not None:
             on_iteration(k, AttentionState(
-                grid, current, score,
+                grid, probe, score,
                 uncertainty=fields.uncertainty.copy(),
                 omega=fields.omega.copy(),
                 saliency=fields.saliency.copy(),
             ))
         current = chosen
 
-    gamma = gamma_metric(grid, visited, scenario.benchmark_points)
-    return TrialRecord(visited, gamma, config.seed, terminated_by,
-                       degenerate_events, len(visited) - len(set(visited)))
+    path = np.array(visited)
+    ixyz = np.stack((path % nx, path // nx % ny, path // nxy), axis=1)
+    gamma = _divergence(grid.bounds.epsilon, ixyz.astype(float),
+                        scenario.benchmark_points)
+    return TrialRecord([VoxelIndex(*v) for v in ixyz.tolist()], gamma,
+                       config.seed, terminated_by, degenerate_events,
+                       len(visited) - len(set(visited)))

@@ -2,6 +2,7 @@
 full recompute of the saliency field, on grids with every kind of border."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -132,3 +133,23 @@ def test_axis_0_sum_adds_the_rows_in_order(width):
         for row in x[1:]:
             want = want + row
         assert np.add.reduce(x, 0).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("j", [-1, 24, 10**20, np.int64(-1), True, 1.0])
+@pytest.mark.parametrize("values", [None, (0.25, 0.5, 0.75)])
+def test_touch_rejects_a_j_outside_the_grid_before_changing_anything(j,
+                                                                    values):
+    # j = -1 used to overwrite the last voxel's entries before raising, and
+    # j = theta raised a stray IndexError
+    grid = grid_of(4, 3, 2)
+    fields = AttentionFields(grid, TASK, N_MATERIALS)
+    posteriors = PosteriorGrid(grid.theta, N_MATERIALS)
+    fields.touch(posteriors, 23, (0.125, 0.25, 0.875))
+    names = ("uncertainty", "f_uncertainty", "omega", "saliency",
+             "f_saliency", "_padded")
+    before = [getattr(fields, name).copy() for name in names]
+    with pytest.raises(ValueError, match=re.escape(
+            f"j must be a linear index, an integer in [0, 24), got {j!r}")):
+        fields.touch(posteriors, j, values)
+    for name, array in zip(names, before):
+        assert np.array_equal(getattr(fields, name), array), name

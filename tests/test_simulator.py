@@ -762,6 +762,29 @@ def test_save_writes_names_the_file_can_carry_and_skips_unused_ones(tmp_path):
     assert loaded.task == scenario.task
 
 
+@pytest.mark.parametrize("name", ["two\nlines", " padded ", "",
+                                  "x\ngrid: 0 1 0 1 0 1 1", "a\x85b", 5])
+def test_save_rejects_a_scenario_name_the_file_cannot_carry(tmp_path, lib,
+                                                            scenarios, name):
+    # each used to be written: "two\nlines" loaded back as "two lines",
+    # " padded " as "padded" and "" as the file stem, and the fourth failed
+    # to load with "duplicate section 'grid'"
+    scenario = dataclasses.replace(scenarios[0], name=name)
+    with pytest.raises(ValueError, match=f"^scenario name {re.escape(repr(name))} "
+                                         f"cannot be saved"):
+        save_scenario(scenario, lib, tmp_path / "bad.txt")
+    assert not (tmp_path / "bad.txt").exists()
+
+
+@pytest.mark.parametrize("name", ["a, b", "two  spaces", "#hash", "tab\there",
+                                  "name: x", "\u00e9t\u00e9"])
+def test_save_keeps_a_scenario_name_the_file_can_carry(tmp_path, lib,
+                                                       scenarios, name):
+    scenario = dataclasses.replace(scenarios[0], name=name)
+    path = save_scenario(scenario, lib, tmp_path / "s.txt")
+    assert load_scenario(path, lib).name == name
+
+
 def test_save_rejects_more_materials_than_raster_symbols(tmp_path):
     # the 69th symbol used to be chr(0x85), which strip() removes, so the
     # file failed to load with "bad symbol entry"
