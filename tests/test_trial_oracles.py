@@ -9,8 +9,6 @@ the voxels of the benchmark path, on the bundled scenarios and on
 generated ones.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -81,12 +79,3 @@ def scenarios_of_paths(draw):
 def test_benchmark_mask_of_generated_scenarios(scenario):
     assert_mask_is_path_membership(scenario)
 
-
-def test_benchmark_mask_of_a_path_through_every_voxel():
-    grid = make_grid(WorkspaceBounds(0, 3 * EPS, 0, 2 * EPS, 0, 4 * EPS, EPS))
-    path = [VoxelIndex(*v) for v in itertools.product(range(3), range(2),
-                                                       range(4))]
-    scenario = Scenario("full", grid, np.zeros(grid.theta, dtype=int), path,
-                        path[0], TaskSpec(0, 1))
-    assert scenario.benchmark_mask.all()
-    assert_mask_is_path_membership(scenario)
