@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import VoxelIndex, WorkspaceGrid
+from .grid import VoxelIndex, WorkspaceGrid, _check_integer
 from .perception import PosteriorGrid, _normalized_entropies
 
 #: Shape constants of the inhibition-of-return kernel.
@@ -166,8 +166,7 @@ def _at_offsets(grid: WorkspaceGrid, values: np.ndarray,
     """``values``, an :class:`InhibitionTable` array, at every voxel's
     offset from ``probe``, as a fresh array in linear-index order."""
     # a probe outside the grid would give a negative start, which wraps
-    grid.require(probe)
-    ix, iy, iz = probe
+    ix, iy, iz = grid.require(probe)
     nx, ny, nz = grid.shape
     # flatten, not ravel: on a line grid the window is contiguous, and a
     # view would let a caller's in-place product write into the table
@@ -453,12 +452,12 @@ def saliency_stencil(grid: WorkspaceGrid) -> SaliencyStencil:
 
 @functools.lru_cache(maxsize=64)
 def _start_values(task: TaskSpec, n_materials: int) -> tuple:
-    """The uncertainty, its density and the similarity of a uniform
-    posterior row over ``n_materials``, by :meth:`AttentionFields.row_values`,
-    and the saliency density of zero saliency: every voxel's value at the
-    start of a trial, computed once per task and library size."""
+    """The uncertainty and its density of a uniform posterior row over
+    ``n_materials``, by :meth:`AttentionFields.row_values`, and the
+    saliency density of zero saliency: every voxel's value at the start of
+    a trial but its similarity, which is neutral."""
     uniform = np.full(n_materials, 1.0 / n_materials)
-    return tuple(map(float, (*_row_values(task, uniform, False),
+    return tuple(map(float, (*_row_values(task, uniform, False)[:2],
                              beta_pdf(SALIENCY_FACTOR, 0.0))))
 
 
@@ -477,40 +476,43 @@ class AttentionFields:
     their evidence densities ``f_uncertainty`` and ``f_saliency``.
 
     A trial starts with every voxel at the uniform prior over
-    ``n_materials``, so the start fields are constant: the uncertainty,
-    its density and the similarity of one uniform row, computed by
-    :meth:`row_values` once per task and library size, and zero saliency
-    (a constant similarity field has none).  A posterior update at voxel
-    ``j`` changes the uncertainty and similarity of ``j`` alone, and the
-    saliency only in the 3x3x3 block around it, so :meth:`touch`
-    recomputes just those entries, with
-    the arithmetic of :func:`uncertainty_field`, :func:`omega_field` and
-    :func:`saliency_field`; every array stays equal to a full recompute.
-    Of the saliency block, :meth:`touch` computes and writes only the
-    outputs inside the grid, through the grid's :class:`SaliencyStencil`
-    (9 cases of at most 9 outputs on a bundled 30x60x1 plane).
-    :meth:`row_values` is the one helper for a voxel's own entries: the
-    loop calls it once per sense block on every first-touch outcome of
-    the block, and :meth:`touch` calls it on a revisited voxel's row.
-    The arrays are updated in place: copy them to keep a snapshot.
+    ``n_materials``, so the start fields are constant, computed once per
+    task and library size, with zero saliency.  A posterior update at
+    voxel ``j`` changes the uncertainty and similarity of ``j`` alone, and
+    the saliency only in the 3x3x3 block around it: :meth:`touch` writes
+    the values its caller computed with :meth:`row_values` and recomputes
+    the block's outputs inside the grid with the arithmetic of
+    :func:`saliency_field`, through the grid's :class:`SaliencyStencil`,
+    so every field stays equal to a full recompute.  The similarity field
+    is held once, padded by two neutral voxels per side as the stencil
+    reads it, and :attr:`omega` copies it out; the other arrays are
+    updated in place, so copy them to keep a snapshot.  An
+    ``n_materials`` that is not an integer above both task materials
+    raises ``ValueError`` naming it.
     """
 
     def __init__(self, grid: WorkspaceGrid, task: TaskSpec, n_materials: int):
+        _check_integer("n_materials", n_materials,
+                       max(task.material_a, task.material_b) + 1)
         self.grid = grid
         self.task = task
         theta = grid.theta
-        uncertainty, f_uncertainty, omega, f_saliency = _start_values(
-            task, n_materials)
+        uncertainty, f_uncertainty, f_saliency = _start_values(task, n_materials)
         self.uncertainty = np.full(theta, uncertainty)
         self.f_uncertainty = np.full(theta, f_uncertainty)
-        self.omega = np.full(theta, omega)
         self.saliency = np.zeros(theta)
         self.f_saliency = np.full(theta, f_saliency)
         self._stencil = saliency_stencil(grid)
-        # similarity with a border of two neutral voxels, flattened: the
-        # 5x5x5 window that the block around any voxel reads lies inside.
-        # No voxel is explored yet, so every similarity is neutral too
-        self._padded = np.full(self._stencil.padded_shape, OMEGA_NEUTRAL).ravel()
+        # the border holds the 5x5x5 window that the block around any voxel
+        # reads; no voxel is explored yet, so every similarity is neutral
+        padded = np.full(self._stencil.padded_shape, OMEGA_NEUTRAL)
+        self._padded, self._interior = padded.ravel(), padded[2:-2, 2:-2, 2:-2]
+
+    @property
+    def omega(self) -> np.ndarray:
+        """The similarity field in linear-index order, always a fresh array
+        (``ravel`` alone would alias a one-voxel grid's contiguous interior)."""
+        return self._interior.copy().ravel()
 
     def row_values(self, probs: np.ndarray, explored):
         """Uncertainty, its density and similarity of posterior rows
@@ -528,14 +530,12 @@ class AttentionFields:
         [0, 1]."""
         return _row_values(self.task, probs, explored)
 
-    def touch(self, posteriors: PosteriorGrid, j: int, values=None) -> None:
+    def touch(self, j: int, values) -> None:
         """Refresh every entry that depends on voxel ``j``'s posterior.
 
-        ``values``, if given, holds the voxel's uncertainty, its density
-        and its similarity, already computed by :meth:`row_values` from
-        the voxel's new posterior row (the loop computes a first touch's
-        with its sense block); otherwise they are computed here from
-        ``posteriors``.  A ``j`` that is not an integer in ``[0, theta)``
+        ``values`` holds the voxel's uncertainty, its density and its
+        similarity, computed by :meth:`row_values` from the voxel's new
+        posterior row.  A ``j`` that is not an integer in ``[0, theta)``
         (numpy integers are, ``bool`` is not) raises ``ValueError`` naming
         it, before any entry changes."""
         grid = self.grid
@@ -544,16 +544,13 @@ class AttentionFields:
             raise ValueError(f"j must be a linear index, an integer in "
                              f"[0, {grid.theta}), got {j!r}")
         j = int(j)
-        if values is None:
-            values = self.row_values(posteriors.probs[j],
-                                     posteriors.k_counts[j] > 0)
-        self.uncertainty[j], self.f_uncertainty[j], self.omega[j] = values
+        self.uncertainty[j], self.f_uncertainty[j], omega = values
 
         nx = grid.nx
         ix, iy, iz = j % nx, j // nx % grid.ny, j // (nx * grid.ny)
         stencil = self._stencil
         corner = iz * stencil.zstep + iy * stencil.ystep + ix
-        self._padded[corner + stencil.centre] = self.omega[j]
+        self._padded[corner + stencil.centre] = omega
         # Sobel responses of the block's outputs inside the grid, adding the
         # products in the C order of _sobel_responses, zero weights
         # included: the sum over the leading axis k adds the rows one after

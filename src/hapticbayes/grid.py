@@ -43,16 +43,24 @@ def _is_finite_real(value) -> bool:
         return False
 
 
-def _as_index(value) -> int:
+def _as_index(value, what: str) -> int:
     """``value`` as a Python int, so that index arithmetic cannot wrap;
-    raises ``ValueError`` naming ``value`` unless it is an integer (numpy
-    integers are, ``bool`` is not)."""
+    raises ``ValueError`` naming ``value`` after ``what`` unless it is an
+    integer (numpy integers are, ``bool`` is not)."""
     try:
         if not isinstance(value, bool):
             return operator.index(value)
     except TypeError:
         pass
-    raise ValueError(f"index {value!r} is not an integer")
+    raise ValueError(f"{what} {value!r} is not an integer")
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    (numpy integers count, ``bool`` does not) >= ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class VoxelIndex(NamedTuple):
@@ -153,30 +161,29 @@ class WorkspaceGrid:
     def contains(self, v: VoxelIndex) -> bool:
         return 0 <= v.ix < self.nx and 0 <= v.iy < self.ny and 0 <= v.iz < self.nz
 
-    def require(self, v: VoxelIndex) -> None:
-        if not self.contains(v):
-            raise ValueError(f"voxel {tuple(v)} outside grid {self.shape}")
+    def require(self, v: VoxelIndex) -> tuple[int, int, int]:
+        """The indices ``(ix, iy, iz)`` of voxel ``v`` as Python ints, so
+        that index arithmetic cannot wrap.  An index that is not an integer
+        (numpy integers are, ``bool`` is not) or a voxel outside the grid
+        raises ``ValueError`` naming it."""
+        ix, iy, iz = v
+        if not type(ix) is type(iy) is type(iz) is int:
+            ix, iy, iz = (_as_index(i, f"voxel {tuple(v)}: index") for i in v)
+        if not (0 <= ix < self.nx and 0 <= iy < self.ny and 0 <= iz < self.nz):
+            raise ValueError(f"voxel {(ix, iy, iz)} outside grid {self.shape}")
+        return ix, iy, iz
 
     def linear_index(self, v: VoxelIndex) -> int:
-        """The linear index of voxel ``v``, a Python int.  An index of
-        ``v`` that is not an integer (numpy integers are, ``bool`` is not)
-        or a voxel outside the grid raises ``ValueError`` naming it."""
-        try:
-            ix, iy, iz = _as_index(v.ix), _as_index(v.iy), _as_index(v.iz)
-        except ValueError as exc:
-            raise ValueError(f"voxel {tuple(v)}: {exc}") from None
-        if not (0 <= ix < self.nx and 0 <= iy < self.ny and 0 <= iz < self.nz):
-            raise ValueError(f"voxel {tuple(v)} outside grid {self.shape}")
+        """The linear index of voxel ``v``, a Python int; raises as
+        :meth:`require` does."""
+        ix, iy, iz = self.require(v)
         return ix + self.nx * (iy + self.ny * iz)
 
     def voxel_of_linear(self, j: int) -> VoxelIndex:
         """The voxel of linear index ``j``, with Python int indices; a
         ``j`` that is not an integer (numpy integers are, ``bool`` is not)
         or lies outside ``[0, theta)`` raises ``ValueError`` naming it."""
-        try:
-            j = _as_index(j)
-        except ValueError as exc:
-            raise ValueError(f"linear {exc}") from None
+        j = _as_index(j, "linear index")
         if not 0 <= j < self.theta:
             raise ValueError(f"linear index {j} outside [0, {self.theta})")
         return VoxelIndex(j % self.nx, (j // self.nx) % self.ny, j // (self.nx * self.ny))

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .grid import _check_integer
 from .materials import HapticSample, MaterialLibrary
 
 #: Log-density floor; terms this far below the per-update maximum become 0.
@@ -139,10 +140,14 @@ class PosteriorGrid:
     start at the uniform prior, and a voxel with no sample integrated
     (``k_counts`` 0) still holds it exactly, since a degenerate update
     keeps its prior.  Distinct voxels may be updated independently; each
-    :meth:`update` reports whether its sample was degenerate.
+    :meth:`update` reports whether its sample was degenerate.  A ``theta``
+    below 1 or ``n_materials`` below 2 (an entropy over one material
+    divides by zero), or either not an integer, raises ``ValueError``.
     """
 
     def __init__(self, theta: int, n_materials: int):
+        _check_integer("theta", theta, 1)
+        _check_integer("n_materials", n_materials, 2)
         self._prior = np.full(n_materials, 1.0 / n_materials)
         self.probs = np.full((theta, n_materials), 1.0 / n_materials)
         self.k_counts = np.zeros(theta, dtype=int)

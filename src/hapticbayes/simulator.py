@@ -32,7 +32,8 @@ from .attention import (
 # vars(owner)[attr], which raises KeyError if one is gone.
 from .attention import (inhibition_field, omega_field, saliency_field,
                         select_target, target_posterior, uncertainty_field)
-from .grid import GridConfigError, VoxelIndex, WorkspaceBounds, WorkspaceGrid, make_grid
+from .grid import (GridConfigError, VoxelIndex, WorkspaceBounds, WorkspaceGrid,
+                   _check_integer, make_grid)
 from .materials import MaterialLibrary, NoiseSpec, _samples_of_draws
 from .perception import PosteriorGrid, log_likelihoods
 
@@ -126,11 +127,10 @@ class Scenario:
                         and not isinstance(i, bool) for i in v)):
             raise ValueError(f"{name} must be a VoxelIndex of integers, "
                              f"got {v!r}")
-        v = VoxelIndex(*map(int, v))
-        if not self.grid.contains(v):
-            raise ValueError(f"{name}: voxel {tuple(v)} outside grid "
-                             f"{self.grid.shape}")
-        return v
+        try:
+            return VoxelIndex(*self.grid.require(v))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
     def material_at(self, v: VoxelIndex) -> int:
         return int(self.ground_truth[self.grid.linear_index(v)])
@@ -149,15 +149,6 @@ class TrialConfig:
         if not isinstance(self.noise, NoiseSpec):
             raise ValueError(f"noise must be a NoiseSpec, got {self.noise!r}")
         _check_integer("seed", self.seed, 0)
-
-
-def _check_integer(name: str, value, least: int) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
-    (numpy integers count, ``bool`` does not) >= ``least``; seeds take
-    ``least`` 0, the seeds numpy's generators take, and counts 1."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 #: The causes that end a trial.
@@ -211,6 +202,22 @@ _SYMBOLS = "".join(itertools.takewhile(str.strip,
                                         map(chr, itertools.count(ord("A")))))
 
 
+def _reads_back(name) -> bool:
+    """Whether ``name`` reads back from its line of a scenario file: a
+    string, not empty, with no surrounding whitespace or line break, that
+    survives a UTF-8 round trip (a lone surrogate does not)."""
+    return (isinstance(name, str) and name.splitlines() == [name]
+            and name == name.strip()
+            and name.encode("utf-8", "replace").decode("utf-8") == name)
+
+
+def _bound_text(x) -> str:
+    """A grid bound as a scenario file writes it: ``:g``, as in the bundled
+    files, when that reads back exactly, and its float's ``repr`` if not."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
+
 def save_scenario(scenario: Scenario, lib: MaterialLibrary,
                   destination: Union[str, Path]) -> Path:
     """Write a scenario to its plain-text file format (see module docs).
@@ -219,16 +226,15 @@ def save_scenario(scenario: Scenario, lib: MaterialLibrary,
     ground truth names a material outside ``lib``, if it uses more
     materials than there are raster symbols, or if a name it writes would
     not read back: a scenario name that is not a string, or that is
-    empty, has surrounding whitespace or holds a line break, or a
-    material name that is empty, has surrounding whitespace or holds a
-    comma or a line break."""
+    empty, has surrounding whitespace, holds a line break or does not
+    encode as UTF-8, or a material name that is any of these or holds a
+    comma.  Grid bounds read back exactly."""
     name = scenario.name
-    if (not isinstance(name, str) or name.splitlines() != [name]
-            or name != name.strip()):
+    if not _reads_back(name):
         raise ValueError(f"scenario name {name!r} cannot be saved: a "
-                         f"scenario file needs a name that is not empty "
-                         f"and holds no surrounding whitespace or line "
-                         f"break")
+                         f"scenario file needs a name that is not empty, "
+                         f"holds no surrounding whitespace or line break "
+                         f"and encodes as UTF-8")
     _check_materials(scenario, len(lib))
     grid = scenario.grid
     b = grid.bounds
@@ -239,15 +245,16 @@ def save_scenario(scenario: Scenario, lib: MaterialLibrary,
                          f"file has symbols for {len(_SYMBOLS)}")
     for m in (scenario.task.material_a, scenario.task.material_b, *used):
         name = names[m]
-        if name.splitlines() != [name] or name != name.strip() or "," in name:
+        if not _reads_back(name) or "," in name:
             raise ValueError(f"material name {name!r} cannot be saved: a "
-                             f"scenario file needs names that are not empty "
-                             f"and hold no surrounding whitespace, comma or "
-                             f"line break")
+                             f"scenario file needs names that are not empty, "
+                             f"hold no surrounding whitespace, comma or line "
+                             f"break and encode as UTF-8")
     symbols = dict(zip(used, _SYMBOLS))
     lines = [
         f"name: {scenario.name}",
-        f"grid: {b.x_lo:g} {b.x_hi:g} {b.y_lo:g} {b.y_hi:g} {b.z_lo:g} {b.z_hi:g} {b.epsilon:g}",
+        "grid: " + " ".join(map(_bound_text, (b.x_lo, b.x_hi, b.y_lo, b.y_hi,
+                                               b.z_lo, b.z_hi, b.epsilon))),
         f"task: {names[scenario.task.material_a]}, {names[scenario.task.material_b]}",
         "symbols: " + ", ".join(f"{symbols[m]}={names[m]}" for m in used),
         f"start: {scenario.start.ix} {scenario.start.iy} {scenario.start.iz}",
@@ -260,7 +267,7 @@ def save_scenario(scenario: Scenario, lib: MaterialLibrary,
         for iy in range(grid.ny):
             lines.append("".join(symbols[int(m)] for m in gt[iz, iy]))
     path = Path(destination)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     return path
 
 
@@ -298,7 +305,9 @@ def load_scenario(source: Union[str, Path], lib: MaterialLibrary) -> Scenario:
     Raises :class:`ScenarioLoadError` with the offending location for any
     text that is not UTF-8, malformed grid line, unknown material name,
     task naming one material twice, symbol defined twice, raster size
-    mismatch, or out-of-bounds path or start voxel.
+    mismatch or voxel line that is not three integers.  :class:`Scenario`
+    checks the voxels; its ``ValueError`` (an empty path, or a voxel
+    outside the grid) is raised as one naming the file.
     """
     path = Path(source)
     try:
@@ -343,23 +352,15 @@ def load_scenario(source: Union[str, Path], lib: MaterialLibrary) -> Scenario:
             raise ScenarioLoadError(f"{path}: symbols: {exc}") from None
 
     def parse_voxel(tokens: Sequence[str], what: str) -> VoxelIndex:
-        if len(tokens) != 3:
-            raise ScenarioLoadError(f"{path}: {what}: expected 'ix iy iz', "
-                                    f"got {' '.join(tokens)!r}")
         try:
-            v = VoxelIndex(*(int(t) for t in tokens))
-        except ValueError:
-            raise ScenarioLoadError(f"{path}: {what}: non-integer index") from None
-        if not grid.contains(v):
-            raise ScenarioLoadError(f"{path}: {what}: voxel {tuple(v)} outside "
-                                    f"grid {grid.shape}")
-        return v
+            return VoxelIndex(*map(int, tokens))
+        except (TypeError, ValueError):
+            raise ScenarioLoadError(f"{path}: {what}: expected three integers "
+                                    f"'ix iy iz', got {' '.join(tokens)!r}") from None
 
     start = parse_voxel(" ".join(sections["start"]).split(), "start")
     bench = [parse_voxel(line.split(), f"path entry {i + 1}")
              for i, line in enumerate(sections["path"])]
-    if not bench:
-        raise ScenarioLoadError(f"{path}: empty benchmark path")
 
     raster_lines = sections["raster"]
     if len(raster_lines) != grid.ny * grid.nz:
@@ -379,7 +380,10 @@ def load_scenario(source: Union[str, Path], lib: MaterialLibrary) -> Scenario:
             gt[ix + grid.nx * (iy + grid.ny * iz)] = symbol_map[sym]
 
     name = " ".join(sections.get("name", [path.stem])).strip() or path.stem
-    return Scenario(name, grid, gt, bench, start, task)
+    try:
+        return Scenario(name, grid, gt, bench, start, task)
+    except ValueError as exc:
+        raise ScenarioLoadError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -563,27 +567,22 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     target and teleports to the highest score.  Sensing runs in blocks:
     every ``SENSE_BLOCK`` touches one :func:`sense` call draws the next
     block's noise and scores the sample of each of the scenario's
-    ``materials`` at each touch (not the rest of the library), and touch
-    ``k`` of a voxel reads row ``[k % SENSE_BLOCK, r]`` of that table,
-    ``r`` being the voxel's entry of ``material_rows``.  The draws equal
-    one :func:`synthesize_sample` draw per touch, so the path is the same
-    as with per-touch sensing, and memory does not grow with the budget.
-    A first touch is computed with its block: right after each
-    :func:`sense` call, :meth:`PosteriorGrid.first_updates` updates the
-    uniform prior with every row of the table in one batch, and
-    :meth:`AttentionFields.row_values` gives every resulting row's
-    uncertainty, its density and its similarity in another.  A touch of
-    an unexplored voxel (no sample integrated, so its row is still the
-    prior) takes its entry of both; a revisit of an explored voxel runs
-    the posterior kernel on the voxel's own row.  Either way
-    :meth:`PosteriorGrid.update` runs once per touch, and the values
-    equal per-touch computation bit for bit.  The fields live in an
-    :class:`AttentionFields`, which starts from the uniform prior and
-    then refreshes only what each update changed, with the same values
-    as a full recompute.  The score is
-    :func:`target_score`: the inhibition density at each voxel's
-    whole-voxel offset from the current position, read from the grid's
-    inhibition table (built in the first trial on the grid), times the
+    ``materials`` at each touch, and touch ``k`` of a voxel reads row
+    ``[k % SENSE_BLOCK, r]`` of that table, ``r`` being the voxel's entry
+    of ``material_rows``.  The draws equal one :func:`synthesize_sample`
+    draw per touch, so the path is the same as with per-touch sensing,
+    and memory does not grow with the budget.  Right after each
+    :func:`sense` call, :meth:`PosteriorGrid.first_updates` gives what
+    every entry of the table makes of the uniform prior, and
+    :meth:`AttentionFields.row_values` those rows' uncertainty, its
+    density and similarity, one batch each.  A touch of an unexplored
+    voxel (no sample integrated) takes its entry of both; a revisit runs
+    the posterior kernel and :meth:`AttentionFields.row_values` on the
+    voxel's own row.  Either way :meth:`PosteriorGrid.update` runs once
+    and :meth:`AttentionFields.touch` applies the values, which equal a
+    full recompute bit for bit.  The score is :func:`target_score`: the
+    inhibition density at each voxel's whole-voxel offset from the
+    current position, from the grid's inhibition table, times the
     saliency and uncertainty densities.  The target is its maximum, ties
     to the lowest linear index, with no normalization.  Every score lies
     in [3e-38, 30], as the fields stay finite in [0, 1] and ``beta_pdf``
@@ -592,20 +591,14 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     and the value.  ``degenerate_events`` counts the posterior updates
     that kept their prior (e.g. a NaN sample).  The trial ends on loop
     closure (current voxel within one step, in Chebyshev distance, of the
-    first benchmark voxel visited, once at least ten iterations have run)
-    or when the iteration budget is spent; a voxel is on the benchmark
-    path if the scenario's ``benchmark_mask`` marks it.  The start voxel
-    counts as the first visited voxel.  A task or ground truth that names
-    a material the library lacks raises ``ValueError`` before the first
-    touch.
-
-    The loop keeps its state (the current voxel, the visited path and the
-    closure anchor) in linear indices, and takes a voxel's ``(ix, iy,
-    iz)`` from its index once per iteration, unchecked: every index it
-    holds comes from the scenario's checked ``start`` or from the score's
-    argmax.  A :class:`VoxelIndex` is built only for the score's probe,
-    an observer's state, an error message and the record, whose visited
-    path is converted in one pass when the trial ends.
+    first voxel visited that the scenario's ``benchmark_mask`` marks, once
+    at least ten iterations have run) or when the iteration budget is
+    spent.  The start voxel counts as the first visited voxel.  A task or
+    ground truth that names a material the library lacks raises
+    ``ValueError`` before the first touch.  The loop keeps its voxels as
+    linear indices, from the checked ``start`` or the score's argmax, and
+    builds a :class:`VoxelIndex` only for the score's probe, an observer's
+    state, an error message and the record.
 
     ``on_iteration`` receives ``(k, AttentionState)`` after each target
     selection, which is how field snapshots are exported.  The state
@@ -613,12 +606,10 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     similarity and saliency fields, so a stored state stays unchanged as
     the trial goes on.  Its inhibition field and its target posterior
     (that score over its sum) are built only if the observer reads them,
-    so an observer that reads nothing adds no grid-sized work, and no
-    observer changes the path.  The trial's divergence is the
+    and no observer changes the path.  The trial's divergence is the
     :func:`gamma_metric` arithmetic on its own path and the scenario's
-    ``benchmark_points``, built once per scenario, without the checks of
-    caller-given paths, and equals ``gamma_metric(grid, visited,
-    scenario.benchmark_path)``.
+    ``benchmark_points``, without the checks of caller-given paths, and
+    equals ``gamma_metric(grid, visited, scenario.benchmark_path)``.
     """
     grid = scenario.grid
     _check_materials(scenario, len(lib))
@@ -649,7 +640,7 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
         at = touch, material_rows[j]
         if posteriors.k_counts[j]:
             update = posteriors.update(j, table[at])
-            values = None
+            values = fields.row_values(posteriors.probs[j], True)
         else:
             update = posteriors.update(j, table[at],
                                        (first_probs[at], first_degenerate[at]))
@@ -665,7 +656,7 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
             terminated_by = "loop_closure"
             break
 
-        fields.touch(posteriors, j, values)
+        fields.touch(j, values)
         probe = VoxelIndex(ix, iy, iz)
         score = target_score(grid, probe, fields.f_saliency,
                              fields.f_uncertainty)
@@ -680,7 +671,7 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
             on_iteration(k, AttentionState(
                 grid, probe, score,
                 uncertainty=fields.uncertainty.copy(),
-                omega=fields.omega.copy(),
+                omega=fields.omega,
                 saliency=fields.saliency.copy(),
             ))
         current = chosen

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -185,6 +186,38 @@ def test_table_reads_reject_a_probe_outside_the_grid(probe):
         target_score(grid, VoxelIndex(*probe), ones, ones)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, np.float64(2.0)],
+                         ids=["1.5", "bool", "numpy-float"])
+def test_table_reads_reject_a_probe_index_that_is_not_an_integer(bad):
+    # 1.5 used to raise a raw TypeError from slicing, and True to be read
+    # as index 1
+    grid = grid_of(300, 2, 1)
+    ones = np.ones(grid.theta)
+    message = re.escape(f"voxel ({bad!r}, 0, 0): index {bad!r} is not an "
+                        f"integer")
+    for read in (lambda v: inhibition_field(grid, v),
+                 lambda v: target_score(grid, v, ones, ones)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read(VoxelIndex(bad, 0, 0))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8])
+def test_table_reads_take_a_numpy_integer_probe_as_its_value(dtype):
+    # on a 300-wide grid, 299 - np.uint8(5) used to raise a stray
+    # OverflowError ("Python integer 299 out of bounds for uint8")
+    grid = grid_of(300, 2, 1)
+    f_saliency = np.linspace(0.5, 2.0, grid.theta)
+    ones = np.ones(grid.theta)
+    for ix in (0, 5, 127):
+        v, want = VoxelIndex(dtype(ix), dtype(1), dtype(0)), VoxelIndex(ix, 1, 0)
+        assert np.array_equal(inhibition_field(grid, v),
+                              inhibition_field(grid, want))
+        assert np.array_equal(target_score(grid, v, f_saliency, ones),
+                              target_score(grid, want, f_saliency, ones))
+    with pytest.raises(ValueError, match=r"^voxel \(-1, 0, 0\) outside grid"):
+        inhibition_field(grid, VoxelIndex(np.int8(-1), 0, 0))
+
+
 def test_inhibition_field_matches_center_formula():
     # closeness only: the field uses whole-voxel offsets, and the distance
     # between voxel centers, offset origins and odd epsilons included,
@@ -242,6 +275,17 @@ def test_omega_field_cases():
 def test_task_spec_rejects_equal_materials():
     with pytest.raises(ValueError):
         TaskSpec(2, 2)
+
+
+@pytest.mark.parametrize("task, n_materials, least",
+                         [(TaskSpec(0, 5), 3, 6), (TaskSpec(2, 1), 2, 3),
+                          (TaskSpec(0, 1), 1.5, 2), (TaskSpec(0, 1), True, 2)])
+def test_attention_fields_reject_a_library_without_the_task_materials(
+        task, n_materials, least):
+    # TaskSpec(0, 5) over 3 materials used to raise a raw IndexError
+    with pytest.raises(ValueError, match=re.escape(
+            f"n_materials must be an integer >= {least}, got {n_materials!r}")):
+        AttentionFields(grid_of(3, 2, 1), task, n_materials)
 
 
 # ---------------------------------------------------------------------------

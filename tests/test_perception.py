@@ -222,6 +222,23 @@ def test_posterior_kernel_batch_rows_equal_single_row_calls(lib):
     assert np.array_equal(log_lik, inputs[1], equal_nan=True)
 
 
+@pytest.mark.parametrize("theta, n_materials, message",
+                         [(5, 1, "n_materials must be an integer >= 2, got 1"),
+                          (5, 0, "n_materials must be an integer >= 2, got 0"),
+                          (1.5, 3, "theta must be an integer >= 1, got 1.5"),
+                          (0, 3, "theta must be an integer >= 1, got 0"),
+                          (True, 3, "theta must be an integer >= 1, got True"),
+                          (4, 2.0, "n_materials must be an integer >= 2, got 2.0")],
+                         ids=["one-material", "no-material", "theta-1.5",
+                              "theta-0", "theta-bool", "n-float"])
+def test_posterior_grid_rejects_sizes_it_cannot_use(theta, n_materials, message):
+    # (5, 1) used to give NaN entropies with a warning, (5, 0) a raw
+    # ZeroDivisionError and (1.5, 3) a raw TypeError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PosteriorGrid(theta, n_materials)
+    assert PosteriorGrid(np.int64(1), np.uint8(2)).probs.shape == (1, 2)
+
+
 def test_map_category_tie_break():
     assert map_category(MaterialPosterior(np.array([0.1, 0.7, 0.2]))) == 1
     assert map_category(MaterialPosterior.uniform(10)) == 0

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from hapticbayes import (
-    PosteriorGrid,
     SALIENCY_FACTOR,
     TaskSpec,
     UNCERTAINTY_FACTOR,
@@ -41,14 +40,13 @@ def touch_every_voxel(fields, rng):
     (exact 0, 0.5 and 1 included), checking both saliency arrays against a
     full recompute by their bytes after each touch."""
     grid = fields.grid
-    posteriors = PosteriorGrid(grid.theta, N_MATERIALS)
     specials = np.array([0.0, 0.5, 1.0])
     for j in rng.permutation(grid.theta):
         j = int(j)
         omega = (specials[rng.integers(3)] if rng.random() < 0.2
                  else rng.random())
         u = rng.random()
-        fields.touch(posteriors, j, (u, beta_pdf(UNCERTAINTY_FACTOR, u), omega))
+        fields.touch(j, (u, beta_pdf(UNCERTAINTY_FACTOR, u), omega))
         want = saliency_field(grid, fields.omega)
         assert fields.saliency.tobytes() == want.tobytes(), j
         assert (fields.f_saliency.tobytes()
@@ -136,20 +134,17 @@ def test_axis_0_sum_adds_the_rows_in_order(width):
 
 
 @pytest.mark.parametrize("j", [-1, 24, 10**20, np.int64(-1), True, 1.0])
-@pytest.mark.parametrize("values", [None, (0.25, 0.5, 0.75)])
-def test_touch_rejects_a_j_outside_the_grid_before_changing_anything(j,
-                                                                    values):
+def test_touch_rejects_a_j_outside_the_grid_before_changing_anything(j):
     # j = -1 used to overwrite the last voxel's entries before raising, and
     # j = theta raised a stray IndexError
     grid = grid_of(4, 3, 2)
     fields = AttentionFields(grid, TASK, N_MATERIALS)
-    posteriors = PosteriorGrid(grid.theta, N_MATERIALS)
-    fields.touch(posteriors, 23, (0.125, 0.25, 0.875))
+    fields.touch(23, (0.125, 0.25, 0.875))
     names = ("uncertainty", "f_uncertainty", "omega", "saliency",
              "f_saliency", "_padded")
     before = [getattr(fields, name).copy() for name in names]
     with pytest.raises(ValueError, match=re.escape(
             f"j must be a linear index, an integer in [0, 24), got {j!r}")):
-        fields.touch(posteriors, j, values)
+        fields.touch(j, (0.25, 0.5, 0.75))
     for name, array in zip(names, before):
         assert np.array_equal(getattr(fields, name), array), name

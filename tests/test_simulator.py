@@ -48,6 +48,24 @@ def minimal_scenario(toy_lib):
 # ---------------------------------------------------------------------------
 # scenario files
 
+@pytest.mark.parametrize("bounds", [
+    WorkspaceBounds(0, 8 * 0.0012345678, 0, 4 * 0.0012345678, 0, 0.0012345678,
+                    0.0012345678),
+    WorkspaceBounds(0.1234567891, 0.1434567891, 0, 0.01, 0, 0.01, 0.01)],
+    ids=["epsilon", "x_lo"])
+def test_save_load_roundtrip_keeps_grid_bounds_exactly(tmp_path, lib, bounds):
+    # the bounds used to be written with 6 significant digits: the first
+    # file failed to load ("x extent 0.00987654 is not a multiple of
+    # epsilon 0.00123457"), and the second loaded with shifted bounds
+    grid = make_grid(bounds)
+    gt = np.zeros(grid.theta, dtype=int)
+    gt[0] = 1
+    scenario = Scenario("fine", grid, gt, [VoxelIndex(0, 0, 0)],
+                        VoxelIndex(0, 0, 0), TaskSpec(0, 1))
+    loaded = load_scenario(save_scenario(scenario, lib, tmp_path / "s.txt"), lib)
+    assert loaded.grid == grid
+
+
 def test_bundled_scenario_1(lib):
     s = load_scenario(bundled_scenario_path("scenario-1"), lib)
     assert s.grid.shape == (30, 60, 1)
@@ -86,6 +104,23 @@ def test_load_rejects_out_of_bounds_path(tmp_path, lib):
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(lines) + "\n")
     with pytest.raises(ScenarioLoadError, match="outside grid"):
+        load_scenario(bad, lib)
+
+
+@pytest.mark.parametrize("entries, message",
+                         [(["40 0 0"], r"benchmark_path\[0\]: voxel \(40, 0, 0\) "
+                                       r"outside grid \(30, 60, 1\)"),
+                          ([], "benchmark path must be non-empty")],
+                         ids=["outside", "empty"])
+def test_load_raises_a_scenario_check_naming_the_file(tmp_path, lib, entries,
+                                                      message):
+    # the file's voxels are checked by Scenario, as every scenario's are
+    lines = bundled_scenario_path("scenario-1").read_text().splitlines()
+    start, end = lines.index("path:"), lines.index("raster:")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines[:start + 1] + entries + lines[end:]) + "\n")
+    with pytest.raises(ScenarioLoadError,
+                       match=f"^{re.escape(str(bad))}: {message}$"):
         load_scenario(bad, lib)
 
 
@@ -774,6 +809,25 @@ def test_save_rejects_a_scenario_name_the_file_cannot_carry(tmp_path, lib,
                                          f"cannot be saved"):
         save_scenario(scenario, lib, tmp_path / "bad.txt")
     assert not (tmp_path / "bad.txt").exists()
+
+
+@pytest.mark.parametrize("where", ["scenario", "material"])
+def test_save_leaves_the_file_untouched_for_a_name_utf8_cannot_encode(
+        tmp_path, lib, scenarios, where):
+    # a lone surrogate used to pass the name checks; the file was then
+    # truncated to '' before a UnicodeEncodeError naming no field escaped
+    name = "a\ud800"
+    if where == "scenario":
+        scenario = dataclasses.replace(scenarios[0], name=name)
+    else:
+        lib = library_of(["hard", name])
+        scenario = line_scenario(2, [0, 1])
+    path = tmp_path / "kept.txt"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match=f"^{where} name {re.escape(repr(name))} "
+                                         f"cannot be saved"):
+        save_scenario(scenario, lib, path)
+    assert path.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("name", ["a, b", "two  spaces", "#hash", "tab\there",
