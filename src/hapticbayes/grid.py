@@ -43,7 +43,7 @@ def _is_finite_real(value) -> bool:
         return False
 
 
-def _as_index(value, what: str) -> int:
+def _as_index(value, what: str = "index") -> int:
     """``value`` as a Python int, so that index arithmetic cannot wrap;
     raises ``ValueError`` naming ``value`` after ``what`` unless it is an
     integer (numpy integers are, ``bool`` is not)."""
@@ -159,16 +159,22 @@ class WorkspaceGrid:
         return (self.nx, self.ny, self.nz)
 
     def contains(self, v: VoxelIndex) -> bool:
-        return 0 <= v.ix < self.nx and 0 <= v.iy < self.ny and 0 <= v.iz < self.nz
+        """Whether :meth:`require` accepts ``v``."""
+        try:
+            self.require(v)
+        except ValueError:
+            return False
+        return True
 
     def require(self, v: VoxelIndex) -> tuple[int, int, int]:
         """The indices ``(ix, iy, iz)`` of voxel ``v`` as Python ints, so
         that index arithmetic cannot wrap.  An index that is not an integer
         (numpy integers are, ``bool`` is not) or a voxel outside the grid
         raises ``ValueError`` naming it."""
-        ix, iy, iz = v
-        if not type(ix) is type(iy) is type(iz) is int:
-            ix, iy, iz = (_as_index(i, f"voxel {tuple(v)}: index") for i in v)
+        try:
+            ix, iy, iz = map(_as_index, v)
+        except ValueError as exc:
+            raise ValueError(f"voxel {tuple(v)}: {exc}") from None
         if not (0 <= ix < self.nx and 0 <= iy < self.ny and 0 <= iz < self.nz):
             raise ValueError(f"voxel {(ix, iy, iz)} outside grid {self.shape}")
         return ix, iy, iz

@@ -32,8 +32,7 @@ from .attention import (
 # vars(owner)[attr], which raises KeyError if one is gone.
 from .attention import (inhibition_field, omega_field, saliency_field,
                         select_target, target_posterior, uncertainty_field)
-from .grid import (GridConfigError, VoxelIndex, WorkspaceBounds, WorkspaceGrid,
-                   _check_integer, make_grid)
+from .grid import VoxelIndex, WorkspaceBounds, WorkspaceGrid, _check_integer, make_grid
 from .materials import MaterialLibrary, NoiseSpec, _samples_of_draws
 from .perception import PosteriorGrid, log_likelihoods
 
@@ -321,10 +320,8 @@ def load_scenario(source: Union[str, Path], lib: MaterialLibrary) -> Scenario:
         raise ScenarioLoadError(f"{path}: grid line needs 7 numbers "
                                 f"(x_lo x_hi y_lo y_hi z_lo z_hi epsilon)")
     try:
-        nums = [float(x) for x in grid_vals]
-        bounds = WorkspaceBounds(*nums)
-        grid = make_grid(bounds)
-    except (ValueError, GridConfigError) as exc:
+        grid = make_grid(WorkspaceBounds(*map(float, grid_vals)))
+    except ValueError as exc:       # GridConfigError is one
         raise ScenarioLoadError(f"{path}: grid: {exc}") from None
 
     task_names = [t.strip() for t in " ".join(sections["task"]).split(",")]
@@ -353,10 +350,11 @@ def load_scenario(source: Union[str, Path], lib: MaterialLibrary) -> Scenario:
 
     def parse_voxel(tokens: Sequence[str], what: str) -> VoxelIndex:
         try:
-            return VoxelIndex(*map(int, tokens))
-        except (TypeError, ValueError):
+            ix, iy, iz = map(int, tokens)
+        except ValueError:
             raise ScenarioLoadError(f"{path}: {what}: expected three integers "
                                     f"'ix iy iz', got {' '.join(tokens)!r}") from None
+        return VoxelIndex(ix, iy, iz)
 
     start = parse_voxel(" ".join(sections["start"]).split(), "start")
     bench = [parse_voxel(line.split(), f"path entry {i + 1}")

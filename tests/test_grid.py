@@ -95,6 +95,24 @@ def test_linear_index_rejects_an_index_that_is_not_an_integer(voxel):
         make_grid(WORKSPACE).linear_index(voxel)
 
 
+@pytest.mark.parametrize("voxel", [VoxelIndex(1.5, 0, 0), VoxelIndex(True, 0, 0),
+                                   VoxelIndex(29.9, 0, 0), VoxelIndex(30, 0, 0),
+                                   VoxelIndex(-1, 0, 0), VoxelIndex(0, 0, "0"),
+                                   (1, 2), VoxelIndex(29, 59, 0),
+                                   VoxelIndex(np.uint8(5), np.int8(3), 0)],
+                         ids=["1.5", "bool", "29.9", "x-high", "x-low", "str",
+                              "pair", "corner", "numpy"])
+def test_contains_agrees_with_require(voxel):
+    # contains used to accept 1.5, True and 29.9 on a 30-wide grid
+    grid = make_grid(WORKSPACE)
+    try:
+        grid.require(voxel)
+    except ValueError:
+        assert not grid.contains(voxel)
+    else:
+        assert grid.contains(voxel)
+
+
 @pytest.mark.parametrize("j", [3.7, 3.0, True, np.bool_(True), "3"],
                          ids=["3.7", "3.0", "bool", "numpy-bool", "str"])
 def test_voxel_of_linear_rejects_an_index_that_is_not_an_integer(j):

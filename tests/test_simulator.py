@@ -124,6 +124,26 @@ def test_load_raises_a_scenario_check_naming_the_file(tmp_path, lib, entries,
         load_scenario(bad, lib)
 
 
+@pytest.mark.parametrize("section, what", [("start", "start"),
+                                           ("path", "path entry 1")])
+@pytest.mark.parametrize("tokens", ["1 2", "1 2 3 4", "1 2.5 0", "1 two 0"],
+                         ids=["two", "four", "float", "word"])
+def test_load_rejects_a_voxel_line_that_is_not_three_integers(tmp_path, lib,
+                                                              section, what,
+                                                              tokens):
+    lines = bundled_scenario_path("scenario-1").read_text().splitlines()
+    if section == "start":
+        lines[lines.index("start: 28 30 0")] = f"start: {tokens}"
+    else:
+        lines.insert(lines.index("path:") + 1, tokens)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScenarioLoadError,
+                       match=f"^{re.escape(str(bad))}: {what}: expected three "
+                             f"integers 'ix iy iz', got '{re.escape(tokens)}'$"):
+        load_scenario(bad, lib)
+
+
 def test_load_rejects_wrong_raster_size(tmp_path, lib):
     src = bundled_scenario_path("scenario-1").read_text().splitlines()
     bad = tmp_path / "bad.txt"
