@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import VoxelIndex, WorkspaceGrid, _check_integer
+from .grid import VoxelIndex, WorkspaceGrid, _as_index, _check_integer
 from .perception import PosteriorGrid, _normalized_entropies
 
 #: Shape constants of the inhibition-of-return kernel.
@@ -60,11 +59,8 @@ class TaskSpec:
 
     def __post_init__(self):
         for name in ("material_a", "material_b"):
-            index = getattr(self, name)
-            if (isinstance(index, bool) or not isinstance(index, numbers.Integral)
-                    or index < 0):
-                raise ValueError(f"{name} must be a material index, an "
-                                 f"integer >= 0, got {index!r}")
+            object.__setattr__(self, name,
+                               _check_integer(name, getattr(self, name), 0))
         if self.material_a == self.material_b:
             raise ValueError("task materials must differ")
 
@@ -539,11 +535,7 @@ class AttentionFields:
         (numpy integers are, ``bool`` is not) raises ``ValueError`` naming
         it, before any entry changes."""
         grid = self.grid
-        if (isinstance(j, bool) or not isinstance(j, (int, np.integer))
-                or not 0 <= j < grid.theta):
-            raise ValueError(f"j must be a linear index, an integer in "
-                             f"[0, {grid.theta}), got {j!r}")
-        j = int(j)
+        j = _as_index(j, "linear index", grid.theta)
         self.uncertainty[j], self.f_uncertainty[j], omega = values
 
         nx = grid.nx

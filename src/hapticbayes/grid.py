@@ -12,7 +12,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,24 +43,31 @@ def _is_finite_real(value) -> bool:
         return False
 
 
-def _as_index(value, what: str = "index") -> int:
+def _as_index(value, what: str = "index", stop: Optional[int] = None) -> int:
     """``value`` as a Python int, so that index arithmetic cannot wrap;
     raises ``ValueError`` naming ``value`` after ``what`` unless it is an
     integer (numpy integers are, ``bool`` is not)."""
     try:
         if not isinstance(value, bool):
-            return operator.index(value)
+            index = operator.index(value)
+            if stop is None or 0 <= index < stop:
+                return index
+            raise ValueError(f"{what} {index} outside [0, {stop})")
     except TypeError:
         pass
     raise ValueError(f"{what} {value!r} is not an integer")
 
 
-def _check_integer(name: str, value, least: int) -> None:
+def _check_integer(name: str, value, least: int) -> int:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
     (numpy integers count, ``bool`` does not) >= ``least``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    try:
+        index = _as_index(value)
+        if index >= least:
+            return index
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class VoxelIndex(NamedTuple):
@@ -189,9 +196,7 @@ class WorkspaceGrid:
         """The voxel of linear index ``j``, with Python int indices; a
         ``j`` that is not an integer (numpy integers are, ``bool`` is not)
         or lies outside ``[0, theta)`` raises ``ValueError`` naming it."""
-        j = _as_index(j, "linear index")
-        if not 0 <= j < self.theta:
-            raise ValueError(f"linear index {j} outside [0, {self.theta})")
+        j = _as_index(j, "linear index", self.theta)
         return VoxelIndex(j % self.nx, (j // self.nx) % self.ny, j // (self.nx * self.ny))
 
     def center_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .grid import _is_finite_real
+from .grid import _as_index, _is_finite_real
 
 #: Required columns of a material parameter file.
 LIBRARY_FIELDS = ("name", "mu_E", "sigma_E", "mu_C", "sigma_C")
@@ -111,7 +111,12 @@ class MaterialLibrary:
         return len(self.materials)
 
     def __getitem__(self, i: int) -> MaterialParams:
-        return self.materials[i]
+        return self.materials[_as_index(i, "material index", len(self))]
+
+    def __iter__(self):
+        # else iteration would run through __getitem__, whose ValueError
+        # past the last material ends no loop
+        return iter(self.materials)
 
     @property
     def names(self) -> list[str]:
@@ -198,9 +203,7 @@ def synthesize_sample(lib: MaterialLibrary, material_index: int,
     generator reproduces the stream exactly, and consecutive calls give
     the same samples as one call of their combined leading shape.
     """
-    if not 0 <= material_index < len(lib):
-        raise ValueError(f"material index {material_index} outside library of "
-                         f"{len(lib)}")
+    material_index = _as_index(material_index, "material index", len(lib))
     return _samples_of_draws(lib, material_index, noise,
                              rng.standard_normal(shape + (4,)))
 

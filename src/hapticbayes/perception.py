@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import _check_integer
+from .grid import _as_index, _check_integer
 from .materials import HapticSample, MaterialLibrary
 
 #: Log-density floor; terms this far below the per-update maximum become 0.
@@ -177,6 +177,7 @@ class PosteriorGrid:
         counted in ``k_counts``.  Returns the voxel's sample count and the
         degenerate flag; the updated row is ``probs[linear]``.
         """
+        linear = _as_index(linear, "linear index", len(self.k_counts))
         if first is None:
             new_probs, degenerate = _posterior_update(self.probs[linear], log_lik)
         elif self.k_counts[linear]:

@@ -121,9 +121,7 @@ class Scenario:
         """``v`` with Python int indices, so that index arithmetic cannot
         wrap; raises ``ValueError`` naming ``name`` unless ``v`` is a
         :class:`VoxelIndex` of integers inside the grid."""
-        if not (isinstance(v, VoxelIndex)
-                and all(isinstance(i, numbers.Integral)
-                        and not isinstance(i, bool) for i in v)):
+        if not isinstance(v, VoxelIndex):
             raise ValueError(f"{name} must be a VoxelIndex of integers, "
                              f"got {v!r}")
         try:

@@ -132,6 +132,13 @@ def test_sample_rejects_bad_index(lib):
         synthesize_sample(lib, len(lib), NoiseSpec(), np.random.default_rng(0))
 
 
+def test_library_iterates_over_its_materials(lib):
+    # lib[len(lib)] raises ValueError, which ends no iteration through
+    # __getitem__; the library iterates over its own list instead
+    assert list(lib) == lib.materials
+    assert lib[lib.index_of("wood")] in lib
+
+
 def test_sample_variance_matches_sum_of_gaussians(lib):
     # oracle: Var(e) = sigma_E^2 + (mu_E / 2)^2 for independent Gaussians
     m = lib[lib.index_of("silicone")]

@@ -143,8 +143,10 @@ def test_touch_rejects_a_j_outside_the_grid_before_changing_anything(j):
     names = ("uncertainty", "f_uncertainty", "omega", "saliency",
              "f_saliency", "_padded")
     before = [getattr(fields, name).copy() for name in names]
-    with pytest.raises(ValueError, match=re.escape(
-            f"j must be a linear index, an integer in [0, 24), got {j!r}")):
+    message = (f"linear index {j!r} is not an integer"
+               if type(j) in (bool, float)
+               else f"linear index {int(j)} outside [0, 24)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fields.touch(j, (0.25, 0.5, 0.75))
     for name, array in zip(names, before):
         assert np.array_equal(getattr(fields, name), array), name

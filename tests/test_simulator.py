@@ -226,11 +226,16 @@ def test_scenario_rejects_voxels_that_are_not_voxel_indices(scenarios, bad):
     # a tuple start used to raise a raw AttributeError, and a VoxelIndex
     # of 1.5 to construct (its linear index read 61.5)
     s = scenarios[0]
-    with pytest.raises(ValueError, match=re.escape(
-            f"start must be a VoxelIndex of integers, got {bad!r}")):
+
+    def message(name):
+        if isinstance(bad, VoxelIndex):
+            return f"{name}: voxel {tuple(bad)}: index {bad.ix!r} is not an integer"
+        return f"{name} must be a VoxelIndex of integers, got {bad!r}"
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message('start'))}$"):
         dataclasses.replace(s, start=bad)
-    with pytest.raises(ValueError, match=re.escape(
-            f"benchmark_path[1] must be a VoxelIndex of integers, got {bad!r}")):
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(message('benchmark_path[1]'))}$"):
         dataclasses.replace(s, benchmark_path=[s.start, bad])
     with pytest.raises(ValueError, match=r"^start: voxel \(30, 0, 0\) outside"):
         dataclasses.replace(s, start=VoxelIndex(30, 0, 0))
@@ -714,24 +719,28 @@ def test_an_observer_that_reads_nothing_builds_nothing(lib, scenarios,
 # materials a trial may name
 
 def test_task_spec_rejects_negative_material():
-    with pytest.raises(ValueError, match="material_a must be a material index"):
+    with pytest.raises(ValueError, match=r"^material_a must be an integer "
+                                         r">= 0, got -1$"):
         TaskSpec(-1, 2)
-    with pytest.raises(ValueError, match="material_b must be a material index"):
+    with pytest.raises(ValueError, match=r"^material_b must be an integer "
+                                         r">= 0, got -3$"):
         TaskSpec(2, -3)
 
 
 def test_task_spec_takes_integer_materials_only():
     # 0.0 used to pass here and fail in the trial with a raw IndexError
-    with pytest.raises(ValueError, match="material_a must be a material index, "
-                                         "an integer >= 0, got 0.0"):
+    with pytest.raises(ValueError, match=r"^material_a must be an integer "
+                                         r">= 0, got 0.0$"):
         TaskSpec(0.0, 1.0)
-    with pytest.raises(ValueError, match="material_b must be a material index"):
+    with pytest.raises(ValueError, match=r"^material_b must be an integer "
+                                         r">= 0, got 1.5$"):
         TaskSpec(0, 1.5)
     # True and False used to mean materials 1 and 0
-    with pytest.raises(ValueError, match="material_a must be a material index, "
-                                         "an integer >= 0, got True"):
+    with pytest.raises(ValueError, match=r"^material_a must be an integer "
+                                         r">= 0, got True$"):
         TaskSpec(True, False)
-    with pytest.raises(ValueError, match="material_b must be a material index"):
+    with pytest.raises(ValueError, match=r"^material_b must be an integer "
+                                         r">= 0, got False$"):
         TaskSpec(1, False)
     assert TaskSpec(np.int64(0), np.uint8(1)) == TaskSpec(0, 1)
 
