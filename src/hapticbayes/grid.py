@@ -130,9 +130,10 @@ class WorkspaceGrid:
     Raises
     ------
     GridConfigError
-        If any extent is not an integer multiple of epsilon, or its voxel
-        count overflows (the error message names the offending axis), or
-        the grid has more than ``MAX_VOXELS`` voxels.
+        If ``bounds`` is not a :class:`WorkspaceBounds`, any extent is not
+        an integer multiple of epsilon, or its voxel count overflows (the
+        error message names the offending axis), or the grid has more than
+        ``MAX_VOXELS`` voxels.
     """
 
     bounds: WorkspaceBounds
@@ -142,6 +143,9 @@ class WorkspaceGrid:
     theta: int = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.bounds, WorkspaceBounds):
+            raise GridConfigError(f"bounds must be a WorkspaceBounds, got "
+                                  f"{self.bounds!r}")
         counts = {}
         for axis in ("x", "y", "z"):
             extent, eps = self.bounds.extent(axis), self.bounds.epsilon

@@ -59,10 +59,12 @@ class Scenario:
     reads; ``materials``, the sorted distinct ground-truth material
     indices, the only materials a trial's sense blocks score; and
     ``material_rows``, each voxel's row in ``materials``, so that
-    ``materials[material_rows] == ground_truth``.  A
-    ``start`` or benchmark path entry that is not a :class:`VoxelIndex`
-    of integers (``bool`` is not one; numpy integers are, and are stored
-    as Python ints) inside the grid raises ``ValueError`` naming it.
+    ``materials[material_rows] == ground_truth``.  A ``grid`` that is
+    not a :class:`WorkspaceGrid`, a ``task`` that is not a
+    :class:`TaskSpec`, or a ``start`` or benchmark path entry that is not
+    a :class:`VoxelIndex` of integers (``bool`` is not one; numpy
+    integers are, and are stored as Python ints) inside the grid raises
+    ``ValueError`` naming it.
     """
 
     name: str
@@ -77,6 +79,10 @@ class Scenario:
     material_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name, kind in (("grid", WorkspaceGrid), ("task", TaskSpec)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got "
+                                 f"{getattr(self, name)!r}")
         gt = np.asarray(self.ground_truth)
         if gt.shape != (self.grid.theta,):
             raise ValueError("ground truth must cover every voxel")

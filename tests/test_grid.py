@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -120,6 +121,17 @@ def test_voxel_of_linear_rejects_an_index_that_is_not_an_integer(j):
     with pytest.raises(ValueError, match=rf"^linear index {j!r} is not an "
                                          rf"integer$"):
         make_grid(WORKSPACE).voxel_of_linear(j)
+
+
+@pytest.mark.parametrize("bounds", [(0, 1, 0, 1, 0, 1, 0.5), None],
+                         ids=["tuple", "None"])
+def test_grid_rejects_bounds_that_are_not_workspace_bounds(bounds):
+    # make_grid((0, 1, 0, 1, 0, 1, 0.5)) used to raise a stray
+    # AttributeError: 'tuple' object has no attribute 'extent'
+    with pytest.raises(GridConfigError, match=rf"^bounds must be a "
+                                              rf"WorkspaceBounds, got "
+                                              rf"{re.escape(repr(bounds))}$"):
+        make_grid(bounds)
 
 
 def test_grid_counts_come_from_the_bounds():

@@ -220,6 +220,18 @@ def test_scenario_validation(toy_lib):
                  TaskSpec(0, 1))
 
 
+def test_scenario_rejects_a_grid_or_task_of_another_type(scenarios):
+    # task=(0, 1) used to build, and run_trial then raised "'tuple' object
+    # has no attribute 'material_a'"; a WorkspaceBounds grid raised a stray
+    # AttributeError at once
+    s = scenarios[0]
+    for name, bad, kind in (("task", (0, 1), "TaskSpec"),
+                            ("grid", s.grid.bounds, "WorkspaceGrid")):
+        with pytest.raises(ValueError, match=rf"^{name} must be a {kind}, got "
+                                             rf"{re.escape(repr(bad))}$"):
+            dataclasses.replace(s, **{name: bad})
+
+
 @pytest.mark.parametrize("bad", [(28, 30, 0), VoxelIndex(1.5, 30, 0),
                                  VoxelIndex(True, 30, 0)])
 def test_scenario_rejects_voxels_that_are_not_voxel_indices(scenarios, bad):
