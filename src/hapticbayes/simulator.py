@@ -490,7 +490,8 @@ def sense(lib: MaterialLibrary, materials, noise: NoiseSpec,
 def _voxel_points(grid: WorkspaceGrid, path, name: str) -> np.ndarray:
     """``path``, a sequence of ``(ix, iy, iz)`` voxels or a ``(B, 3)``
     array, as a float array; raises ``ValueError`` naming the first entry
-    that is not a whole voxel index inside ``grid``."""
+    with a coordinate that is not a real number (``bool`` is not one),
+    else the first that is not a whole voxel index inside ``grid``."""
     try:
         points = np.asarray(path, dtype=float)
     except OverflowError:
@@ -498,6 +499,12 @@ def _voxel_points(grid: WorkspaceGrid, path, name: str) -> np.ndarray:
                          f"index") from None
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"{name} must be a sequence of (ix, iy, iz) voxels")
+    # the float cast above reads True and "1" as 1.0, so each coordinate's
+    # type is checked
+    for i, v in enumerate(path.tolist() if isinstance(path, np.ndarray) else path):
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in v):
+            raise ValueError(f"{name} entry {i}: {tuple(v)} holds a coordinate "
+                             f"that is not a real number (bool is not one)")
     whole = (np.isfinite(points) & (points == np.round(points))).all(axis=1)
     if not whole.all():
         i = int(np.argmin(whole))
@@ -520,7 +527,8 @@ def gamma_metric(grid: WorkspaceGrid, visited: Sequence[VoxelIndex],
 
     Each argument is a sequence of voxel indices or a ``(n, 3)`` array of
     them, such as a scenario's float ``benchmark_points``.  An empty path,
-    or an entry that is not a whole voxel index inside ``grid``, raises
+    or an entry with a coordinate that is not a real number (``bool`` is
+    not one) or that is not a whole voxel index inside ``grid``, raises
     ``ValueError`` naming it.  :func:`run_trial` scores its own path, whose
     voxels need no checks, through the same arithmetic."""
     if len(visited) == 0 or len(benchmark) == 0:

@@ -517,6 +517,37 @@ def test_gamma_rejects_non_integer_voxels(scenarios, bad):
             gamma_metric(grid, visited, bench)
 
 
+@pytest.mark.parametrize("bad", [(True, 0, 0), VoxelIndex(True, 1, 0),
+                                 np.array([True, False, False]),
+                                 (0, np.True_, 0), ("1", 0, 0)],
+                         ids=["bool", "voxel-bool", "bool-array",
+                              "numpy-bool", "str"])
+def test_gamma_rejects_coordinates_that_are_not_real_numbers(scenarios, bad):
+    # a visited (True, 0, 0) used to be read as voxel (1, 0, 0): gamma 0.01
+    grid = scenarios[0].grid
+    entry = re.escape(repr(tuple(bad)))
+    for name, visited, bench in (("visited", [(2, 2, 0), bad], [(0, 0, 0)]),
+                                 ("benchmark", [(2, 2, 0)], [(0, 0, 0), bad])):
+        with pytest.raises(ValueError, match=rf"^{name} entry 1: {entry} holds "
+                                             rf"a coordinate that is not a "
+                                             rf"real number \(bool is not "
+                                             rf"one\)$"):
+            gamma_metric(grid, visited, bench)
+    # a bool array is read the same way
+    with pytest.raises(ValueError, match=r"^visited entry 0: \(True, False, "
+                                         r"False\) holds a coordinate"):
+        gamma_metric(grid, np.array([[True, False, False]]), [(0, 0, 0)])
+
+
+def test_gamma_takes_whole_float_voxels(scenarios):
+    s = scenarios[0]
+    visited = [(28, 30, 0), (27, 31, 0), (0, 0, 0)]
+    want = gamma_metric(s.grid, visited, s.benchmark_path)
+    assert gamma_metric(s.grid, visited, s.benchmark_points) == want
+    assert gamma_metric(s.grid, np.array(visited, dtype=float),
+                        list(s.benchmark_points)) == want
+
+
 @pytest.mark.parametrize("path", [[(1, 2)], [1, 2, 3]])
 def test_gamma_rejects_paths_that_are_not_voxel_triples(scenarios, path):
     grid = scenarios[0].grid
