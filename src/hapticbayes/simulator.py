@@ -265,10 +265,8 @@ def save_scenario(scenario: Scenario, lib: MaterialLibrary,
     ]
     lines += [f"{v.ix} {v.iy} {v.iz}" for v in scenario.benchmark_path]
     lines.append("raster:")
-    gt = scenario.ground_truth.reshape(grid.nz, grid.ny, grid.nx)
-    for iz in range(grid.nz):
-        for iy in range(grid.ny):
-            lines.append("".join(symbols[int(m)] for m in gt[iz, iy]))
+    lines += ["".join(symbols[m] for m in row)
+              for row in scenario.ground_truth.reshape(-1, grid.nx).tolist()]
     path = Path(destination)
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     return path
@@ -369,21 +367,21 @@ def load_scenario(source: Union[str, Path], lib: MaterialLibrary) -> Scenario:
         raise ScenarioLoadError(
             f"{path}: raster has {len(raster_lines)} lines, grid needs "
             f"{grid.ny * grid.nz} (ny*nz)")
-    gt = np.empty(grid.theta, dtype=int)
+    # raster line r holds the voxels of linear indices [r*nx, (r+1)*nx)
+    gt = np.empty((len(raster_lines), grid.nx), dtype=int)
     for row, line in enumerate(raster_lines):
         if len(line) != grid.nx:
             raise ScenarioLoadError(f"{path}: raster line {row + 1} has "
                                     f"{len(line)} symbols, grid needs {grid.nx}")
-        iz, iy = divmod(row, grid.ny)
-        for ix, sym in enumerate(line):
-            if sym not in symbol_map:
-                raise ScenarioLoadError(f"{path}: raster line {row + 1}: "
-                                        f"unknown symbol {sym!r}")
-            gt[ix + grid.nx * (iy + grid.ny * iz)] = symbol_map[sym]
+        try:
+            gt[row] = [symbol_map[sym] for sym in line]
+        except KeyError as exc:
+            raise ScenarioLoadError(f"{path}: raster line {row + 1}: "
+                                    f"unknown symbol {exc.args[0]!r}") from None
 
     name = " ".join(sections.get("name", [path.stem])).strip() or path.stem
     try:
-        return Scenario(name, grid, gt, bench, start, task)
+        return Scenario(name, grid, gt.ravel(), bench, start, task)
     except ValueError as exc:
         raise ScenarioLoadError(f"{path}: {exc}") from None
 
