@@ -52,7 +52,11 @@ FACTORS = (INHIBITION_FACTOR, UNCERTAINTY_FACTOR, SALIENCY_FACTOR)
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A discontinuity-following task between two material classes."""
+    """A discontinuity-following task between two material classes.
+
+    Each material is an index into the library: an integer >= 0 (numpy
+    integers are, and are stored as Python ints; ``bool`` is not), else
+    ``ValueError`` names it.  Two equal materials raise ``ValueError``."""
 
     material_a: int
     material_b: int
@@ -532,8 +536,8 @@ class AttentionFields:
         ``values`` holds the voxel's uncertainty, its density and its
         similarity, computed by :meth:`row_values` from the voxel's new
         posterior row.  A ``j`` that is not an integer in ``[0, theta)``
-        (numpy integers are, ``bool`` is not) raises ``ValueError`` naming
-        it, before any entry changes."""
+        (numpy integers are, ``bool`` is not) raises the ``ValueError`` of
+        :meth:`WorkspaceGrid.voxel_of_linear`, before any entry changes."""
         grid = self.grid
         j = _as_index(j, "linear index", grid.theta)
         self.uncertainty[j], self.f_uncertainty[j], omega = values

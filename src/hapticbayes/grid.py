@@ -46,7 +46,9 @@ def _is_finite_real(value) -> bool:
 def _as_index(value, what: str = "index", stop: Optional[int] = None) -> int:
     """``value`` as a Python int, so that index arithmetic cannot wrap;
     raises ``ValueError`` naming ``value`` after ``what`` unless it is an
-    integer (numpy integers are, ``bool`` is not)."""
+    integer (numpy integers are, ``bool`` is not) and, if ``stop`` is
+    given, lies in ``[0, stop)``.  Every index an entry point takes, and
+    every count, is checked here."""
     try:
         if not isinstance(value, bool):
             index = operator.index(value)
@@ -59,8 +61,8 @@ def _as_index(value, what: str = "index", stop: Optional[int] = None) -> int:
 
 
 def _check_integer(name: str, value, least: int) -> int:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
-    (numpy integers count, ``bool`` does not) >= ``least``."""
+    """``value`` as a Python int; raises ``ValueError`` naming ``name``
+    unless it is an integer (as :func:`_as_index` decides) >= ``least``."""
     try:
         index = _as_index(value)
         if index >= least:

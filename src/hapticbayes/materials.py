@@ -87,7 +87,10 @@ class MaterialParams:
 class MaterialLibrary:
     """Ordered collection of material parameter sets.
 
-    The order is fixed and defines material indices 0..n-1.
+    The order is fixed and defines material indices 0..n-1.  ``lib[i]``
+    is material ``i``'s parameters; an ``i`` that is not an integer in
+    ``[0, n)`` (numpy integers are, ``bool`` is not; nor are slices and
+    negative indices) raises ``ValueError`` naming it.
     """
 
     def __init__(self, materials: Sequence[MaterialParams]):
@@ -201,7 +204,10 @@ def synthesize_sample(lib: MaterialLibrary, material_index: int,
     ``rng.standard_normal(shape + (4,))`` call, each sample taking its
     four values in the fixed order (e, c, q_E, q_C), so a seeded
     generator reproduces the stream exactly, and consecutive calls give
-    the same samples as one call of their combined leading shape.
+    the same samples as one call of their combined leading shape.  A
+    ``material_index`` that is not an integer in ``[0, len(lib))`` (numpy
+    integers are, ``bool`` is not) raises ``ValueError`` naming it,
+    before anything is drawn.
     """
     material_index = _as_index(material_index, "material index", len(lib))
     return _samples_of_draws(lib, material_index, noise,

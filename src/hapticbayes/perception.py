@@ -175,7 +175,10 @@ class PosteriorGrid:
         :func:`_posterior_update`.  A degenerate sample (every likelihood
         floors to zero, e.g. a NaN feature) keeps the prior and is not
         counted in ``k_counts``.  Returns the voxel's sample count and the
-        degenerate flag; the updated row is ``probs[linear]``.
+        degenerate flag; the updated row is ``probs[linear]``.  A
+        ``linear`` that is not an integer in ``[0, theta)`` (numpy integers
+        are, ``bool`` is not) raises the ``ValueError`` of
+        :meth:`WorkspaceGrid.voxel_of_linear`, before anything changes.
         """
         linear = _as_index(linear, "linear index", len(self.k_counts))
         if first is None:

@@ -126,7 +126,7 @@ class Scenario:
     def _voxel(self, name: str, v) -> VoxelIndex:
         """``v`` with Python int indices, so that index arithmetic cannot
         wrap; raises ``ValueError`` naming ``name`` unless ``v`` is a
-        :class:`VoxelIndex` of integers inside the grid."""
+        :class:`VoxelIndex` that :meth:`WorkspaceGrid.require` accepts."""
         if not isinstance(v, VoxelIndex):
             raise ValueError(f"{name} must be a VoxelIndex of integers, "
                              f"got {v!r}")
