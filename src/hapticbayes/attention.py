@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import VoxelIndex, WorkspaceGrid, _as_index, _check_integer
+from .grid import VoxelIndex, WorkspaceGrid, _as_index, _check_integer, _check_type
 from .perception import PosteriorGrid, _normalized_entropies
 
 #: Shape constants of the inhibition-of-return kernel.
@@ -486,12 +486,15 @@ class AttentionFields:
     so every field stays equal to a full recompute.  The similarity field
     is held once, padded by two neutral voxels per side as the stencil
     reads it, and :attr:`omega` copies it out; the other arrays are
-    updated in place, so copy them to keep a snapshot.  An
-    ``n_materials`` that is not an integer above both task materials
-    raises ``ValueError`` naming it.
+    updated in place, so copy them to keep a snapshot.  A ``grid`` that
+    is not a :class:`WorkspaceGrid`, a ``task`` that is not a
+    :class:`TaskSpec`, or an ``n_materials`` that is not an integer above
+    both task materials raises ``ValueError`` naming it.
     """
 
     def __init__(self, grid: WorkspaceGrid, task: TaskSpec, n_materials: int):
+        _check_type("grid", grid, WorkspaceGrid)
+        _check_type("task", task, TaskSpec)
         _check_integer("n_materials", n_materials,
                        max(task.material_a, task.material_b) + 1)
         self.grid = grid

@@ -72,6 +72,12 @@ def _check_integer(name: str, value, least: int) -> int:
     raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 class VoxelIndex(NamedTuple):
     ix: int
     iy: int

@@ -219,12 +219,15 @@ def _samples_of_draws(lib: MaterialLibrary, material, noise: NoiseSpec,
     """The samples of :func:`synthesize_sample` from standard normal draws
     ``z``, whose last axis holds each sample's (e, c, q_E, q_C) values.
 
-    ``material`` indexes the library's parameter columns: a material
-    index gives samples of ``z.shape[:-1]``, and an array of material
-    indices with ``z`` of shape ``(..., 1, 4)`` gives each of those
-    materials' sample of each draw, along a last axis of the array's
-    length.  Each sample is computed elementwise, so it does not depend
-    on which other materials are indexed with it.
+    ``material`` indexes the library's parameter columns.  It is a
+    material index or a material array that broadcasts against
+    ``z.shape[:-1]``, and the samples take the broadcast shape.  An
+    ``(m,)`` array with ``z`` of shape ``(..., 1, 4)`` gives each of those
+    materials' sample of each draw, along a last axis of length ``m``; an
+    ``(m, 1, 1)`` array with ``z`` of shape ``(m, t, k, 4)`` gives
+    material ``i`` the samples of draws ``z[i]``.  Each sample is computed
+    elementwise, so it does not depend on which other materials are
+    indexed with it.
     """
     mu_e, mu_c = lib.mu_e[material], lib.mu_c[material]
     z_e, z_c, z_qe, z_qc = np.rollaxis(z, -1)

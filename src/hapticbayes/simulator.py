@@ -32,7 +32,8 @@ from .attention import (
 # vars(owner)[attr], which raises KeyError if one is gone.
 from .attention import (inhibition_field, omega_field, saliency_field,
                         select_target, target_posterior, uncertainty_field)
-from .grid import VoxelIndex, WorkspaceBounds, WorkspaceGrid, _check_integer, make_grid
+from .grid import (VoxelIndex, WorkspaceBounds, WorkspaceGrid, _check_integer,
+                   _check_type, _is_finite_real, make_grid)
 from .materials import MaterialLibrary, NoiseSpec, _samples_of_draws
 from .perception import PosteriorGrid, log_likelihoods
 
@@ -79,10 +80,8 @@ class Scenario:
     material_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, kind in (("grid", WorkspaceGrid), ("task", TaskSpec)):
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, got "
-                                 f"{getattr(self, name)!r}")
+        _check_type("grid", self.grid, WorkspaceGrid)
+        _check_type("task", self.task, TaskSpec)
         gt = np.asarray(self.ground_truth)
         if gt.shape != (self.grid.theta,):
             raise ValueError("ground truth must cover every voxel")
@@ -184,8 +183,7 @@ class TrialRecord:
         if self.terminated_by not in TERMINATIONS:
             raise ValueError(f"terminated_by must be one of {TERMINATIONS}, "
                              f"got {self.terminated_by!r}")
-        if (isinstance(self.gamma, bool) or not isinstance(self.gamma, numbers.Real)
-                or not 0.0 <= self.gamma < math.inf):
+        if not (_is_finite_real(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be a finite real >= 0, got {self.gamma!r}")
         _check_integer("seed", self.seed, 0)
         _check_integer("degenerate_events", self.degenerate_events, 0)

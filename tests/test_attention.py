@@ -288,6 +288,18 @@ def test_attention_fields_reject_a_library_without_the_task_materials(
         AttentionFields(grid_of(3, 2, 1), task, n_materials)
 
 
+@pytest.mark.parametrize("grid, task, message", [
+    (grid_of(3, 2, 1), (0, 1), "task must be a TaskSpec, got (0, 1)"),
+    (grid_of(3, 2, 1), None, "task must be a TaskSpec, got None"),
+    ((3, 2, 1), TaskSpec(0, 1), "grid must be a WorkspaceGrid, got (3, 2, 1)"),
+])
+def test_attention_fields_reject_a_grid_or_task_of_another_type(grid, task,
+                                                                message):
+    # a tuple task used to raise a stray AttributeError reading material_a
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AttentionFields(grid, task, 3)
+
+
 # ---------------------------------------------------------------------------
 # saliency
 

@@ -25,6 +25,7 @@ from hapticbayes import (
 )
 from hapticbayes import bench
 from hapticbayes.bench import write_output
+from hapticbayes.materials import _samples_of_draws
 from hapticbayes.grid import WorkspaceBounds
 
 
@@ -97,6 +98,60 @@ def test_classification_blocks_match_one_block(lib, monkeypatch):
     assert blocks.counts.sum() == 11 * len(lib)
 
 
+# ---------------------------------------------------------------------------
+# oracles for the batched classification draw
+
+@pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(1.5, 0.5)])
+def test_samples_of_draws_of_a_material_column_stack_per_material_calls(
+        lib, noise):
+    n = len(lib)
+    z = np.random.default_rng(2).standard_normal((n, 7, 5, 4))
+    batched = _samples_of_draws(lib, np.arange(n)[:, None, None], noise, z)
+    alone = [_samples_of_draws(lib, i, noise, z[i]) for i in range(n)]
+    assert np.array_equal(batched.e, np.stack([a.e for a in alone]))
+    assert np.array_equal(batched.c, np.stack([a.c for a in alone]))
+
+
+@pytest.mark.parametrize("shape", [(7, 5, 4), (1, 1, 4), (3, 1, 4)])
+def test_standard_normal_into_a_buffer_slice_equals_a_fresh_draw(shape):
+    buf = np.empty((3,) + shape)
+    rng = np.random.default_rng(6)
+    rng.standard_normal(out=buf[1])
+    rng.standard_normal(out=buf[2])
+    want = np.random.default_rng(6).standard_normal((2,) + shape)
+    assert np.array_equal(buf[1:], want)
+
+
+@pytest.mark.parametrize("block_trials", [3, bench.BLOCK_TRIALS])
+@pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(2.0, 2.0)])
+def test_classification_block_equals_per_material_draws(lib, monkeypatch,
+                                                        block_trials, noise):
+    # every sample the batched blocks integrate equals the concatenated
+    # per-material synthesize_sample draws, block by block
+    n, trials, k, seed = len(lib), 7, 4, 12
+    seen = []
+
+    def record(lib_, post, sample):
+        seen.append(sample)
+        return update_posterior(lib_, post, sample)
+
+    monkeypatch.setattr(bench, "BLOCK_TRIALS", block_trials)
+    monkeypatch.setattr(bench, "update_posterior", record)
+    run_classification_experiment(lib, trials, k, noise, seed)
+    rngs = [np.random.default_rng(seed + i) for i in range(n)]
+    want = []
+    for start in range(0, trials, block_trials):
+        t = min(block_trials, trials - start)
+        draws = [synthesize_sample(lib, i, noise, rng, (t, k))
+                 for i, rng in enumerate(rngs)]
+        e = np.concatenate([d.e for d in draws])
+        c = np.concatenate([d.c for d in draws])
+        want += [(e[:, j], c[:, j]) for j in range(k)]
+    assert len(seen) == len(want)
+    for got, (e, c) in zip(seen, want):
+        assert np.array_equal(got.e, e) and np.array_equal(got.c, c)
+
+
 def test_confusion_matrix_rejects_counts_its_names_do_not_cover():
     # three materials named by two: to_csv would print 2 rows of 3 values
     with pytest.raises(ValueError, match="material_names has 2 names for 3"):
@@ -136,7 +191,7 @@ def fail_if_called(*args, **kwargs):
 def test_experiments_check_the_seed_before_any_work(lib, monkeypatch, seed):
     # the sweep's cells call bench.run_classification_experiment; this
     # module keeps its own reference to the real one
-    monkeypatch.setattr(bench, "synthesize_sample", fail_if_called)
+    monkeypatch.setattr(bench, "_samples_of_draws", fail_if_called)
     monkeypatch.setattr(bench, "run_classification_experiment", fail_if_called)
     with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         run_noise_sweep(lib, [NoiseSpec()], trials=5, seed=seed)
@@ -147,7 +202,7 @@ def test_experiments_check_the_seed_before_any_work(lib, monkeypatch, seed):
 @pytest.mark.parametrize("bad", [1.0, None])
 def test_experiments_reject_a_noise_that_is_not_a_noise_spec(lib, monkeypatch,
                                                             bad):
-    monkeypatch.setattr(bench, "synthesize_sample", fail_if_called)
+    monkeypatch.setattr(bench, "_samples_of_draws", fail_if_called)
     monkeypatch.setattr(bench, "run_classification_experiment", fail_if_called)
     with pytest.raises(ValueError, match=re.escape(
             f"noise must be a NoiseSpec, got {bad!r}")):
@@ -172,7 +227,7 @@ def test_noise_sweep_rejects_a_spec_its_labels_cannot_name(lib, monkeypatch):
 @pytest.mark.parametrize("bad", [2.5, 0, -1, "3", True])
 def test_counts_must_be_integers_and_name_the_argument(lib, scenarios,
                                                        monkeypatch, bad):
-    monkeypatch.setattr(bench, "synthesize_sample", fail_if_called)
+    monkeypatch.setattr(bench, "_samples_of_draws", fail_if_called)
     monkeypatch.setattr(bench, "run_trial", fail_if_called)
     # the sweep calls the patched name; this module keeps the real one
     monkeypatch.setattr(bench, "run_classification_experiment", fail_if_called)

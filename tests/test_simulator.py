@@ -578,6 +578,9 @@ def test_trial_record_rejects_what_it_cannot_score():
     ("gamma", (-0.5, 0), {}),
     ("gamma", ("0.5", 0), {}),
     ("gamma", (True, 0), {}),
+    # an integer too large for a float used to pass the range check and
+    # raise a stray OverflowError computing gamma_per_l
+    ("gamma", (10**400, 0), {}),
     ("seed", (0.0, -1), {}),
     ("seed", (0.0, 1.5), {}),
     ("degenerate_events", (0.0, 0), {"degenerate_events": -1}),
