@@ -112,7 +112,11 @@ def inhibition_profile(d):
     continuous maximum maps to zero inhibition; both endpoints are fully
     inhibited.  The minimum sits at ``d* = (alpha-1)/(alpha+beta-2)``.
     """
-    d = np.asarray(d, dtype=float)
+    try:
+        d = np.asarray(d, dtype=float)
+    except OverflowError:
+        raise ValueError("inhibition_profile: d holds an integer too large "
+                         "for a float") from None
     with np.errstate(divide="ignore", invalid="ignore"):
         kern = np.where((d > 0.0) & (d < 1.0),
                         d ** (INHIB_ALPHA - 1.0) * (1.0 - d) ** (INHIB_BETA - 1.0),
@@ -161,13 +165,13 @@ def inhibition_table(grid: WorkspaceGrid) -> InhibitionTable:
     return table
 
 
-def _at_offsets(grid: WorkspaceGrid, values: np.ndarray,
-                probe: VoxelIndex) -> np.ndarray:
-    """``values``, an :class:`InhibitionTable` array, at every voxel's
-    offset from ``probe``, as a fresh array in linear-index order."""
-    # a probe outside the grid would give a negative start, which wraps
-    ix, iy, iz = grid.require(probe)
-    nx, ny, nz = grid.shape
+def _at_offsets(values: np.ndarray, shape: tuple, ix: int, iy: int,
+                iz: int) -> np.ndarray:
+    """``values``, an :class:`InhibitionTable` array of a grid of ``shape``,
+    at every voxel's offset from voxel ``(ix, iy, iz)``, as a fresh array
+    in linear-index order.  The voxel must lie in the grid: a negative
+    slice start would wrap and read a window of other offsets."""
+    nx, ny, nz = shape
     # flatten, not ravel: on a line grid the window is contiguous, and a
     # view would let a caller's in-place product write into the table
     return values[nz - 1 - iz:2 * nz - 1 - iz,
@@ -183,9 +187,11 @@ def inhibition_field(grid: WorkspaceGrid, current: VoxelIndex) -> np.ndarray:
     single-voxel grid is uniformly inhibited.  The values are
     :func:`inhibition_profile` of each voxel's normalized distance in
     whole voxels: one slice of the grid's signed-offset
-    :class:`InhibitionTable`, copied.
+    :class:`InhibitionTable`, copied.  A probe that
+    :meth:`WorkspaceGrid.require` rejects raises its ``ValueError``.
     """
-    return _at_offsets(grid, inhibition_table(grid).inhibition, current)
+    return _at_offsets(inhibition_table(grid).inhibition, grid.shape,
+                       *grid.require(current))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +273,9 @@ def _saliency(responses) -> np.ndarray:
     positive and negative parts each sum to 16 in magnitude, the products
     by 1, 2 and 4 are exact, and a float sum is monotone in each term, so
     no response passes 16 in magnitude."""
-    return np.abs(responses).max(axis=0) / SOBEL_NORM
+    saliency = np.maximum.reduce(np.abs(responses), axis=0)
+    saliency /= SOBEL_NORM
+    return saliency
 
 
 def saliency_field(grid: WorkspaceGrid, omega: np.ndarray) -> np.ndarray:
@@ -298,8 +306,12 @@ def beta_pdf(factor: BetaFactor, x):
     a, b = factor
     # np.clip's bounds, as two ufuncs: the lower bound is positive, so no
     # signed zero survives, and both pass NaN through
-    xs = np.minimum(np.maximum(np.asarray(x, dtype=float), BETA_CLAMP),
-                    1.0 - BETA_CLAMP)
+    try:
+        xs = np.asarray(x, dtype=float)
+    except OverflowError:
+        raise ValueError("beta_pdf: x holds an integer too large for a "
+                         "float") from None
+    xs = np.minimum(np.maximum(xs, BETA_CLAMP), 1.0 - BETA_CLAMP)
     log_b = _log_beta(a, b)
     # the log-density is (a-1) log x + (b-1) log(1-x).  A term whose
     # exponent is 0 is +-0, and the other term is finite and non-zero on
@@ -322,9 +334,20 @@ def target_score(grid: WorkspaceGrid, current: VoxelIndex,
     grid's signed-offset :class:`InhibitionTable`, times ``f_saliency``
     times ``f_uncertainty``: the score that :func:`target_posterior` of
     :func:`inhibition_field` normalizes, value for value.  The target is
-    its first maximum; selecting needs no normalization.
+    its first maximum; selecting needs no normalization.  A probe that
+    :meth:`WorkspaceGrid.require` rejects raises its ``ValueError``.
+    :meth:`AttentionFields.touch` returns this score for its own fields.
     """
-    score = _at_offsets(grid, inhibition_table(grid).density, current)
+    return _score(inhibition_table(grid).density, grid.shape,
+                  grid.require(current), f_saliency, f_uncertainty)
+
+
+def _score(density: np.ndarray, shape: tuple, probe: tuple,
+           f_saliency: np.ndarray, f_uncertainty: np.ndarray) -> np.ndarray:
+    """:func:`target_score` from the ``density`` of the inhibition table of
+    a grid of ``shape``, with the probe at voxel ``probe``, given as
+    ``(ix, iy, iz)`` inside the grid."""
+    score = _at_offsets(density, shape, *probe)
     score *= f_saliency
     score *= f_uncertainty
     return score
@@ -483,7 +506,9 @@ class AttentionFields:
     the values its caller computed with :meth:`row_values` and recomputes
     the block's outputs inside the grid with the arithmetic of
     :func:`saliency_field`, through the grid's :class:`SaliencyStencil`,
-    so every field stays equal to a full recompute.  The similarity field
+    so every field stays equal to a full recompute; it then returns the
+    :func:`target_score` with the probe at ``j``, from the grid's
+    inhibition density, which the fields keep.  The similarity field
     is held once, padded by two neutral voxels per side as the stencil
     reads it, and :attr:`omega` copies it out; the other arrays are
     updated in place, so copy them to keep a snapshot.  A ``grid`` that
@@ -506,6 +531,7 @@ class AttentionFields:
         self.saliency = np.zeros(theta)
         self.f_saliency = np.full(theta, f_saliency)
         self._stencil = saliency_stencil(grid)
+        self._density = inhibition_table(grid).density
         # the border holds the 5x5x5 window that the block around any voxel
         # reads; no voxel is explored yet, so every similarity is neutral
         padded = np.full(self._stencil.padded_shape, OMEGA_NEUTRAL)
@@ -533,13 +559,19 @@ class AttentionFields:
         [0, 1]."""
         return _row_values(self.task, probs, explored)
 
-    def touch(self, j: int, values) -> None:
-        """Refresh every entry that depends on voxel ``j``'s posterior.
+    def touch(self, j: int, values) -> np.ndarray:
+        """Refresh every entry that depends on voxel ``j``'s posterior, and
+        return the target score with the probe at ``j``.
 
         ``values`` holds the voxel's uncertainty, its density and its
         similarity, computed by :meth:`row_values` from the voxel's new
-        posterior row.  A ``j`` that is not an integer in ``[0, theta)``
-        (numpy integers are, ``bool`` is not) raises the ``ValueError`` of
+        posterior row.  The score is a fresh array, equal to
+        ``target_score(grid, grid.voxel_of_linear(j), f_saliency,
+        f_uncertainty)`` on the refreshed fields: it reads the grid's
+        inhibition density, which the fields keep, at the voxel this call
+        derives from ``j``, so the probe is neither built nor checked
+        again.  A ``j`` that is not an integer in ``[0, theta)`` (numpy
+        integers are, ``bool`` is not) raises the ``ValueError`` of
         :meth:`WorkspaceGrid.voxel_of_linear`, before any entry changes."""
         grid = self.grid
         j = _as_index(j, "linear index", grid.theta)
@@ -555,8 +587,10 @@ class AttentionFields:
         # included: the sum over the leading axis k adds the rows one after
         # another, for any number of outputs.
         reads, weights, outputs = stencil.case(ix, iy, iz)
-        window = self._padded[reads + corner]
+        window = self._padded[corner:][reads]
         block = _saliency(np.add.reduce(weights * window[:, None, :], 0))
         outputs = outputs + j
         self.saliency[outputs] = block
         self.f_saliency[outputs] = beta_pdf(SALIENCY_FACTOR, block)
+        return _score(self._density, grid.shape, (ix, iy, iz),
+                      self.f_saliency, self.f_uncertainty)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .grid import _as_index, _is_finite_real
+from .grid import _as_index, _check_type, _is_finite_real
 
 #: Required columns of a material parameter file.
 LIBRARY_FIELDS = ("name", "mu_E", "sigma_E", "mu_C", "sigma_C")
@@ -90,11 +90,15 @@ class MaterialLibrary:
     The order is fixed and defines material indices 0..n-1.  ``lib[i]``
     is material ``i``'s parameters; an ``i`` that is not an integer in
     ``[0, n)`` (numpy integers are, ``bool`` is not; nor are slices and
-    negative indices) raises ``ValueError`` naming it.
+    negative indices) raises ``ValueError`` naming it.  An entry that is
+    not a :class:`MaterialParams` raises ``ValueError`` naming its index,
+    as do fewer than 2 entries and repeated names.
     """
 
     def __init__(self, materials: Sequence[MaterialParams]):
         materials = list(materials)
+        for i, m in enumerate(materials):
+            _check_type(f"materials[{i}]", m, MaterialParams)
         if len(materials) < 2:
             raise ValueError("a material library needs at least 2 materials")
         names = [m.name for m in materials]

@@ -84,6 +84,15 @@ def _posterior_update(probs: np.ndarray, log_lik: np.ndarray):
     with np.errstate(divide="ignore"):
         lp = np.log(probs)
     lp += log_lik
+    return _posterior_of(lp, probs)
+
+
+def _posterior_of(lp: np.ndarray, probs: np.ndarray):
+    """The tail of :func:`_posterior_update`, from the log-posterior rows
+    ``lp`` (the log prior plus the log-likelihoods, overwritten here):
+    returns ``(new_probs, degenerate)`` as that function does.  ``probs``
+    holds the prior rows, broadcasting against ``lp``; a degenerate row
+    gets its prior row back."""
     m = np.maximum.reduce(lp, axis=-1, keepdims=True)
     degenerate = ~np.isfinite(m)
     any_degenerate = degenerate.any()
@@ -149,17 +158,19 @@ class PosteriorGrid:
         _check_integer("theta", theta, 1)
         _check_integer("n_materials", n_materials, 2)
         self._prior = np.full(n_materials, 1.0 / n_materials)
+        self._log_prior = np.log(self._prior)
         self.probs = np.full((theta, n_materials), 1.0 / n_materials)
         self.k_counts = np.zeros(theta, dtype=int)
 
     def first_updates(self, log_lik: np.ndarray):
         """What :meth:`update` makes of an unexplored voxel's row, the
         uniform prior, for every ``(n,)`` row of ``log_lik`` at once:
-        one :func:`_posterior_update` call over the batch, whose rows equal
-        single-row calls.  Returns ``(rows, degenerate)``, shaped like
+        :func:`_posterior_update` of the prior over the batch, whose rows
+        equal single-row calls.  The log of the prior is taken once, when
+        the grid is made, and the batch goes through the kernel's tail,
+        :func:`_posterior_of`.  Returns ``(rows, degenerate)``, shaped like
         ``log_lik`` and like its leading axes."""
-        return _posterior_update(np.broadcast_to(self._prior, log_lik.shape),
-                                 log_lik)
+        return _posterior_of(self._log_prior + log_lik, self._prior)
 
     def update(self, linear: int, log_lik: np.ndarray,
                first=None) -> VoxelUpdate:

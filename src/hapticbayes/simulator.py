@@ -20,12 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .attention import (
-    AttentionFields,
-    AttentionState,
-    TaskSpec,
-    target_score,
-)
+from .attention import AttentionFields, AttentionState, TaskSpec
 # Not called here.  benchmarks/tracing.py times layers by wrapping these
 # names in this module (and grid.WorkspaceGrid.center_arrays), and
 # benchmarks/test_benchmark.py::originals reads every one of them with
@@ -547,16 +542,18 @@ def _divergence(eps: float, v: np.ndarray, b: np.ndarray) -> float:
 
 def _check_materials(scenario: Scenario, n_materials: int) -> None:
     """Raise ``ValueError`` if the task or the ground truth names a
-    material outside a library of ``n_materials``."""
+    material outside a library of ``n_materials``.  The ground truth is
+    checked at the two ends of the scenario's sorted ``materials``; its
+    voxels are scanned only to name the first offending one."""
     for name in ("material_a", "material_b"):
         index = getattr(scenario.task, name)
         if index >= n_materials:
             raise ValueError(f"task.{name} is material {index}, but the "
                              f"library has {n_materials} materials")
-    gt = scenario.ground_truth
-    outside = (gt < 0) | (gt >= n_materials)
-    if outside.any():
-        j = int(np.argmax(outside))
+    materials = scenario.materials
+    if materials[0] < 0 or materials[-1] >= n_materials:
+        gt = scenario.ground_truth
+        j = int(np.argmax((gt < 0) | (gt >= n_materials)))
         v = tuple(scenario.grid.voxel_of_linear(j))
         raise ValueError(f"ground_truth at voxel {v} is material {gt[j]}, "
                          f"but the library has {n_materials} materials")
@@ -582,11 +579,13 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     every entry of the table makes of the uniform prior, and
     :meth:`AttentionFields.row_values` those rows' uncertainty, its
     density and similarity, one batch each.  A touch of an unexplored
-    voxel (no sample integrated) takes its entry of both; a revisit runs
-    the posterior kernel and :meth:`AttentionFields.row_values` on the
-    voxel's own row.  Either way :meth:`PosteriorGrid.update` runs once
-    and :meth:`AttentionFields.touch` applies the values, which equal a
-    full recompute bit for bit.  The score is :func:`target_score`: the
+    voxel (no sample integrated) takes its entry of both, by indexing; a
+    revisit runs the posterior kernel and
+    :meth:`AttentionFields.row_values` on the voxel's own row.  Either way
+    :meth:`PosteriorGrid.update` runs once and one
+    :meth:`AttentionFields.touch` call applies the values, which equal a
+    full recompute bit for bit, and returns the score with the probe at
+    the touched voxel.  That score equals :func:`target_score`: the
     inhibition density at each voxel's whole-voxel offset from the
     current position, from the grid's inhibition table, times the
     saliency and uncertainty densities.  The target is its maximum, ties
@@ -599,12 +598,15 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     closure (current voxel within one step, in Chebyshev distance, of the
     first voxel visited that the scenario's ``benchmark_mask`` marks, once
     at least ten iterations have run) or when the iteration budget is
-    spent.  The start voxel counts as the first visited voxel.  A task or
-    ground truth that names a material the library lacks raises
-    ``ValueError`` before the first touch.  The loop keeps its voxels as
-    linear indices, from the checked ``start`` or the score's argmax, and
-    builds a :class:`VoxelIndex` only for the score's probe, an observer's
-    state, an error message and the record.
+    spent.  The start voxel counts as the first visited voxel.  A
+    ``scenario`` that is not a :class:`Scenario`, a ``lib`` that is not a
+    :class:`MaterialLibrary`, a ``config`` that is not a
+    :class:`TrialConfig`, an ``on_iteration`` that is neither ``None`` nor
+    callable, and a task or ground truth that names a material the
+    library lacks each raise ``ValueError`` naming it, before the first
+    touch.  The loop keeps its voxels as linear indices, from the checked
+    ``start`` or the score's argmax, and builds a :class:`VoxelIndex`
+    only for an observer's state, an error message and the record.
 
     ``on_iteration`` receives ``(k, AttentionState)`` after each target
     selection, which is how field snapshots are exported.  The state
@@ -617,6 +619,12 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     ``benchmark_points``, without the checks of caller-given paths, and
     equals ``gamma_metric(grid, visited, scenario.benchmark_path)``.
     """
+    _check_type("scenario", scenario, Scenario)
+    _check_type("lib", lib, MaterialLibrary)
+    _check_type("config", config, TrialConfig)
+    if on_iteration is not None and not callable(on_iteration):
+        raise ValueError(f"on_iteration must be None or callable, got "
+                         f"{on_iteration!r}")
     grid = scenario.grid
     _check_materials(scenario, len(lib))
     rng = np.random.default_rng(config.seed)
@@ -642,7 +650,8 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
             table = sense(lib, scenario.materials, config.noise, rng)
             # what each entry gives a voxel's first touch, for the block
             first_probs, first_degenerate = posteriors.first_updates(table)
-            first_values = fields.row_values(first_probs, ~first_degenerate)
+            first_uncertainty, first_density, first_omega = fields.row_values(
+                first_probs, ~first_degenerate)
         at = touch, material_rows[j]
         if posteriors.k_counts[j]:
             update = posteriors.update(j, table[at])
@@ -650,7 +659,7 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
         else:
             update = posteriors.update(j, table[at],
                                        (first_probs[at], first_degenerate[at]))
-            values = [entries[at] for entries in first_values]
+            values = first_uncertainty[at], first_density[at], first_omega[at]
         if update.degenerate:
             degenerate_events += 1
 
@@ -662,10 +671,7 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
             terminated_by = "loop_closure"
             break
 
-        fields.touch(j, values)
-        probe = VoxelIndex(ix, iy, iz)
-        score = target_score(grid, probe, fields.f_saliency,
-                             fields.f_uncertainty)
+        score = fields.touch(j, values)
         chosen = int(score.argmax())
         best = score[chosen]
         if not 0.0 < best < math.inf:
@@ -675,7 +681,7 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
                 f"positive and finite")
         if on_iteration is not None:
             on_iteration(k, AttentionState(
-                grid, probe, score,
+                grid, VoxelIndex(ix, iy, iz), score,
                 uncertainty=fields.uncertainty.copy(),
                 omega=fields.omega,
                 saliency=fields.saliency.copy(),

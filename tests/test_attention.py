@@ -378,6 +378,18 @@ def test_beta_pdf_matches_scipy():
             == pytest.approx(stats.beta.pdf(x, *factor), rel=1e-12)
 
 
+@pytest.mark.parametrize("x", [10**400, [0.5, -10**400]],
+                         ids=["10**400", "list"])
+@pytest.mark.parametrize("name, call", [
+    ("beta_pdf: x", lambda x: beta_pdf(SALIENCY_FACTOR, x)),
+    ("inhibition_profile: d", inhibition_profile)], ids=["beta_pdf", "profile"])
+def test_densities_reject_an_integer_too_large_for_a_float(name, call, x):
+    # used to raise a stray OverflowError from the float conversion
+    with pytest.raises(ValueError, match=f"^{name} holds an integer too large "
+                                         f"for a float$"):
+        call(x)
+
+
 def two_term_beta_pdf(factor, x):
     """Oracle: the Beta log-density with both terms, as one expression."""
     a, b = factor

@@ -132,6 +132,17 @@ def test_sample_rejects_bad_index(lib):
         synthesize_sample(lib, len(lib), NoiseSpec(), np.random.default_rng(0))
 
 
+def test_library_rejects_an_entry_that_is_not_material_params(lib):
+    # (0, 1) used to raise a raw AttributeError ("'int' object has no
+    # attribute 'name'")
+    with pytest.raises(ValueError, match=r"^materials\[0\] must be a "
+                                         r"MaterialParams, got 0$"):
+        MaterialLibrary((0, 1))
+    with pytest.raises(ValueError, match=r"^materials\[2\] must be a "
+                                         r"MaterialParams, got 'wood'$"):
+        MaterialLibrary([lib[0], lib[1], "wood"])
+
+
 def test_library_iterates_over_its_materials(lib):
     # lib[len(lib)] raises ValueError, which ends no iteration through
     # __getitem__; the library iterates over its own list instead

@@ -659,12 +659,15 @@ def test_run_trial_iteration_callback(lib, scenarios):
 def test_degenerate_score_raises(lib, scenarios, monkeypatch, bad):
     # an all-zero score, or one NaN or inf entry among positive scores;
     # real scores lie in [3e-38, 30] (see run_trial), so this is a fault
-    def score(grid, current, f_saliency, f_uncertainty):
-        out = np.ones(grid.theta) if bad else np.zeros(grid.theta)
-        out[grid.theta // 2] = bad
+    touch = attention.AttentionFields.touch
+
+    def score(fields, j, values):
+        touch(fields, j, values)
+        out = np.ones(fields.grid.theta) if bad else np.zeros(fields.grid.theta)
+        out[fields.grid.theta // 2] = bad
         return out
 
-    monkeypatch.setattr(simulator, "target_score", score)
+    monkeypatch.setattr(attention.AttentionFields, "touch", score)
     grid = scenarios[0].grid
     # np.argmax picks the first maximum, or the first NaN
     voxel = tuple(grid.voxel_of_linear(grid.theta // 2 if bad else 0))
@@ -743,9 +746,9 @@ def test_an_observer_that_reads_nothing_builds_nothing(lib, scenarios,
     reads = []
     at_offsets = attention._at_offsets
 
-    def counted(grid, values, probe):
+    def counted(values, shape, *probe):
         reads.append(probe)
-        return at_offsets(grid, values, probe)
+        return at_offsets(values, shape, *probe)
 
     monkeypatch.setattr(attention, "_at_offsets", counted)
     for scenario in scenarios:
@@ -925,6 +928,26 @@ def test_save_rejects_more_materials_than_raster_symbols(tmp_path):
                                          "scenario file has symbols for 68$"):
         save_scenario(line_scenario(69, range(69)), lib, tmp_path / "bad.txt")
     assert not (tmp_path / "bad.txt").exists()
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    ("scenario", "scenario-1", "must be a Scenario, got 'scenario-1'"),
+    ("lib", "materials.csv", "must be a MaterialLibrary, got 'materials.csv'"),
+    ("config", {"seed": 0}, "must be a TrialConfig, got {'seed': 0}"),
+    ("on_iteration", 3, "must be None or callable, got 3"),
+])
+def test_run_trial_rejects_arguments_of_another_type(lib, scenarios, monkeypatch,
+                                                     name, bad, message):
+    # each used to raise a raw AttributeError or TypeError, the observer's
+    # only after the first touch; the checks run before the first sense block
+    args = dict(scenario=scenarios[0], lib=lib, config=TrialConfig(seed=0),
+                on_iteration=None)
+    args[name] = bad
+    sensed = []
+    monkeypatch.setattr(simulator, "sense", lambda *a: sensed.append(a))
+    with pytest.raises(ValueError, match=f"^{re.escape(name + ' ' + message)}$"):
+        run_trial(**args)
+    assert sensed == []
 
 
 def test_run_trial_rejects_task_material_outside_library(lib, scenarios):

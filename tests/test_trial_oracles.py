@@ -6,7 +6,9 @@ the public, checked ``gamma_metric`` of its visited path with ``==``,
 and that path must hold ``VoxelIndex`` entries of Python ints.  Its loop
 closure reads the scenario's ``benchmark_mask``, which must mark exactly
 the voxels of the benchmark path, on the bundled scenarios and on
-generated ones.
+generated ones.  It selects on the score ``AttentionFields.touch``
+returns, which must equal the public ``target_score`` with ``==`` at
+every touch.
 """
 
 import numpy as np
@@ -26,6 +28,9 @@ from hapticbayes import (
     make_grid,
     run_trial,
 )
+from hapticbayes.attention import AttentionFields, target_score
+from hapticbayes.simulator import DEFAULT_MAX_ITERATIONS
+from test_loop_properties import line_scenario, tilted_scenario
 
 EPS = 0.01
 
@@ -79,3 +84,48 @@ def scenarios_of_paths(draw):
 def test_benchmark_mask_of_generated_scenarios(scenario):
     assert_mask_is_path_membership(scenario)
 
+
+
+#: case id: (scenario from the library and the bundled scenarios, budget,
+#: seeds), the fixed inputs of ``test_loop_properties.py`` that cut the
+#: inhibition window and the saliency block on every side.
+FUSED = {
+    **{f"bundled-{i + 1}": (lambda lib, bundled, i=i: bundled[i],
+                            DEFAULT_MAX_ITERATIONS, range(10))
+       for i in range(3)},
+    "tilted-volume": (lambda lib, _: tilted_scenario(lib, (5, 4, 3)), 120,
+                      range(3)),
+    **{f"line-{nx}": (lambda lib, _, nx=nx: line_scenario(lib, nx), 30, range(3))
+       for nx in (1, 7)},
+}
+
+
+@pytest.mark.parametrize("case", FUSED)
+def test_touch_returns_the_target_score_at_every_touch(lib, scenarios,
+                                                       monkeypatch, case):
+    # the loop selects on the score that AttentionFields.touch returns; it
+    # must equal the public, checked target_score on the refreshed fields
+    touch = AttentionFields.touch
+    scored = []
+
+    def checked(fields, j, values):
+        score = touch(fields, j, values)
+        grid = fields.grid
+        want = target_score(grid, grid.voxel_of_linear(j), fields.f_saliency,
+                            fields.f_uncertainty)
+        assert score.shape == want.shape and np.all(score == want), j
+        scored.append(j)
+        return score
+
+    monkeypatch.setattr(AttentionFields, "touch", checked)
+    make, budget, seeds = FUSED[case]
+    scenario = make(lib, scenarios)
+    for seed in seeds:
+        scored.clear()
+        rec = run_trial(scenario, lib, TrialConfig(max_iterations=budget,
+                                                   seed=seed))
+        # every touch is scored but one that closes the loop
+        closed = rec.terminated_by == "loop_closure"
+        assert len(scored) == rec.l - closed > 0
+        assert scored == [scenario.grid.linear_index(v)
+                          for v in rec.visited[:len(scored)]]
