@@ -29,8 +29,7 @@ from hapticbayes import (
     run_trial,
 )
 from hapticbayes.attention import AttentionFields, target_score
-from hapticbayes.simulator import DEFAULT_MAX_ITERATIONS
-from test_loop_properties import line_scenario, tilted_scenario
+from test_loop_properties import FIXED
 
 EPS = 0.01
 
@@ -85,19 +84,10 @@ def test_benchmark_mask_of_generated_scenarios(scenario):
     assert_mask_is_path_membership(scenario)
 
 
-
-#: case id: (scenario from the library and the bundled scenarios, budget,
-#: seeds), the fixed inputs of ``test_loop_properties.py`` that cut the
-#: inhibition window and the saliency block on every side.
-FUSED = {
-    **{f"bundled-{i + 1}": (lambda lib, bundled, i=i: bundled[i],
-                            DEFAULT_MAX_ITERATIONS, range(10))
-       for i in range(3)},
-    "tilted-volume": (lambda lib, _: tilted_scenario(lib, (5, 4, 3)), 120,
-                      range(3)),
-    **{f"line-{nx}": (lambda lib, _, nx=nx: line_scenario(lib, nx), 30, range(3))
-       for nx in (1, 7)},
-}
+#: The fixed inputs of ``test_loop_properties.py`` that cut the inhibition
+#: window and the saliency block on every side.
+FUSED = ("bundled-1", "bundled-2", "bundled-3", "tilted-volume", "line-1",
+         "line-7")
 
 
 @pytest.mark.parametrize("case", FUSED)
@@ -118,7 +108,7 @@ def test_touch_returns_the_target_score_at_every_touch(lib, scenarios,
         return score
 
     monkeypatch.setattr(AttentionFields, "touch", checked)
-    make, budget, seeds = FUSED[case]
+    make, budget, seeds = FIXED[case][:3]
     scenario = make(lib, scenarios)
     for seed in seeds:
         scored.clear()
