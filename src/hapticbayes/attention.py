@@ -168,15 +168,15 @@ def inhibition_table(grid: WorkspaceGrid) -> InhibitionTable:
 def _at_offsets(values: np.ndarray, shape: tuple, ix: int, iy: int,
                 iz: int) -> np.ndarray:
     """``values``, an :class:`InhibitionTable` array of a grid of ``shape``,
-    at every voxel's offset from voxel ``(ix, iy, iz)``, as a fresh array
-    in linear-index order.  The voxel must lie in the grid: a negative
-    slice start would wrap and read a window of other offsets."""
+    at every voxel's offset from voxel ``(ix, iy, iz)``: a ``(nz, ny,
+    nx)`` view of the table, whose C order is linear-index order, for the
+    caller to copy or multiply, never to write.  The voxel must lie in the
+    grid: a negative slice start would wrap and read a window of other
+    offsets."""
     nx, ny, nz = shape
-    # flatten, not ravel: on a line grid the window is contiguous, and a
-    # view would let a caller's in-place product write into the table
     return values[nz - 1 - iz:2 * nz - 1 - iz,
                   ny - 1 - iy:2 * ny - 1 - iy,
-                  nx - 1 - ix:2 * nx - 1 - ix].flatten()
+                  nx - 1 - ix:2 * nx - 1 - ix]
 
 
 def inhibition_field(grid: WorkspaceGrid, current: VoxelIndex) -> np.ndarray:
@@ -191,7 +191,7 @@ def inhibition_field(grid: WorkspaceGrid, current: VoxelIndex) -> np.ndarray:
     :meth:`WorkspaceGrid.require` rejects raises its ``ValueError``.
     """
     return _at_offsets(inhibition_table(grid).inhibition, grid.shape,
-                       *grid.require(current))
+                       *grid.require(current)).flatten()
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,7 @@ def _sobel_responses(f: np.ndarray) -> np.ndarray:
     Each response adds the non-zero products of the 27 block entries to
     zero in C order.  A product by 1, 2 or 4 is exact, so the block is
     scaled once per weight magnitude and each term adds or subtracts a
-    view of it.  :meth:`AttentionFields.touch` adds the zero-weight
+    view of it.  :meth:`TrialState.touch` adds the zero-weight
     products too; a zero weight adds +0.0, which changes a sum at most in
     the sign of a zero, and saliency takes absolute values."""
     nz, ny, nx = f.shape
@@ -264,16 +264,17 @@ def _sobel_responses(f: np.ndarray) -> np.ndarray:
     return responses
 
 
-def _saliency(responses) -> np.ndarray:
+def _saliency(responses: np.ndarray) -> np.ndarray:
     """Saliency from the Sobel responses (s_x, s_y, s_z), stacked on the
-    leading axis; see :func:`saliency_field`.
+    leading axis of a float array that this overwrites with their absolute
+    values; see :func:`saliency_field`.
 
     On a [0, 1] field with 0.5 padding the result lies in [0, 1] unclipped:
     a response adds products of values in [0, 1] with kernel weights whose
     positive and negative parts each sum to 16 in magnitude, the products
     by 1, 2 and 4 are exact, and a float sum is monotone in each term, so
     no response passes 16 in magnitude."""
-    saliency = np.maximum.reduce(np.abs(responses), axis=0)
+    saliency = np.maximum.reduce(np.abs(responses, out=responses), axis=0)
     saliency /= SOBEL_NORM
     return saliency
 
@@ -303,40 +304,55 @@ def beta_pdf(factor: BetaFactor, x):
     ``x`` and an array otherwise.  The argument is clamped to
     ``[BETA_CLAMP, 1 - BETA_CLAMP]`` so boundary singularities stay
     finite; NaN passes through."""
-    a, b = factor
-    # np.clip's bounds, as two ufuncs: the lower bound is positive, so no
-    # signed zero survives, and both pass NaN through
     try:
         xs = np.asarray(x, dtype=float)
     except OverflowError:
         raise ValueError("beta_pdf: x holds an integer too large for a "
                          "float") from None
-    xs = np.minimum(np.maximum(xs, BETA_CLAMP), 1.0 - BETA_CLAMP)
-    log_b = _log_beta(a, b)
+    # the lower clamp writes a fresh array, which the formula overwrites
+    out = _beta_density(factor, np.maximum(xs, BETA_CLAMP,
+                                           out=np.empty(xs.shape)))
+    return float(out) if out.ndim == 0 else out
+
+
+def _beta_density(factor: BetaFactor, xs: np.ndarray) -> np.ndarray:
+    """:func:`beta_pdf` of the float array ``xs``, already clamped from
+    below, computed in ``xs`` and returned."""
+    a, b = factor
+    # np.clip's bounds, as two ufuncs: the lower bound is positive, so no
+    # signed zero survives, and both pass NaN through
+    np.minimum(xs, 1.0 - BETA_CLAMP, out=xs)
     # the log-density is (a-1) log x + (b-1) log(1-x).  A term whose
     # exponent is 0 is +-0, and the other term is finite and non-zero on
     # the clamped range, so the sum is that other term: the +-0 is skipped
     if a == 1.0:
-        log_p = (b - 1.0) * np.log(1.0 - xs)
+        np.log(np.subtract(1.0, xs, out=xs), out=xs)
+        xs *= b - 1.0
     elif b == 1.0:
-        log_p = (a - 1.0) * np.log(xs)
+        np.log(xs, out=xs)
+        xs *= a - 1.0
     else:
-        log_p = (a - 1.0) * np.log(xs) + (b - 1.0) * np.log(1.0 - xs)
-    out = np.exp(log_p - log_b)
-    return float(out) if out.ndim == 0 else out
+        tail = np.log(1.0 - xs)
+        tail *= b - 1.0
+        np.log(xs, out=xs)
+        xs *= a - 1.0
+        xs += tail
+    xs -= _log_beta(a, b)
+    return np.exp(xs, out=xs)
 
 
 def target_score(grid: WorkspaceGrid, current: VoxelIndex,
                  f_saliency: np.ndarray, f_uncertainty: np.ndarray) -> np.ndarray:
     """Unnormalized target posterior with the probe at ``current``.
 
-    Each voxel scores its inhibition density, a copied slice of the
-    grid's signed-offset :class:`InhibitionTable`, times ``f_saliency``
-    times ``f_uncertainty``: the score that :func:`target_posterior` of
-    :func:`inhibition_field` normalizes, value for value.  The target is
-    its first maximum; selecting needs no normalization.  A probe that
-    :meth:`WorkspaceGrid.require` rejects raises its ``ValueError``.
-    :meth:`AttentionFields.touch` returns this score for its own fields.
+    Each voxel scores its inhibition density, from a slice of the grid's
+    signed-offset :class:`InhibitionTable`, times ``f_saliency`` times
+    ``f_uncertainty``, two arrays of ``grid.theta`` entries: the score
+    that :func:`target_posterior` of :func:`inhibition_field` normalizes,
+    value for value.  The target is its first maximum; selecting needs no
+    normalization.  A probe that :meth:`WorkspaceGrid.require` rejects
+    raises its ``ValueError``.  :meth:`TrialState.touch` returns this
+    score for its own fields.
     """
     return _score(inhibition_table(grid).density, grid.shape,
                   grid.require(current), f_saliency, f_uncertainty)
@@ -347,7 +363,7 @@ def _score(density: np.ndarray, shape: tuple, probe: tuple,
     """:func:`target_score` from the ``density`` of the inhibition table of
     a grid of ``shape``, with the probe at voxel ``probe``, given as
     ``(ix, iy, iz)`` inside the grid."""
-    score = _at_offsets(density, shape, *probe)
+    score = _at_offsets(density, shape, *probe).flatten()
     score *= f_saliency
     score *= f_uncertainty
     return score
@@ -382,8 +398,20 @@ def target_posterior(inhibition: np.ndarray, f_saliency: np.ndarray,
 
 def select_target(score: np.ndarray, grid: WorkspaceGrid) -> VoxelIndex:
     """Voxel of the highest score, raw or normalized; ties break to the
-    lowest linear index."""
-    return grid.voxel_of_linear(int(np.argmax(score)))
+    lowest linear index.  A ``score`` that is not a 1-D array of
+    ``grid.theta`` real numbers, or whose maximum is not finite (NaN
+    counts as a maximum), raises ``ValueError`` naming it."""
+    values = np.asarray(score)
+    if values.shape != (grid.theta,) or values.dtype.kind not in "iuf":
+        raise ValueError(f"score must be a 1-D array of {grid.theta} real "
+                         f"numbers, got shape {values.shape} and dtype "
+                         f"{values.dtype}")
+    j = int(np.argmax(values))
+    if not math.isfinite(values[j]):
+        raise ValueError(f"score must have a finite maximum, got "
+                         f"{values[j]} at linear index {j}")
+    return grid.voxel_of_linear(j)
+
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +421,22 @@ class StencilCase(NamedTuple):
     """How the saliency block around a voxel of one border case is
     computed, for its ``m`` outputs inside the grid, in C order.
 
-    ``reads[k, o]`` is the offset, from the window's corner in the padded
-    similarity field, of the value that Sobel kernel entry ``k`` (C order)
-    multiplies for output ``o``; ``weights[k, a, o]`` is that entry's
-    weight in kernel ``a`` of (x, y, z), repeated for each output (a
-    contiguous operand multiplies faster than a broadcast one); and
-    ``outputs[o]`` is the output's linear index minus the voxel's.
+    ``reads[k, a, o]`` is the offset, from the window's corner in the
+    padded similarity field, of the value that Sobel kernel entry ``k`` (C
+    order) multiplies for output ``o``, the same for each kernel ``a`` of
+    (x, y, z), and ``weights[k, a, o]`` is that entry's weight in kernel
+    ``a``, the same for each output: a gather of the reads is multiplied
+    by the weights in place, faster than a broadcast product;
+    ``outputs[o]`` is the output's linear index minus the first output's,
+    and ``first`` the first output's linear index minus the voxel's.  So
+    the outputs of voxel ``j`` are a slice from ``j + first``, never
+    negative, indexed by ``outputs``.
     """
 
     reads: np.ndarray
     weights: np.ndarray
     outputs: np.ndarray
+    first: int
 
 
 class SaliencyStencil:
@@ -454,11 +487,14 @@ class SaliencyStencil:
         kept = _BLOCK_OFFSETS[keep]
         reads = ((_BLOCK_OFFSETS[:, None, :] + kept[None, :, :])
                  @ np.array([self.zstep, self.ystep, 1]))
+        reads = np.repeat(reads[:, None, :], 3, axis=1)
         weights = np.repeat(_SOBEL_WEIGHTS[:, :, None], len(kept), axis=2)
         outputs = (kept - 1) @ self._grid_steps
+        first = int(outputs[0])
+        outputs -= first
         for array in (reads, weights, outputs):
             array.setflags(write=False)
-        return StencilCase(reads, weights, outputs)
+        return StencilCase(reads, weights, outputs, first)
 
 
 def saliency_stencil(grid: WorkspaceGrid) -> SaliencyStencil:
@@ -471,21 +507,32 @@ def saliency_stencil(grid: WorkspaceGrid) -> SaliencyStencil:
 
 
 # ---------------------------------------------------------------------------
-# per-trial field cache
+# per-trial state
 
 @functools.lru_cache(maxsize=64)
 def _start_values(task: TaskSpec, n_materials: int) -> tuple:
     """The uncertainty and its density of a uniform posterior row over
-    ``n_materials``, by :meth:`AttentionFields.row_values`, and the
-    saliency density of zero saliency: every voxel's value at the start of
-    a trial but its similarity, which is neutral."""
+    ``n_materials``, by :func:`_row_values`, and the saliency density of
+    zero saliency: every voxel's value at the start of a trial but its
+    similarity, which is neutral."""
     uniform = np.full(n_materials, 1.0 / n_materials)
     return tuple(map(float, (*_row_values(task, uniform, False)[:2],
                              beta_pdf(SALIENCY_FACTOR, 0.0))))
 
 
 def _row_values(task: TaskSpec, probs: np.ndarray, explored):
-    """:meth:`AttentionFields.row_values` for ``task``."""
+    """Uncertainty, its density and similarity of posterior rows ``probs``,
+    each row along the last axis, as arrays of the leading shape (0-d for
+    one ``(n,)`` row): the arithmetic of :func:`uncertainty_field` and
+    :func:`omega_field` row by row.  ``explored``, a bool or a bool array
+    of the leading shape, marks the rows with a sample integrated; the
+    others are neutral.
+
+    Every entry equals the single-row result, as each step is elementwise
+    or reduces the last axis alone.  The similarity ``(1 - (p_b - p_a)) /
+    2`` needs no clip: for probabilities in [0, 1], ``p_b - p_a`` lies in
+    [-1, 1], as each step rounds monotonically to representable bounds, so
+    the similarity lies in [0, 1]."""
     # the entropy of a uniform row can round above 1
     uncertainty = _normalized_entropies(probs).clip(0.0, 1.0)
     omega = np.where(explored, (1.0 - (probs[..., task.material_b]
@@ -494,24 +541,32 @@ def _row_values(task: TaskSpec, probs: np.ndarray, explored):
     return uncertainty, beta_pdf(UNCERTAINTY_FACTOR, uncertainty), omega
 
 
-class AttentionFields:
-    """The uncertainty, similarity and saliency fields of one trial, with
-    their evidence densities ``f_uncertainty`` and ``f_saliency``.
+class TrialState:
+    """What one exploration trial changes: the material posterior of every
+    voxel, the fields and densities the target score reads, and the
+    first-touch outcomes of the current sense block.
 
-    A trial starts with every voxel at the uniform prior over
-    ``n_materials``, so the start fields are constant, computed once per
-    task and library size, with zero saliency.  A posterior update at
-    voxel ``j`` changes the uncertainty and similarity of ``j`` alone, and
-    the saliency only in the 3x3x3 block around it: :meth:`touch` writes
-    the values its caller computed with :meth:`row_values` and recomputes
-    the block's outputs inside the grid with the arithmetic of
-    :func:`saliency_field`, through the grid's :class:`SaliencyStencil`,
-    so every field stays equal to a full recompute; it then returns the
-    :func:`target_score` with the probe at ``j``, from the grid's
-    inhibition density, which the fields keep.  The similarity field
-    is held once, padded by two neutral voxels per side as the stencil
-    reads it, and :attr:`omega` copies it out; the other arrays are
-    updated in place, so copy them to keep a snapshot.  A ``grid`` that
+    ``posteriors`` is the trial's :class:`PosteriorGrid`.  ``uncertainty``,
+    ``omega`` and ``saliency`` and the densities ``f_uncertainty`` and
+    ``f_saliency`` are flat arrays in linear-index order, updated in place:
+    :meth:`snapshot` copies the three fields.  A trial starts with every
+    voxel at the uniform prior over ``n_materials``, so the start fields
+    are constant, computed once per task and library size, with zero
+    saliency and neutral similarity.
+
+    Per sense block, :meth:`load` takes the block's log-likelihood table
+    and computes, one batch each, what every entry makes of an unexplored
+    voxel: :meth:`PosteriorGrid.first_updates` and the uncertainty, its
+    density and the similarity of those rows.  Per touch, :meth:`update`
+    integrates one entry at a voxel through :meth:`PosteriorGrid.update`
+    and returns the voxel's new values, and :meth:`touch` writes them,
+    recomputes the saliency of the 3x3x3 block around the voxel, the only
+    outputs a change there reaches, with the arithmetic of
+    :func:`saliency_field` through the grid's :class:`SaliencyStencil`,
+    and returns the :func:`target_score` with the probe at the voxel.  So
+    every field stays equal to a full recompute from ``posteriors``.  The
+    similarity is also held padded by two neutral voxels per side, as the
+    stencil reads it, and written to both on each touch.  A ``grid`` that
     is not a :class:`WorkspaceGrid`, a ``task`` that is not a
     :class:`TaskSpec`, or an ``n_materials`` that is not an integer above
     both task materials raises ``ValueError`` naming it.
@@ -524,58 +579,75 @@ class AttentionFields:
                        max(task.material_a, task.material_b) + 1)
         self.grid = grid
         self.task = task
-        theta = grid.theta
-        uncertainty, f_uncertainty, f_saliency = _start_values(task, n_materials)
-        self.uncertainty = np.full(theta, uncertainty)
-        self.f_uncertainty = np.full(theta, f_uncertainty)
-        self.saliency = np.zeros(theta)
-        self.f_saliency = np.full(theta, f_saliency)
+        self.posteriors = PosteriorGrid(grid.theta, n_materials)
+        self.degenerate_events = 0
+        start = zip(("uncertainty", "f_uncertainty", "f_saliency", "omega",
+                     "saliency"),
+                    (*_start_values(task, n_materials), OMEGA_NEUTRAL, 0.0))
+        for name, value in start:
+            field = np.empty(grid.theta)
+            field.fill(value)
+            setattr(self, name, field)
         self._stencil = saliency_stencil(grid)
         self._density = inhibition_table(grid).density
         # the border holds the 5x5x5 window that the block around any voxel
         # reads; no voxel is explored yet, so every similarity is neutral
-        padded = np.full(self._stencil.padded_shape, OMEGA_NEUTRAL)
-        self._padded, self._interior = padded.ravel(), padded[2:-2, 2:-2, 2:-2]
+        self._padded = np.empty(math.prod(self._stencil.padded_shape))
+        self._padded.fill(OMEGA_NEUTRAL)
 
-    @property
-    def omega(self) -> np.ndarray:
-        """The similarity field in linear-index order, always a fresh array
-        (``ravel`` alone would alias a one-voxel grid's contiguous interior)."""
-        return self._interior.copy().ravel()
+    def load(self, table: np.ndarray) -> None:
+        """Take a sense block's log-likelihood table, whose ``[k, r]`` entry
+        is an ``(n,)`` row, and compute what each entry makes of an
+        unexplored voxel, for :meth:`update`."""
+        self._table = table
+        self._first_probs, self._first_degenerate = \
+            self.posteriors.first_updates(table)
+        self._first_values = _row_values(self.task, self._first_probs,
+                                         ~self._first_degenerate)
 
-    def row_values(self, probs: np.ndarray, explored):
-        """Uncertainty, its density and similarity of posterior rows
-        ``probs``, each row along the last axis, as arrays of the leading
-        shape (0-d for one ``(n,)`` row): the arithmetic of
-        :func:`uncertainty_field` and :func:`omega_field` row by row.
-        ``explored``, a bool or a bool array of the leading shape, marks
-        the rows with a sample integrated; the others are neutral.
+    def update(self, j: int, k: int, r: int):
+        """Integrate entry ``[k, r]`` of the loaded table at voxel ``j``
+        through :meth:`PosteriorGrid.update`, once, and return the voxel's
+        uncertainty, its density and its similarity, for :meth:`touch`.
 
-        Every entry equals the single-row result, as each step is
-        elementwise or reduces the last axis alone.  The similarity
-        ``(1 - (p_b - p_a)) / 2`` needs no clip: for probabilities in
-        [0, 1], ``p_b - p_a`` lies in [-1, 1], as each step rounds
-        monotonically to representable bounds, so the similarity lies in
-        [0, 1]."""
-        return _row_values(self.task, probs, explored)
+        An unexplored voxel takes the entry's outcome from :meth:`load`, by
+        indexing; a revisit runs the posterior kernel and the same
+        arithmetic on the voxel's own row.  An update that keeps its prior
+        adds one to ``degenerate_events``.  A ``j`` that is not an integer
+        in ``[0, theta)`` raises the ``ValueError`` of
+        :meth:`PosteriorGrid.update`, before anything changes."""
+        posteriors = self.posteriors
+        j = _as_index(j, "linear index", self.grid.theta)
+        if posteriors.k_counts[j]:
+            update = posteriors.update(j, self._table[k, r])
+            values = _row_values(self.task, posteriors.probs[j], True)
+        else:
+            at = k, r
+            update = posteriors.update(j, self._table[at], (
+                self._first_probs[at], self._first_degenerate[at]))
+            uncertainty, density, omega = self._first_values
+            values = uncertainty[at], density[at], omega[at]
+        if update.degenerate:
+            self.degenerate_events += 1
+        return values
 
     def touch(self, j: int, values) -> np.ndarray:
         """Refresh every entry that depends on voxel ``j``'s posterior, and
         return the target score with the probe at ``j``.
 
         ``values`` holds the voxel's uncertainty, its density and its
-        similarity, computed by :meth:`row_values` from the voxel's new
-        posterior row.  The score is a fresh array, equal to
-        ``target_score(grid, grid.voxel_of_linear(j), f_saliency,
-        f_uncertainty)`` on the refreshed fields: it reads the grid's
-        inhibition density, which the fields keep, at the voxel this call
-        derives from ``j``, so the probe is neither built nor checked
-        again.  A ``j`` that is not an integer in ``[0, theta)`` (numpy
-        integers are, ``bool`` is not) raises the ``ValueError`` of
+        similarity, as :meth:`update` returns them.  The score is a fresh
+        array, equal to ``target_score(grid, grid.voxel_of_linear(j),
+        f_saliency, f_uncertainty)`` on the refreshed fields: it reads the
+        grid's inhibition density, which the state keeps, at the voxel
+        this call derives from ``j``, so the probe is neither built nor
+        checked again.  A ``j`` that is not an integer in ``[0, theta)``
+        (numpy integers are, ``bool`` is not) raises the ``ValueError`` of
         :meth:`WorkspaceGrid.voxel_of_linear`, before any entry changes."""
         grid = self.grid
         j = _as_index(j, "linear index", grid.theta)
         self.uncertainty[j], self.f_uncertainty[j], omega = values
+        self.omega[j] = omega
 
         nx = grid.nx
         ix, iy, iz = j % nx, j // nx % grid.ny, j // (nx * grid.ny)
@@ -586,11 +658,21 @@ class AttentionFields:
         # products in the C order of _sobel_responses, zero weights
         # included: the sum over the leading axis k adds the rows one after
         # another, for any number of outputs.
-        reads, weights, outputs = stencil.case(ix, iy, iz)
-        window = self._padded[corner:][reads]
-        block = _saliency(np.add.reduce(weights * window[:, None, :], 0))
-        outputs = outputs + j
-        self.saliency[outputs] = block
-        self.f_saliency[outputs] = beta_pdf(SALIENCY_FACTOR, block)
+        reads, weights, outputs, first = stencil.case(ix, iy, iz)
+        products = self._padded[corner:][reads]
+        products *= weights
+        block = _saliency(np.add.reduce(products, 0))
+        self.saliency[j + first:][outputs] = block
+        # beta_pdf(SALIENCY_FACTOR, block), in the block's own array
+        np.maximum(block, BETA_CLAMP, out=block)
+        self.f_saliency[j + first:][outputs] = _beta_density(SALIENCY_FACTOR,
+                                                            block)
         return _score(self._density, grid.shape, (ix, iy, iz),
                       self.f_saliency, self.f_uncertainty)
+
+    def snapshot(self, probe: VoxelIndex, score: np.ndarray) -> AttentionState:
+        """The :class:`AttentionState` of an iteration with the probe at
+        ``probe`` that selected on ``score``: it holds ``score`` and copies
+        of the uncertainty, similarity and saliency fields."""
+        return AttentionState(self.grid, probe, score, self.uncertainty.copy(),
+                              self.omega.copy(), self.saliency.copy())

@@ -234,7 +234,7 @@ def _samples_of_draws(lib: MaterialLibrary, material, noise: NoiseSpec,
     indexed with it.
     """
     mu_e, mu_c = lib.mu_e[material], lib.mu_c[material]
-    z_e, z_c, z_qe, z_qc = np.rollaxis(z, -1)
+    z_e, z_c, z_qe, z_qc = z[..., 0], z[..., 1], z[..., 2], z[..., 3]
     e = mu_e + lib.sigma_e[material] * z_e
     c = mu_c + lib.sigma_c[material] * z_c
     q_e = 0.0 + noise.scale_E * np.abs(mu_e) / 2.0 * z_qe

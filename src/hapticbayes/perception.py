@@ -159,7 +159,8 @@ class PosteriorGrid:
         _check_integer("n_materials", n_materials, 2)
         self._prior = np.full(n_materials, 1.0 / n_materials)
         self._log_prior = np.log(self._prior)
-        self.probs = np.full((theta, n_materials), 1.0 / n_materials)
+        self.probs = np.empty((theta, n_materials))
+        self.probs.fill(1.0 / n_materials)
         self.k_counts = np.zeros(theta, dtype=int)
 
     def first_updates(self, log_lik: np.ndarray):
@@ -192,18 +193,19 @@ class PosteriorGrid:
         :meth:`WorkspaceGrid.voxel_of_linear`, before anything changes.
         """
         linear = _as_index(linear, "linear index", len(self.k_counts))
+        count = int(self.k_counts[linear])
         if first is None:
             new_probs, degenerate = _posterior_update(self.probs[linear], log_lik)
-        elif self.k_counts[linear]:
-            raise ValueError(f"voxel {linear} has {self.k_counts[linear]} "
-                             f"samples, so its row is not the prior that "
-                             f"`first` was computed from")
+        elif count:
+            raise ValueError(f"voxel {linear} has {count} samples, so its row "
+                             f"is not the prior that `first` was computed from")
         else:
             new_probs, degenerate = first
         self.probs[linear] = new_probs
         if not degenerate:
-            self.k_counts[linear] += 1
-        return VoxelUpdate(int(self.k_counts[linear]), bool(degenerate))
+            count += 1
+            self.k_counts[linear] = count
+        return VoxelUpdate(count, bool(degenerate))
 
     def entropies(self) -> np.ndarray:
         """Normalized entropy of every row, vectorized."""

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .attention import AttentionFields, AttentionState, TaskSpec
+from .attention import AttentionState, TaskSpec, TrialState
 # Not called here.  benchmarks/tracing.py times layers by wrapping these
 # names in this module (and grid.WorkspaceGrid.center_arrays), and
 # benchmarks/test_benchmark.py::originals reads every one of them with
@@ -30,7 +30,7 @@ from .attention import (inhibition_field, omega_field, saliency_field,
 from .grid import (VoxelIndex, WorkspaceBounds, WorkspaceGrid, _check_integer,
                    _check_type, _is_finite_real, make_grid)
 from .materials import MaterialLibrary, NoiseSpec, _samples_of_draws
-from .perception import PosteriorGrid, log_likelihoods
+from .perception import log_likelihoods
 
 #: Iterations that must elapse before loop closure may trigger.
 CLOSURE_MIN_ITERATIONS = 10
@@ -567,46 +567,42 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
 
     Each iteration senses the current voxel, updates its material
     posterior, refreshes the attention fields, scores every voxel as a
-    target and teleports to the highest score.  Sensing runs in blocks:
-    every ``SENSE_BLOCK`` touches one :func:`sense` call draws the next
-    block's noise and scores the sample of each of the scenario's
-    ``materials`` at each touch, and touch ``k`` of a voxel reads row
-    ``[k % SENSE_BLOCK, r]`` of that table, ``r`` being the voxel's entry
-    of ``material_rows``.  The draws equal one :func:`synthesize_sample`
-    draw per touch, so the path is the same as with per-touch sensing,
-    and memory does not grow with the budget.  Right after each
-    :func:`sense` call, :meth:`PosteriorGrid.first_updates` gives what
-    every entry of the table makes of the uniform prior, and
-    :meth:`AttentionFields.row_values` those rows' uncertainty, its
-    density and similarity, one batch each.  A touch of an unexplored
-    voxel (no sample integrated) takes its entry of both, by indexing; a
-    revisit runs the posterior kernel and
-    :meth:`AttentionFields.row_values` on the voxel's own row.  Either way
-    :meth:`PosteriorGrid.update` runs once and one
-    :meth:`AttentionFields.touch` call applies the values, which equal a
-    full recompute bit for bit, and returns the score with the probe at
-    the touched voxel.  That score equals :func:`target_score`: the
-    inhibition density at each voxel's whole-voxel offset from the
-    current position, from the grid's inhibition table, times the
-    saliency and uncertainty densities.  The target is its maximum, ties
-    to the lowest linear index, with no normalization.  Every score lies
-    in [3e-38, 30], as the fields stay finite in [0, 1] and ``beta_pdf``
-    clamps its argument, so a selected score that is not positive and
-    finite raises ``FloatingPointError`` naming the iteration, the voxel
-    and the value.  ``degenerate_events`` counts the posterior updates
-    that kept their prior (e.g. a NaN sample).  The trial ends on loop
-    closure (current voxel within one step, in Chebyshev distance, of the
-    first voxel visited that the scenario's ``benchmark_mask`` marks, once
-    at least ten iterations have run) or when the iteration budget is
-    spent.  The start voxel counts as the first visited voxel.  A
-    ``scenario`` that is not a :class:`Scenario`, a ``lib`` that is not a
-    :class:`MaterialLibrary`, a ``config`` that is not a
-    :class:`TrialConfig`, an ``on_iteration`` that is neither ``None`` nor
-    callable, and a task or ground truth that names a material the
-    library lacks each raise ``ValueError`` naming it, before the first
-    touch.  The loop keeps its voxels as linear indices, from the checked
-    ``start`` or the score's argmax, and builds a :class:`VoxelIndex`
-    only for an observer's state, an error message and the record.
+    target and teleports to the highest score.  One
+    :class:`~hapticbayes.attention.TrialState` holds everything the trial
+    changes.  Sensing runs in blocks: every ``SENSE_BLOCK`` touches one
+    :func:`sense` call draws the next block's noise and scores the sample
+    of each of the scenario's ``materials`` at each touch, and the state
+    loads that table.  Touch ``k`` of a voxel reads entry ``[k %
+    SENSE_BLOCK, r]``, ``r`` being the voxel's entry of ``material_rows``.
+    The draws equal one :func:`synthesize_sample` draw per touch, so the
+    path is the same as with per-touch sensing, and memory does not grow
+    with the budget.  Each touch then runs four steps: the state's
+    ``update`` integrates the entry through :meth:`PosteriorGrid.update`,
+    once; the loop-closure test; the state's ``touch``, which refreshes
+    the fields, equal to a full recompute bit for bit, and returns the
+    score with the probe at the touched voxel; and the selection.  That
+    score equals :func:`target_score`: the inhibition density at each
+    voxel's whole-voxel offset from the current position, from the grid's
+    inhibition table, times the saliency and uncertainty densities.  The
+    target is its maximum, ties to the lowest linear index, with no
+    normalization.  Every score lies in [3e-38, 30], as the fields stay
+    finite in [0, 1] and ``beta_pdf`` clamps its argument, so a selected
+    score that is not positive and finite raises ``FloatingPointError``
+    naming the iteration, the voxel and the value.  ``degenerate_events``
+    counts the posterior updates that kept their prior (e.g. a NaN
+    sample).  The trial ends on loop closure (current voxel within one
+    step, in Chebyshev distance, of the first voxel visited that the
+    scenario's ``benchmark_mask`` marks, once at least ten iterations
+    have run) or when the iteration budget is spent.  The start voxel
+    counts as the first visited voxel.  A ``scenario`` that is not a
+    :class:`Scenario`, a ``lib`` that is not a :class:`MaterialLibrary`,
+    a ``config`` that is not a :class:`TrialConfig`, an ``on_iteration``
+    that is neither ``None`` nor callable, and a task or ground truth
+    that names a material the library lacks each raise ``ValueError``
+    naming it, before the first touch.  The loop keeps its voxels as
+    linear indices, from the checked ``start`` or the score's argmax, and
+    builds one :class:`VoxelIndex` per touch from their ints, for the
+    record and an observer's state.
 
     ``on_iteration`` receives ``(k, AttentionState)`` after each target
     selection, which is how field snapshots are exported.  The state
@@ -628,50 +624,36 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     grid = scenario.grid
     _check_materials(scenario, len(lib))
     rng = np.random.default_rng(config.seed)
-    posteriors = PosteriorGrid(grid.theta, len(lib))
-    fields = AttentionFields(grid, scenario.task, len(lib))
+    state = TrialState(grid, scenario.task, len(lib))
     material_rows = scenario.material_rows
     on_benchmark = scenario.benchmark_mask
     nx, ny = grid.nx, grid.ny
     nxy = nx * ny
 
     current = grid.linear_index(scenario.start)
-    visited: list[int] = []
-    anchor: Optional[tuple] = None
+    visited: list[VoxelIndex] = []
+    anchor: Optional[VoxelIndex] = None
     terminated_by = "budget"
-    degenerate_events = 0
 
     for k in range(config.max_iterations):
         j = current
         ix, iy, iz = j % nx, j // nx % ny, j // nxy
-        visited.append(j)
+        probe = VoxelIndex._make((ix, iy, iz))
+        visited.append(probe)
         touch = k % SENSE_BLOCK
         if touch == 0:
-            table = sense(lib, scenario.materials, config.noise, rng)
-            # what each entry gives a voxel's first touch, for the block
-            first_probs, first_degenerate = posteriors.first_updates(table)
-            first_uncertainty, first_density, first_omega = fields.row_values(
-                first_probs, ~first_degenerate)
-        at = touch, material_rows[j]
-        if posteriors.k_counts[j]:
-            update = posteriors.update(j, table[at])
-            values = fields.row_values(posteriors.probs[j], True)
-        else:
-            update = posteriors.update(j, table[at],
-                                       (first_probs[at], first_degenerate[at]))
-            values = first_uncertainty[at], first_density[at], first_omega[at]
-        if update.degenerate:
-            degenerate_events += 1
+            state.load(sense(lib, scenario.materials, config.noise, rng))
+        values = state.update(j, touch, material_rows[j])
 
         if anchor is None and on_benchmark[j]:
-            anchor = ix, iy, iz
+            anchor = probe
         if (anchor is not None and len(visited) >= CLOSURE_MIN_ITERATIONS
                 and max(abs(ix - anchor[0]), abs(iy - anchor[1]),
                         abs(iz - anchor[2])) <= 1):
             terminated_by = "loop_closure"
             break
 
-        score = fields.touch(j, values)
+        score = state.touch(j, values)
         chosen = int(score.argmax())
         best = score[chosen]
         if not 0.0 < best < math.inf:
@@ -680,18 +662,12 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
                 f"{(chosen % nx, chosen // nx % ny, chosen // nxy)} is not "
                 f"positive and finite")
         if on_iteration is not None:
-            on_iteration(k, AttentionState(
-                grid, VoxelIndex(ix, iy, iz), score,
-                uncertainty=fields.uncertainty.copy(),
-                omega=fields.omega,
-                saliency=fields.saliency.copy(),
-            ))
+            on_iteration(k, state.snapshot(probe, score))
         current = chosen
 
-    path = np.array(visited)
-    ixyz = np.stack((path % nx, path // nx % ny, path // nxy), axis=1)
-    gamma = _divergence(grid.bounds.epsilon, ixyz.astype(float),
-                        scenario.benchmark_points)
-    return TrialRecord([VoxelIndex(*v) for v in ixyz.tolist()], gamma,
-                       config.seed, terminated_by, degenerate_events,
+    points = np.fromiter(itertools.chain.from_iterable(visited), float,
+                         3 * len(visited)).reshape(-1, 3)
+    gamma = _divergence(grid.bounds.epsilon, points, scenario.benchmark_points)
+    return TrialRecord(visited, gamma, config.seed, terminated_by,
+                       state.degenerate_events,
                        len(visited) - len(set(visited)))

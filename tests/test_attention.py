@@ -31,7 +31,7 @@ from hapticbayes import (
 from hapticbayes.attention import (
     BETA_CLAMP,
     FACTORS,
-    AttentionFields,
+    TrialState,
     _sobel_responses,
     inhibition_table,
     target_score,
@@ -280,12 +280,12 @@ def test_task_spec_rejects_equal_materials():
 @pytest.mark.parametrize("task, n_materials, least",
                          [(TaskSpec(0, 5), 3, 6), (TaskSpec(2, 1), 2, 3),
                           (TaskSpec(0, 1), 1.5, 2), (TaskSpec(0, 1), True, 2)])
-def test_attention_fields_reject_a_library_without_the_task_materials(
+def test_trial_state_rejects_a_library_without_the_task_materials(
         task, n_materials, least):
     # TaskSpec(0, 5) over 3 materials used to raise a raw IndexError
     with pytest.raises(ValueError, match=re.escape(
             f"n_materials must be an integer >= {least}, got {n_materials!r}")):
-        AttentionFields(grid_of(3, 2, 1), task, n_materials)
+        TrialState(grid_of(3, 2, 1), task, n_materials)
 
 
 @pytest.mark.parametrize("grid, task, message", [
@@ -293,11 +293,11 @@ def test_attention_fields_reject_a_library_without_the_task_materials(
     (grid_of(3, 2, 1), None, "task must be a TaskSpec, got None"),
     ((3, 2, 1), TaskSpec(0, 1), "grid must be a WorkspaceGrid, got (3, 2, 1)"),
 ])
-def test_attention_fields_reject_a_grid_or_task_of_another_type(grid, task,
-                                                                message):
+def test_trial_state_rejects_a_grid_or_task_of_another_type(grid, task,
+                                                            message):
     # a tuple task used to raise a stray AttributeError reading material_a
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        AttentionFields(grid, task, 3)
+        TrialState(grid, task, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -598,13 +598,15 @@ def test_fields_stay_in_range_during_updates(lib):
 
 @pytest.mark.parametrize("shape", [(5, 4, 3), (1, 1, 1)])
 @pytest.mark.parametrize("n_materials", [2, 10])
-def test_attention_fields_start_equals_full_fields_of_a_fresh_grid(shape,
-                                                                   n_materials):
+def test_trial_state_start_equals_full_fields_of_a_fresh_grid(shape,
+                                                              n_materials):
     # oracle: the full-grid field functions on a fresh, uniform PosteriorGrid
     grid = grid_of(*shape)
     task = TaskSpec(n_materials - 1, 0)
-    fields = AttentionFields(grid, task, n_materials)
+    fields = TrialState(grid, task, n_materials)
     fresh = PosteriorGrid(grid.theta, n_materials)
+    assert np.array_equal(fields.posteriors.probs, fresh.probs)
+    assert np.array_equal(fields.posteriors.k_counts, fresh.k_counts)
     uncertainty = uncertainty_field(fresh)
     omega = omega_field(fresh, task)
     saliency = saliency_field(grid, omega)

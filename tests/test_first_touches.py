@@ -1,12 +1,13 @@
 """Oracle of the loop's per-block first-touch outcomes.
 
-Once per sense block, ``run_trial`` computes what a first touch gives for
-every entry of the block's table: ``PosteriorGrid.first_updates`` (one
-``_posterior_update`` of the uniform prior over the whole table) and
-``AttentionFields.row_values`` on its rows.  A touch of an unexplored
-voxel then takes its entry.  These tests hold each entry to the same two
-calls on that one row, compared by bytes, so a -0.0 or a NaN payload that
-differs shows.  The tables come from ``sense`` for every material subset
+Once per sense block, ``TrialState.load`` computes what a first touch
+gives for every entry of the block's table: ``PosteriorGrid.first_updates``
+(one ``_posterior_update`` of the uniform prior over the whole table) and
+the uncertainty, its density and the similarity of its rows
+(``attention._row_values``).  ``TrialState.update`` of an unexplored voxel
+then takes its entry.  These tests hold each entry, and what ``update``
+stores and returns for it, to the same two calls on that one row,
+compared by bytes, so a -0.0 or a NaN payload that differs shows.  The tables come from ``sense`` for every material subset
 size of libraries of 2-10 bundled materials, with NaN, +-inf and
 huge-magnitude entries planted in them.
 """
@@ -27,7 +28,7 @@ from hapticbayes import (
     make_grid,
     sense,
 )
-from hapticbayes.attention import AttentionFields
+from hapticbayes.attention import TrialState, _row_values
 from hapticbayes.perception import _posterior_update
 
 BUNDLED = load_library(bundled_library_path())
@@ -85,7 +86,8 @@ def test_block_first_touches_equal_single_row_calls(n):
     rng = np.random.default_rng(n)
     lib = library_of(n, rng)
     uniform = np.full(n, 1.0 / n)
-    grid = make_grid(WorkspaceBounds(0, 0.01, 0, 0.01, 0, 0.01, 0.01))
+    # a voxel per table entry, so that each entry meets an unexplored one
+    grid = make_grid(WorkspaceBounds(0, 0.32, 0, 0.01 * n, 0, 0.01, 0.01))
     checked = degenerate_rows = negative_zeros = 0
     for size in range(1, n + 1):
         materials = np.sort(rng.permutation(n)[:size])
@@ -93,10 +95,11 @@ def test_block_first_touches_equal_single_row_calls(n):
         table = sense(lib, materials, noise, rng)
         plant(table, rng)
         task = TaskSpec(*(int(m) for m in rng.permutation(n)[:2]))
-        fields = AttentionFields(grid, task, n)
+        state = TrialState(grid, task, n)
+        state.load(table)
         posteriors = PosteriorGrid(1, n)
         probs, degenerate = posteriors.first_updates(table)
-        values = fields.row_values(probs, ~degenerate)
+        values = _row_values(task, probs, ~degenerate)
         assert probs.shape == table.shape
         assert all(v.shape == degenerate.shape == table.shape[:2] for v in values)
         # a one-hot row's entropy is -0.0, which the clip keeps
@@ -105,8 +108,18 @@ def test_block_first_touches_equal_single_row_calls(n):
             row, row_degenerate = _posterior_update(uniform, table[at])
             assert bits(probs[at]) == bits(row), at
             assert degenerate[at] == row_degenerate, at
-            for got, want in zip(values, fields.row_values(row, not row_degenerate)):
+            single = _row_values(task, row, not row_degenerate)
+            for got, want in zip(values, single):
                 assert bits(got[at]) == bits(want), at
+            # the state's first touch of a voxel stores and returns the same
+            j = at[0] * n + at[1]
+            events = state.degenerate_events
+            returned = state.update(j, *at)
+            assert bits(state.posteriors.probs[j]) == bits(row), at
+            assert state.posteriors.k_counts[j] == (not row_degenerate), at
+            assert state.degenerate_events == events + bool(row_degenerate)
+            for got, want in zip(returned, single):
+                assert bits(got) == bits(want), at
             # the loop's path: an unexplored voxel takes its entry
             fresh, kernel = PosteriorGrid(1, n), PosteriorGrid(1, n)
             assert (fresh.update(0, table[at], (probs[at], degenerate[at]))

@@ -24,9 +24,10 @@ from hapticbayes import (
     WorkspaceBounds,
     log_likelihoods,
     make_grid,
+    sense,
     synthesize_sample,
 )
-from hapticbayes.attention import AttentionFields
+from hapticbayes.attention import TrialState
 
 GRID = make_grid(WorkspaceBounds(0, 0.04, 0, 0.03, 0, 0.02, 0.01))   # 4 x 3 x 2
 LIB = MaterialLibrary([MaterialParams("hard", 1.0, 0.1, 2.0, 0.2),
@@ -52,17 +53,30 @@ def _stateless(call):
 
 
 def _touch():
-    fields = AttentionFields(GRID, TASK, len(LIB))
-    fields.touch(23, (0.125, 0.25, 0.875))
+    state = TrialState(GRID, TASK, len(LIB))
+    state.touch(23, (0.125, 0.25, 0.875))
 
     def arrays():
-        return [fields.uncertainty.copy(), fields.f_uncertainty.copy(),
-                fields.omega, fields.saliency.copy(), fields.f_saliency.copy(),
-                fields._padded.copy()]
+        return [state.uncertainty.copy(), state.f_uncertainty.copy(),
+                state.omega.copy(), state.saliency.copy(),
+                state.f_saliency.copy(), state._padded.copy()]
 
     def call(j):
-        fields.touch(j, (0.25, 0.5, 0.75))
+        state.touch(j, (0.25, 0.5, 0.75))
         return arrays()
+    return call, arrays
+
+
+def _state_update():
+    state = TrialState(GRID, TASK, len(LIB))
+    state.load(sense(LIB, [0, 2], NoiseSpec(), np.random.default_rng(0)))
+    state.update(23, 0, 1)
+
+    def arrays():
+        return [state.posteriors.probs.copy(), state.posteriors.k_counts.copy()]
+
+    def call(j):
+        return state.update(j, 1, 0), *arrays()
     return call, arrays
 
 
@@ -98,6 +112,7 @@ ENTRIES = {
         "voxel ({v}, 0, 0) outside grid (4, 3, 2)"),
     "voxel_of_linear": Entry(_stateless(GRID.voxel_of_linear), 24, *LINEAR),
     "touch": Entry(_touch, 24, *LINEAR),
+    "TrialState.update": Entry(_state_update, 24, *LINEAR),
     "update": Entry(_update, 24, *LINEAR),
     "synthesize_sample": Entry(
         _stateless(lambda m: synthesize_sample(LIB, m, NoiseSpec(),

@@ -19,7 +19,7 @@ from hapticbayes import (
     synthesize_sample,
     update_posterior,
 )
-from hapticbayes.attention import AttentionFields
+from hapticbayes.attention import TrialState
 from hapticbayes.perception import _normalized_entropies, _posterior_update
 
 
@@ -307,7 +307,7 @@ def test_normalized_entropies_keep_the_bits_of_the_where_form(lib):
         uniform = np.full((3, m), 1.0 / m)
         assert_same_bits(_normalized_entropies(uniform), where_entropies(uniform))
         # the start row of a trial's uncertainty field
-        start = AttentionFields(grid, TaskSpec(0, 1), m).uncertainty
+        start = TrialState(grid, TaskSpec(0, 1), m).uncertainty
         assert_same_bits(start, np.full(grid.theta, np.clip(
             where_entropies(uniform[:1]), 0.0, 1.0)[0]))
 

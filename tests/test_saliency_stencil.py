@@ -1,4 +1,4 @@
-"""The per-grid saliency stencil of ``AttentionFields.touch`` against a
+"""The per-grid saliency stencil of ``TrialState.touch`` against a
 full recompute of the saliency field, on grids with every kind of border."""
 
 import itertools
@@ -18,7 +18,7 @@ from hapticbayes import (
     saliency_field,
 )
 from hapticbayes import attention
-from hapticbayes.attention import AttentionFields, saliency_stencil
+from hapticbayes.attention import TrialState, saliency_stencil
 
 EPS = 0.01
 TASK = TaskSpec(0, 1)
@@ -60,7 +60,7 @@ def touch_every_voxel(fields, rng):
 def test_touch_equals_a_full_saliency_recompute_and_hits_every_border_case(shape):
     grid = grid_of(*shape)
     rng = np.random.default_rng(sum(grid.shape))
-    touch_every_voxel(AttentionFields(grid, TASK, N_MATERIALS), rng)
+    touch_every_voxel(TrialState(grid, TASK, N_MATERIALS), rng)
 
     nx, ny, nz = grid.shape
     reachable = {border_code(ix, nx) + 4 * border_code(iy, ny)
@@ -82,11 +82,12 @@ def test_stencil_cases_hold_the_in_grid_outputs_of_each_voxel():
                                   range(iz - 1, iz + 2))
         want = [grid.linear_index(v) for v in itertools.starmap(VoxelIndex, block)
                 if grid.contains(v)]
-        assert sorted(case.outputs + j) == sorted(want)
+        assert sorted(case.outputs + case.first + j) == sorted(want)
+        assert case.outputs[0] == 0 and j + case.first == min(want)
         m = len(want)
-        assert case.reads.shape == (27, m)
-        assert case.weights.shape == (27, 3, m)
-        for array in case:
+        assert case.reads.shape == case.weights.shape == (27, 3, m)
+        assert (case.reads == case.reads[:, :1]).all()
+        for array in case[:3]:
             assert not array.flags.writeable
 
 
@@ -101,13 +102,13 @@ def test_stencil_is_built_once_per_grid_and_reused_by_every_trial(monkeypatch):
     monkeypatch.setattr(attention.SaliencyStencil, "_build", counting_build)
     grid = grid_of(5, 4, 3)
     rng = np.random.default_rng(5)
-    first = AttentionFields(grid, TASK, N_MATERIALS)
+    first = TrialState(grid, TASK, N_MATERIALS)
     touch_every_voxel(first, rng)
     stencil = saliency_stencil(grid)
     cases = dict(stencil.cases)
     assert len(cases) == 27 and sorted(builds) == sorted(cases)
 
-    second = AttentionFields(grid, TASK, N_MATERIALS)
+    second = TrialState(grid, TASK, N_MATERIALS)
     touch_every_voxel(second, rng)
     assert saliency_stencil(grid) is stencil
     assert len(builds) == 27
@@ -138,7 +139,7 @@ def test_touch_rejects_a_j_outside_the_grid_before_changing_anything(j):
     # j = -1 used to overwrite the last voxel's entries before raising, and
     # j = theta raised a stray IndexError
     grid = grid_of(4, 3, 2)
-    fields = AttentionFields(grid, TASK, N_MATERIALS)
+    fields = TrialState(grid, TASK, N_MATERIALS)
     fields.touch(23, (0.125, 0.25, 0.875))
     names = ("uncertainty", "f_uncertainty", "omega", "saliency",
              "f_saliency", "_padded")

@@ -659,15 +659,15 @@ def test_run_trial_iteration_callback(lib, scenarios):
 def test_degenerate_score_raises(lib, scenarios, monkeypatch, bad):
     # an all-zero score, or one NaN or inf entry among positive scores;
     # real scores lie in [3e-38, 30] (see run_trial), so this is a fault
-    touch = attention.AttentionFields.touch
+    touch = attention.TrialState.touch
 
-    def score(fields, j, values):
-        touch(fields, j, values)
-        out = np.ones(fields.grid.theta) if bad else np.zeros(fields.grid.theta)
-        out[fields.grid.theta // 2] = bad
+    def score(state, j, values):
+        touch(state, j, values)
+        out = np.ones(state.grid.theta) if bad else np.zeros(state.grid.theta)
+        out[state.grid.theta // 2] = bad
         return out
 
-    monkeypatch.setattr(attention.AttentionFields, "touch", score)
+    monkeypatch.setattr(attention.TrialState, "touch", score)
     grid = scenarios[0].grid
     # np.argmax picks the first maximum, or the first NaN
     voxel = tuple(grid.voxel_of_linear(grid.theta // 2 if bad else 0))

@@ -6,9 +6,11 @@ the public, checked ``gamma_metric`` of its visited path with ``==``,
 and that path must hold ``VoxelIndex`` entries of Python ints.  Its loop
 closure reads the scenario's ``benchmark_mask``, which must mark exactly
 the voxels of the benchmark path, on the bundled scenarios and on
-generated ones.  It selects on the score ``AttentionFields.touch``
-returns, which must equal the public ``target_score`` with ``==`` at
-every touch.
+generated ones.  Its ``TrialState`` refreshes the fields incrementally:
+at every touch they must equal the full recompute of the public field
+functions from the state's own ``PosteriorGrid``, and the score ``touch``
+returns, which the loop selects on, the public ``target_score`` with
+``==``.
 """
 
 import numpy as np
@@ -17,18 +19,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hapticbayes import (
+    SALIENCY_FACTOR,
+    UNCERTAINTY_FACTOR,
     Scenario,
     TaskSpec,
     TrialConfig,
     VoxelIndex,
     WorkspaceBounds,
+    beta_pdf,
     bundled_library_path,
     gamma_metric,
     load_scenario,
     make_grid,
+    omega_field,
     run_trial,
+    saliency_field,
+    uncertainty_field,
 )
-from hapticbayes.attention import AttentionFields, target_score
+from hapticbayes.attention import TrialState, target_score
 from test_loop_properties import FIXED
 
 EPS = 0.01
@@ -90,24 +98,38 @@ FUSED = ("bundled-1", "bundled-2", "bundled-3", "tilted-volume", "line-1",
          "line-7")
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
 @pytest.mark.parametrize("case", FUSED)
-def test_touch_returns_the_target_score_at_every_touch(lib, scenarios,
-                                                       monkeypatch, case):
-    # the loop selects on the score that AttentionFields.touch returns; it
-    # must equal the public, checked target_score on the refreshed fields
-    touch = AttentionFields.touch
+def test_trial_state_equals_a_full_recompute_at_every_touch(lib, scenarios,
+                                                            monkeypatch, case):
+    # after every touch the state's fields equal the public field functions
+    # of its own posteriors, by their bytes, and the score the loop selects
+    # on equals the public, checked target_score on them
+    touch = TrialState.touch
     scored = []
 
-    def checked(fields, j, values):
-        score = touch(fields, j, values)
-        grid = fields.grid
-        want = target_score(grid, grid.voxel_of_linear(j), fields.f_saliency,
-                            fields.f_uncertainty)
+    def checked(state, j, values):
+        score = touch(state, j, values)
+        grid, posteriors = state.grid, state.posteriors
+        uncertainty = uncertainty_field(posteriors)
+        omega = omega_field(posteriors, state.task)
+        saliency = saliency_field(grid, omega)
+        for got, want in (
+                (state.uncertainty, uncertainty), (state.omega, omega),
+                (state.saliency, saliency),
+                (state.f_uncertainty, beta_pdf(UNCERTAINTY_FACTOR, uncertainty)),
+                (state.f_saliency, beta_pdf(SALIENCY_FACTOR, saliency))):
+            assert bits(got) == bits(want), j
+        want = target_score(grid, grid.voxel_of_linear(j), state.f_saliency,
+                            state.f_uncertainty)
         assert score.shape == want.shape and np.all(score == want), j
         scored.append(j)
         return score
 
-    monkeypatch.setattr(AttentionFields, "touch", checked)
+    monkeypatch.setattr(TrialState, "touch", checked)
     make, budget, seeds = FIXED[case][:3]
     scenario = make(lib, scenarios)
     for seed in seeds:
