@@ -15,13 +15,14 @@ from typing import Sequence, Union
 import numpy as np
 
 from .attention import FACTORS, AttentionState
+from .grid import _check_integer, _check_type
 from .materials import HapticSample, MaterialLibrary, NoiseSpec, _samples_of_draws
 # Not called here.  benchmarks/tracing.py times this layer by wrapping the
 # name in this module, and benchmarks/test_benchmark.py::originals reads it
 # with vars(bench)[attr], which raises KeyError if it is gone.
 from .materials import synthesize_sample
 from .perception import MaterialPosterior, map_category, update_posterior
-from .simulator import Scenario, TrialConfig, TrialRecord, _check_integer, run_trial
+from .simulator import Scenario, TrialConfig, TrialRecord, run_trial
 
 
 @dataclass
@@ -292,8 +293,11 @@ def dump_fields(state: AttentionState, iteration: int,
 
     One file per field named ``<field>_k<iteration:04d>.txt``; each holds
     ``ny * nz`` lines of ``nx`` values of ``state.grid`` (z-planes
-    stacked, lowest plane first), printed with 9 significant digits.
+    stacked, lowest plane first), printed with 9 significant digits.  A
+    ``state`` that is not an :class:`AttentionState` raises ``ValueError``
+    naming it, before anything is written.
     """
+    _check_type("state", state, AttentionState)
     grid = state.grid
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)

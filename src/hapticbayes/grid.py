@@ -75,7 +75,9 @@ def _check_integer(name: str, value, least: int) -> int:
 def _check_type(name: str, value, kind: type) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is a ``kind``."""
     if not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got "
+                         f"{value!r}")
 
 
 class VoxelIndex(NamedTuple):

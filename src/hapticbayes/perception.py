@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import _as_index, _check_integer
+from .grid import _as_index, _check_integer, _check_type
 from .materials import HapticSample, MaterialLibrary
 
 #: Log-density floor; terms this far below the per-update maximum become 0.
@@ -54,7 +54,11 @@ class MaterialPosterior:
 
 def log_likelihoods(lib: MaterialLibrary, sample: HapticSample) -> np.ndarray:
     """Log of ``NormalPDF(e; mu_E, sigma_E) * NormalPDF(c; mu_C, sigma_C)``
-    for every material: shape ``np.shape(sample.e) + (n,)``."""
+    for every material: shape ``np.shape(sample.e) + (n,)``.  A ``lib``
+    that is not a :class:`MaterialLibrary` or a ``sample`` that is not a
+    :class:`HapticSample` raises ``ValueError`` naming it."""
+    _check_type("lib", lib, MaterialLibrary)
+    _check_type("sample", sample, HapticSample)
     ze = np.asarray(sample.e)[..., None] - lib.mu_e
     ze /= lib.sigma_e
     zc = np.asarray(sample.c)[..., None] - lib.mu_c
@@ -120,8 +124,11 @@ def update_posterior(lib: MaterialLibrary, prior: MaterialPosterior,
     or a ``(T, n)`` batch with length-T sample arrays, row t updated by
     sample t.  A row whose likelihoods all floor to zero (e.g. a NaN
     feature) keeps its prior unchanged, and then the result carries
-    ``degenerate=True``.
+    ``degenerate=True``.  A ``lib`` that is not a :class:`MaterialLibrary`,
+    a ``prior`` that is not a :class:`MaterialPosterior` or a ``sample``
+    that is not a :class:`HapticSample` raises ``ValueError`` naming it.
     """
+    _check_type("prior", prior, MaterialPosterior)
     probs, degenerate = _posterior_update(prior.probs, log_likelihoods(lib, sample))
     return MaterialPosterior(probs, degenerate=bool(degenerate.any()))
 
@@ -129,7 +136,9 @@ def update_posterior(lib: MaterialLibrary, prior: MaterialPosterior,
 def map_category(post: MaterialPosterior):
     """Index of the most probable material, per row (an ``int`` for one
     posterior, an index array for a batch); ties break to the lowest
-    index."""
+    index.  A ``post`` that is not a :class:`MaterialPosterior` raises
+    ``ValueError`` naming it."""
+    _check_type("post", post, MaterialPosterior)
     idx = np.argmax(post.probs, axis=-1)
     return int(idx) if idx.ndim == 0 else idx
 

@@ -466,9 +466,15 @@ def sense(lib: MaterialLibrary, materials, noise: NoiseSpec,
     len(materials), n)`` table whose row ``[k, r]`` is the log-likelihood
     row of touch ``k`` of a voxel of material ``materials[r]``: what
     ``log_likelihoods(lib, synthesize_sample(lib, materials[r], noise,
-    rng))`` gives for that touch.  A material that is not an index into
-    ``lib`` raises ``ValueError`` naming it.
+    rng))`` gives for that touch.  A ``lib`` that is not a
+    :class:`MaterialLibrary`, a ``noise`` that is not a :class:`NoiseSpec`,
+    an ``rng`` that is not a ``numpy.random.Generator`` or a material that
+    is not an index into ``lib`` raises ``ValueError`` naming it, before
+    anything is drawn.
     """
+    _check_type("lib", lib, MaterialLibrary)
+    _check_type("noise", noise, NoiseSpec)
+    _check_type("rng", rng, np.random.Generator)
     materials = np.asarray(materials)
     if (materials.ndim != 1 or materials.dtype.kind not in "iu"
             or not ((materials >= 0) & (materials < len(lib))).all()):

@@ -532,6 +532,41 @@ def test_select_target_tie_break_and_scaling():
     assert select_target(scores, grid) == select_target(scores * 7.3, grid)
 
 
+def _with(value, at):
+    score = np.ones(1800)
+    score[at] = value
+    return score
+
+
+@pytest.mark.parametrize("score, message", [
+    (None, "must be a 1-D array of 1800 real numbers, got shape () and "
+           "dtype object"),
+    (np.ones(5), "must be a 1-D array of 1800 real numbers, got shape (5,) "
+                 "and dtype float64"),
+    (np.ones((60, 30)), "must be a 1-D array of 1800 real numbers, got shape "
+                        "(60, 30) and dtype float64"),
+    (np.ones(1801), "must be a 1-D array of 1800 real numbers, got shape "
+                    "(1801,) and dtype float64"),
+    (np.full(1800, "1"), "must be a 1-D array of 1800 real numbers, got "
+                         "shape (1800,) and dtype <U1"),
+    (np.full(1800, np.nan), "must have a finite maximum, got nan at linear "
+                            "index 0"),
+    (_with(np.nan, 700), "must have a finite maximum, got nan at linear "
+                         "index 700"),
+    (_with(np.inf, 9), "must have a finite maximum, got inf at linear index 9"),
+])
+def test_select_target_rejects_a_score_it_cannot_select_on(scenarios, score,
+                                                           message):
+    # on the bundled grid None, the 5-entry, 60x30 and all-NaN scores used
+    # to select voxel (0, 0, 0), a NaN or inf entry won the selection, and
+    # the theta + 1 array raised "linear index 1800 outside [0, 1800)"
+    with pytest.raises(ValueError, match=f"^{re.escape('score ' + message)}$"):
+        select_target(score, scenarios[0].grid)
+    # a list of theta numbers is an array of them
+    assert select_target(_with(2.0, 3).tolist(), scenarios[0].grid) == \
+        VoxelIndex(3, 0, 0)
+
+
 @pytest.mark.parametrize("shape", [(30, 60, 1), (5, 4, 3), (7, 1, 1)])
 def test_raw_score_selection_equals_posterior_argmax(shape):
     # oracle: the normalized target posterior of the same inputs

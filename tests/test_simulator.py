@@ -11,6 +11,7 @@ from hapticbayes import (
     HapticSample,
     MaterialLibrary,
     MaterialParams,
+    MaterialPosterior,
     NoiseSpec,
     Scenario,
     ScenarioLoadError,
@@ -29,7 +30,8 @@ from hapticbayes import (
     sense,
     synthesize_sample,
 )
-from hapticbayes import attention, simulator
+import hapticbayes
+from hapticbayes import attention, perception, simulator
 from hapticbayes.simulator import _boundary_voxels
 from reference_loop import with_nan_samples
 
@@ -764,6 +766,43 @@ def test_an_observer_that_reads_nothing_builds_nothing(lib, scenarios,
         assert states[0].inhibition is first and len(reads) == len(states) + 1
 
 
+@pytest.mark.parametrize("nan_iterations", [(), (0, 5, 40)])
+def test_trial_calls_sense_and_update_through_their_attributes(
+        lib, scenarios, monkeypatch, nan_iterations):
+    # the benchmark's tracer times these layers by replacing the module
+    # attribute simulator.sense and the class attribute
+    # PosteriorGrid.update, and counts degenerate updates from what update
+    # returns; a loop that bypassed either would read 0 calls there
+    calls = {"sense": 0, "update": 0, "degenerate": 0}
+    sense, update = simulator.sense, perception.PosteriorGrid.update
+
+    def counted_sense(*args, **kwargs):
+        calls["sense"] += 1
+        return sense(*args, **kwargs)
+
+    def counted_update(self, *args, **kwargs):
+        result = update(self, *args, **kwargs)
+        calls["update"] += 1
+        calls["degenerate"] += result.degenerate
+        return result
+
+    monkeypatch.setattr(simulator, "sense", counted_sense)
+    monkeypatch.setattr(perception.PosteriorGrid, "update", counted_update)
+    blocks = []
+    for scenario in scenarios:
+        for seed in range(10):
+            calls.update(dict.fromkeys(calls, 0))
+            with with_nan_samples(lib, set(nan_iterations)):
+                rec = run_trial(scenario, lib, TrialConfig(seed=seed))
+            blocks.append(-(-rec.l // simulator.SENSE_BLOCK))
+            assert calls["sense"] == blocks[-1]
+            assert calls["update"] == rec.l
+            assert calls["degenerate"] == rec.degenerate_events
+            assert rec.degenerate_events == len(
+                [k for k in nan_iterations if k < rec.l])
+    assert max(blocks) == 3
+
+
 # ---------------------------------------------------------------------------
 # materials a trial may name
 
@@ -948,6 +987,56 @@ def test_run_trial_rejects_arguments_of_another_type(lib, scenarios, monkeypatch
     with pytest.raises(ValueError, match=f"^{re.escape(name + ' ' + message)}$"):
         run_trial(**args)
     assert sensed == []
+
+
+@pytest.mark.parametrize("entry, name, bad, message", [
+    ("sense", "lib", "materials.csv",
+     "must be a MaterialLibrary, got 'materials.csv'"),
+    ("sense", "noise", 1.0, "must be a NoiseSpec, got 1.0"),
+    ("sense", "rng", 7, "must be a Generator, got 7"),
+    ("log_likelihoods", "lib", None, "must be a MaterialLibrary, got None"),
+    ("log_likelihoods", "sample", (1.0, 2.0),
+     "must be a HapticSample, got (1.0, 2.0)"),
+    ("update_posterior", "lib", [], "must be a MaterialLibrary, got []"),
+    ("update_posterior", "prior", [0.5, 0.5],
+     "must be a MaterialPosterior, got [0.5, 0.5]"),
+    ("update_posterior", "sample", 1.0, "must be a HapticSample, got 1.0"),
+    ("map_category", "post", [0.2, 0.8],
+     "must be a MaterialPosterior, got [0.2, 0.8]"),
+    ("dump_fields", "state", {"omega": 0.5},
+     "must be an AttentionState, got {'omega': 0.5}"),
+])
+def test_entry_points_reject_arguments_of_another_type(lib, scenarios, tmp_path,
+                                                       entry, name, bad,
+                                                       message):
+    # each used to raise a raw AttributeError or TypeError from inside, such
+    # as sense's "'float' object has no attribute 'scale_E'"; the checks run
+    # once per call, before anything is drawn or written
+    states = []
+    run_trial(scenarios[0], lib, TrialConfig(max_iterations=1),
+              on_iteration=lambda k, state: states.append(state))
+    rng = np.random.default_rng(0)
+    sample = HapticSample(1.0, 2.0)
+    prior = MaterialPosterior.uniform(len(lib))
+    args = {
+        "sense": dict(lib=lib, materials=scenarios[0].materials,
+                      noise=NoiseSpec(), rng=rng),
+        "log_likelihoods": dict(lib=lib, sample=sample),
+        "update_posterior": dict(lib=lib, prior=prior, sample=sample),
+        "map_category": dict(post=prior),
+        "dump_fields": dict(state=states[0], iteration=0,
+                            destination=tmp_path / "maps"),
+    }[entry]
+    call = getattr(hapticbayes, entry)
+    # the arguments as given are accepted
+    call(**{**args, "destination": tmp_path / "valid"}
+         if entry == "dump_fields" else args)
+    drawn = rng.bit_generator.state
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"^{re.escape(name + ' ' + message)}$"):
+        call(**args)
+    assert rng.bit_generator.state == drawn
+    assert not (tmp_path / "maps").exists()
 
 
 def test_run_trial_rejects_task_material_outside_library(lib, scenarios):
