@@ -305,23 +305,19 @@ def beta_pdf(factor: BetaFactor, x):
     ``[BETA_CLAMP, 1 - BETA_CLAMP]`` so boundary singularities stay
     finite; NaN passes through."""
     try:
-        xs = np.asarray(x, dtype=float)
+        out = _beta_density(factor, np.array(x, dtype=float))
     except OverflowError:
         raise ValueError("beta_pdf: x holds an integer too large for a "
                          "float") from None
-    # the lower clamp writes a fresh array, which the formula overwrites
-    out = _beta_density(factor, np.maximum(xs, BETA_CLAMP,
-                                           out=np.empty(xs.shape)))
     return float(out) if out.ndim == 0 else out
 
 
 def _beta_density(factor: BetaFactor, xs: np.ndarray) -> np.ndarray:
-    """:func:`beta_pdf` of the float array ``xs``, already clamped from
-    below, computed in ``xs`` and returned."""
+    """:func:`beta_pdf` of the float array ``xs``, computed in ``xs``."""
     a, b = factor
     # np.clip's bounds, as two ufuncs: the lower bound is positive, so no
     # signed zero survives, and both pass NaN through
-    np.minimum(xs, 1.0 - BETA_CLAMP, out=xs)
+    np.minimum(np.maximum(xs, BETA_CLAMP, out=xs), 1.0 - BETA_CLAMP, out=xs)
     # the log-density is (a-1) log x + (b-1) log(1-x).  A term whose
     # exponent is 0 is +-0, and the other term is finite and non-zero on
     # the clamped range, so the sum is that other term: the +-0 is skipped
@@ -332,8 +328,7 @@ def _beta_density(factor: BetaFactor, xs: np.ndarray) -> np.ndarray:
         np.log(xs, out=xs)
         xs *= a - 1.0
     else:
-        tail = np.log(1.0 - xs)
-        tail *= b - 1.0
+        tail = (b - 1.0) * np.log(1.0 - xs)
         np.log(xs, out=xs)
         xs *= a - 1.0
         xs += tail
@@ -403,15 +398,13 @@ def select_target(score: np.ndarray, grid: WorkspaceGrid) -> VoxelIndex:
     counts as a maximum), raises ``ValueError`` naming it."""
     values = np.asarray(score)
     if values.shape != (grid.theta,) or values.dtype.kind not in "iuf":
-        raise ValueError(f"score must be a 1-D array of {grid.theta} real "
-                         f"numbers, got shape {values.shape} and dtype "
-                         f"{values.dtype}")
+        raise ValueError(f"score must be a 1-D array of {grid.theta} real numbers, "
+                         f"got shape {values.shape} and dtype {values.dtype}")
     j = int(np.argmax(values))
     if not math.isfinite(values[j]):
-        raise ValueError(f"score must have a finite maximum, got "
-                         f"{values[j]} at linear index {j}")
+        raise ValueError(f"score must have a finite maximum, got {values[j]} "
+                         f"at linear index {j}")
     return grid.voxel_of_linear(j)
-
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +416,11 @@ class StencilCase(NamedTuple):
 
     ``reads[k, a, o]`` is the offset, from the window's corner in the
     padded similarity field, of the value that Sobel kernel entry ``k`` (C
-    order) multiplies for output ``o``, the same for each kernel ``a`` of
-    (x, y, z), and ``weights[k, a, o]`` is that entry's weight in kernel
-    ``a``, the same for each output: a gather of the reads is multiplied
-    by the weights in place, faster than a broadcast product;
-    ``outputs[o]`` is the output's linear index minus the first output's,
-    and ``first`` the first output's linear index minus the voxel's.  So
-    the outputs of voxel ``j`` are a slice from ``j + first``, never
-    negative, indexed by ``outputs``.
+    order) multiplies for output ``o`` in kernel ``a`` of (x, y, z), and
+    ``weights[k, a, o]`` that entry's weight in kernel ``a``: both
+    repeated, so the gather is multiplied in place, faster than a
+    broadcast product.  The outputs of voxel ``j`` lie at ``outputs`` in
+    the slice from linear index ``j + first``, which is never negative.
     """
 
     reads: np.ndarray
@@ -521,18 +511,15 @@ def _start_values(task: TaskSpec, n_materials: int) -> tuple:
 
 
 def _row_values(task: TaskSpec, probs: np.ndarray, explored):
-    """Uncertainty, its density and similarity of posterior rows ``probs``,
-    each row along the last axis, as arrays of the leading shape (0-d for
-    one ``(n,)`` row): the arithmetic of :func:`uncertainty_field` and
-    :func:`omega_field` row by row.  ``explored``, a bool or a bool array
-    of the leading shape, marks the rows with a sample integrated; the
-    others are neutral.
-
-    Every entry equals the single-row result, as each step is elementwise
-    or reduces the last axis alone.  The similarity ``(1 - (p_b - p_a)) /
-    2`` needs no clip: for probabilities in [0, 1], ``p_b - p_a`` lies in
-    [-1, 1], as each step rounds monotonically to representable bounds, so
-    the similarity lies in [0, 1]."""
+    """Uncertainty, its density and similarity of posterior rows ``probs``
+    (the last axis), as arrays of the leading shape, 0-d for one row: the
+    arithmetic of :func:`uncertainty_field` and :func:`omega_field` row by
+    row, each step elementwise or reducing the last axis alone, so every
+    entry equals the single-row result.  ``explored``, a bool or a bool
+    array of the leading shape, marks the rows with a sample integrated;
+    the others are neutral.  The similarity ``(1 - (p_b - p_a)) / 2``
+    needs no clip: ``p_b - p_a`` of probabilities lies in [-1, 1], as each
+    step rounds monotonically to representable bounds."""
     # the entropy of a uniform row can round above 1
     uncertainty = _normalized_entropies(probs).clip(0.0, 1.0)
     omega = np.where(explored, (1.0 - (probs[..., task.material_b]
@@ -542,31 +529,17 @@ def _row_values(task: TaskSpec, probs: np.ndarray, explored):
 
 
 class TrialState:
-    """What one exploration trial changes: the material posterior of every
-    voxel, the fields and densities the target score reads, and the
-    first-touch outcomes of the current sense block.
-
-    ``posteriors`` is the trial's :class:`PosteriorGrid`.  ``uncertainty``,
-    ``omega`` and ``saliency`` and the densities ``f_uncertainty`` and
-    ``f_saliency`` are flat arrays in linear-index order, updated in place:
-    :meth:`snapshot` copies the three fields.  A trial starts with every
-    voxel at the uniform prior over ``n_materials``, so the start fields
-    are constant, computed once per task and library size, with zero
-    saliency and neutral similarity.
-
-    Per sense block, :meth:`load` takes the block's log-likelihood table
-    and computes, one batch each, what every entry makes of an unexplored
-    voxel: :meth:`PosteriorGrid.first_updates` and the uncertainty, its
-    density and the similarity of those rows.  Per touch, :meth:`update`
-    integrates one entry at a voxel through :meth:`PosteriorGrid.update`
-    and returns the voxel's new values, and :meth:`touch` writes them,
-    recomputes the saliency of the 3x3x3 block around the voxel, the only
-    outputs a change there reaches, with the arithmetic of
-    :func:`saliency_field` through the grid's :class:`SaliencyStencil`,
-    and returns the :func:`target_score` with the probe at the voxel.  So
-    every field stays equal to a full recompute from ``posteriors``.  The
-    similarity is also held padded by two neutral voxels per side, as the
-    stencil reads it, and written to both on each touch.  A ``grid`` that
+    """What one exploration trial changes: its :class:`PosteriorGrid`
+    ``posteriors``, the fields ``uncertainty``, ``omega`` and ``saliency``
+    and the densities ``f_uncertainty`` and ``f_saliency`` (flat arrays in
+    linear-index order, updated in place, constant at the start), and the
+    current sense block's first-touch outcomes.  Per block, :meth:`load`
+    takes the table; per touch, :meth:`update` integrates one entry and
+    :meth:`touch` applies the voxel's new values and recomputes the
+    saliency of the 3x3x3 block around it, the only outputs they reach,
+    through the grid's :class:`SaliencyStencil`, which reads the
+    similarity padded by two neutral voxels per side.  So every field
+    stays equal to a full recompute from ``posteriors``.  A ``grid`` that
     is not a :class:`WorkspaceGrid`, a ``task`` that is not a
     :class:`TaskSpec`, or an ``n_materials`` that is not an integer above
     both task materials raises ``ValueError`` naming it.
@@ -581,13 +554,11 @@ class TrialState:
         self.task = task
         self.posteriors = PosteriorGrid(grid.theta, n_materials)
         self.degenerate_events = 0
-        start = zip(("uncertainty", "f_uncertainty", "f_saliency", "omega",
-                     "saliency"),
-                    (*_start_values(task, n_materials), OMEGA_NEUTRAL, 0.0))
-        for name, value in start:
-            field = np.empty(grid.theta)
-            field.fill(value)
-            setattr(self, name, field)
+        for name, value in zip(
+                ("uncertainty", "f_uncertainty", "f_saliency", "omega", "saliency"),
+                (*_start_values(task, n_materials), OMEGA_NEUTRAL, 0.0)):
+            setattr(self, name, np.empty(grid.theta))
+            getattr(self, name).fill(value)
         self._stencil = saliency_stencil(grid)
         self._density = inhibition_table(grid).density
         # the border holds the 5x5x5 window that the block around any voxel
@@ -596,9 +567,9 @@ class TrialState:
         self._padded.fill(OMEGA_NEUTRAL)
 
     def load(self, table: np.ndarray) -> None:
-        """Take a sense block's log-likelihood table, whose ``[k, r]`` entry
-        is an ``(n,)`` row, and compute what each entry makes of an
-        unexplored voxel, for :meth:`update`."""
+        """Take a sense block's table of ``(n,)`` log-likelihood rows and
+        compute, one batch each, what every row makes of an unexplored
+        voxel: :meth:`PosteriorGrid.first_updates` and :func:`_row_values`."""
         self._table = table
         self._first_probs, self._first_degenerate = \
             self.posteriors.first_updates(table)
@@ -606,16 +577,12 @@ class TrialState:
                                          ~self._first_degenerate)
 
     def update(self, j: int, k: int, r: int):
-        """Integrate entry ``[k, r]`` of the loaded table at voxel ``j``
-        through :meth:`PosteriorGrid.update`, once, and return the voxel's
-        uncertainty, its density and its similarity, for :meth:`touch`.
-
-        An unexplored voxel takes the entry's outcome from :meth:`load`, by
-        indexing; a revisit runs the posterior kernel and the same
-        arithmetic on the voxel's own row.  An update that keeps its prior
-        adds one to ``degenerate_events``.  A ``j`` that is not an integer
-        in ``[0, theta)`` raises the ``ValueError`` of
-        :meth:`PosteriorGrid.update`, before anything changes."""
+        """Integrate entry ``[k, r]`` of the loaded table at voxel ``j`` by
+        one :meth:`PosteriorGrid.update` and return the voxel's uncertainty,
+        its density and its similarity for :meth:`touch`: an unexplored
+        voxel's from :meth:`load`, a revisit's from its own row.  An update
+        that keeps its prior counts in ``degenerate_events``.  A ``j`` that
+        is not an integer in ``[0, theta)`` raises ``ValueError`` first."""
         posteriors = self.posteriors
         j = _as_index(j, "linear index", self.grid.theta)
         if posteriors.k_counts[j]:
@@ -627,8 +594,7 @@ class TrialState:
                 self._first_probs[at], self._first_degenerate[at]))
             uncertainty, density, omega = self._first_values
             values = uncertainty[at], density[at], omega[at]
-        if update.degenerate:
-            self.degenerate_events += 1
+        self.degenerate_events += update.degenerate
         return values
 
     def touch(self, j: int, values) -> np.ndarray:
@@ -638,11 +604,10 @@ class TrialState:
         ``values`` holds the voxel's uncertainty, its density and its
         similarity, as :meth:`update` returns them.  The score is a fresh
         array, equal to ``target_score(grid, grid.voxel_of_linear(j),
-        f_saliency, f_uncertainty)`` on the refreshed fields: it reads the
-        grid's inhibition density, which the state keeps, at the voxel
-        this call derives from ``j``, so the probe is neither built nor
-        checked again.  A ``j`` that is not an integer in ``[0, theta)``
-        (numpy integers are, ``bool`` is not) raises the ``ValueError`` of
+        f_saliency, f_uncertainty)`` on the refreshed fields, read from
+        the grid's inhibition density at the voxel decoded from ``j``.  A
+        ``j`` that is not an integer in ``[0, theta)`` (numpy integers are,
+        ``bool`` is not) raises the ``ValueError`` of
         :meth:`WorkspaceGrid.voxel_of_linear`, before any entry changes."""
         grid = self.grid
         j = _as_index(j, "linear index", grid.theta)
@@ -663,16 +628,7 @@ class TrialState:
         products *= weights
         block = _saliency(np.add.reduce(products, 0))
         self.saliency[j + first:][outputs] = block
-        # beta_pdf(SALIENCY_FACTOR, block), in the block's own array
-        np.maximum(block, BETA_CLAMP, out=block)
         self.f_saliency[j + first:][outputs] = _beta_density(SALIENCY_FACTOR,
                                                             block)
         return _score(self._density, grid.shape, (ix, iy, iz),
                       self.f_saliency, self.f_uncertainty)
-
-    def snapshot(self, probe: VoxelIndex, score: np.ndarray) -> AttentionState:
-        """The :class:`AttentionState` of an iteration with the probe at
-        ``probe`` that selected on ``score``: it holds ``score`` and copies
-        of the uncertainty, similarity and saliency fields."""
-        return AttentionState(self.grid, probe, score, self.uncertainty.copy(),
-                              self.omega.copy(), self.saliency.copy())

@@ -575,40 +575,33 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     posterior, refreshes the attention fields, scores every voxel as a
     target and teleports to the highest score.  One
     :class:`~hapticbayes.attention.TrialState` holds everything the trial
-    changes.  Sensing runs in blocks: every ``SENSE_BLOCK`` touches one
-    :func:`sense` call draws the next block's noise and scores the sample
-    of each of the scenario's ``materials`` at each touch, and the state
-    loads that table.  Touch ``k`` of a voxel reads entry ``[k %
-    SENSE_BLOCK, r]``, ``r`` being the voxel's entry of ``material_rows``.
-    The draws equal one :func:`synthesize_sample` draw per touch, so the
-    path is the same as with per-touch sensing, and memory does not grow
-    with the budget.  Each touch then runs four steps: the state's
-    ``update`` integrates the entry through :meth:`PosteriorGrid.update`,
-    once; the loop-closure test; the state's ``touch``, which refreshes
-    the fields, equal to a full recompute bit for bit, and returns the
-    score with the probe at the touched voxel; and the selection.  That
-    score equals :func:`target_score`: the inhibition density at each
-    voxel's whole-voxel offset from the current position, from the grid's
-    inhibition table, times the saliency and uncertainty densities.  The
-    target is its maximum, ties to the lowest linear index, with no
-    normalization.  Every score lies in [3e-38, 30], as the fields stay
-    finite in [0, 1] and ``beta_pdf`` clamps its argument, so a selected
-    score that is not positive and finite raises ``FloatingPointError``
-    naming the iteration, the voxel and the value.  ``degenerate_events``
-    counts the posterior updates that kept their prior (e.g. a NaN
-    sample).  The trial ends on loop closure (current voxel within one
-    step, in Chebyshev distance, of the first voxel visited that the
-    scenario's ``benchmark_mask`` marks, once at least ten iterations
-    have run) or when the iteration budget is spent.  The start voxel
-    counts as the first visited voxel.  A ``scenario`` that is not a
-    :class:`Scenario`, a ``lib`` that is not a :class:`MaterialLibrary`,
-    a ``config`` that is not a :class:`TrialConfig`, an ``on_iteration``
-    that is neither ``None`` nor callable, and a task or ground truth
-    that names a material the library lacks each raise ``ValueError``
-    naming it, before the first touch.  The loop keeps its voxels as
-    linear indices, from the checked ``start`` or the score's argmax, and
-    builds one :class:`VoxelIndex` per touch from their ints, for the
-    record and an observer's state.
+    changes.  Every ``SENSE_BLOCK`` touches one :func:`sense` call draws
+    the next block's noise and scores the sample of each of the scenario's
+    ``materials`` at each touch, and the state loads that table; touch
+    ``k`` of a voxel reads entry ``[k % SENSE_BLOCK, r]``, ``r`` being the
+    voxel's entry of ``material_rows``.  The draws equal one
+    :func:`synthesize_sample` draw per touch, so the path is the same as
+    with per-touch sensing, and memory does not grow with the budget.
+    Each touch then runs the state's ``update``, one
+    :meth:`PosteriorGrid.update`; the loop-closure test; the state's
+    ``touch``, which refreshes the fields and returns the
+    :func:`target_score` with the probe at the touched voxel; and the
+    selection of its maximum, ties to the lowest linear index.  Every
+    score lies in [3e-38, 30], as the fields stay finite in [0, 1] and
+    ``beta_pdf`` clamps its argument, so a selected score that is not
+    positive and finite raises ``FloatingPointError`` naming the
+    iteration, the voxel and the value.  ``degenerate_events`` counts the
+    posterior updates that kept their prior (e.g. a NaN sample).  The
+    trial ends on loop closure (current voxel within one step, in
+    Chebyshev distance, of the first voxel visited that the scenario's
+    ``benchmark_mask`` marks, once at least ten iterations have run) or
+    when the iteration budget is spent.  The start voxel counts as the
+    first visited voxel.  A ``scenario`` that is not a :class:`Scenario`,
+    a ``lib`` that is not a :class:`MaterialLibrary`, a ``config`` that is
+    not a :class:`TrialConfig`, an ``on_iteration`` that is neither
+    ``None`` nor callable, and a task or ground truth that names a
+    material the library lacks each raise ``ValueError`` naming it,
+    before the first touch.
 
     ``on_iteration`` receives ``(k, AttentionState)`` after each target
     selection, which is how field snapshots are exported.  The state
@@ -668,7 +661,8 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
                 f"{(chosen % nx, chosen // nx % ny, chosen // nxy)} is not "
                 f"positive and finite")
         if on_iteration is not None:
-            on_iteration(k, state.snapshot(probe, score))
+            on_iteration(k, AttentionState(grid, probe, score, state.uncertainty.copy(),
+                                           state.omega.copy(), state.saliency.copy()))
         current = chosen
 
     points = np.fromiter(itertools.chain.from_iterable(visited), float,
