@@ -294,10 +294,12 @@ def dump_fields(state: AttentionState, iteration: int,
     One file per field named ``<field>_k<iteration:04d>.txt``; each holds
     ``ny * nz`` lines of ``nx`` values of ``state.grid`` (z-planes
     stacked, lowest plane first), printed with 9 significant digits.  A
-    ``state`` that is not an :class:`AttentionState` raises ``ValueError``
-    naming it, before anything is written.
+    ``state`` that is not an :class:`AttentionState`, or an ``iteration``
+    that is not an integer >= 0, raises ``ValueError`` naming it, before
+    anything is written.
     """
     _check_type("state", state, AttentionState)
+    _check_integer("iteration", iteration, 0)
     grid = state.grid
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)

@@ -1005,13 +1005,18 @@ def test_run_trial_rejects_arguments_of_another_type(lib, scenarios, monkeypatch
      "must be a MaterialPosterior, got [0.2, 0.8]"),
     ("dump_fields", "state", {"omega": 0.5},
      "must be an AttentionState, got {'omega': 0.5}"),
+    ("dump_fields", "iteration", 1.5, "must be an integer >= 0, got 1.5"),
+    ("dump_fields", "iteration", True, "must be an integer >= 0, got True"),
+    ("dump_fields", "iteration", -3, "must be an integer >= 0, got -3"),
 ])
 def test_entry_points_reject_arguments_of_another_type(lib, scenarios, tmp_path,
                                                        entry, name, bad,
                                                        message):
     # each used to raise a raw AttributeError or TypeError from inside, such
-    # as sense's "'float' object has no attribute 'scale_E'"; the checks run
-    # once per call, before anything is drawn or written
+    # as sense's "'float' object has no attribute 'scale_E'"; dump_fields
+    # wrote k0001 files for iteration True and k-003 for -3, and made the
+    # directory before 1.5 raised a format error.  The checks run once per
+    # call, before anything is drawn or written
     states = []
     run_trial(scenarios[0], lib, TrialConfig(max_iterations=1),
               on_iteration=lambda k, state: states.append(state))
