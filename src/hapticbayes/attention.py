@@ -585,11 +585,11 @@ class TrialState:
         is not an integer in ``[0, theta)`` raises ``ValueError`` first."""
         posteriors = self.posteriors
         j = _as_index(j, "linear index", self.grid.theta)
+        at = k, r
         if posteriors.k_counts[j]:
-            update = posteriors.update(j, self._table[k, r])
+            update = posteriors.update(j, self._table[at])
             values = _row_values(self.task, posteriors.probs[j], True)
         else:
-            at = k, r
             update = posteriors.update(j, self._table[at], (
                 self._first_probs[at], self._first_degenerate[at]))
             uncertainty, density, omega = self._first_values
