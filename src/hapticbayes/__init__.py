@@ -6,6 +6,28 @@ touched voxel from noisy texture/compliance features, and an attention model
 that picks the next voxel to explore from inhibition-of-return, uncertainty
 and saliency fields.  A scenario harness and experiment bench reproduce the
 material-classification and discontinuity-following benchmarks.
+
+Argument contract.  The public entry points check each argument once per
+call, before anything is drawn, read or written:
+
+- a bad argument raises ``ValueError`` naming it, or its subclass
+  :class:`GridConfigError`, :class:`LibraryLoadError` or
+  :class:`ScenarioLoadError`;
+- an argument of a package type (or a numpy ``Generator``) is one;
+- integers are Python or numpy integers, never ``bool``: seeds and
+  iterations >= 0, counts >= 1, indices within their range;
+- real parameters are finite, and an integer too large for a float is not
+  finite; value arrays may hold NaN where a function says so;
+- voxels go through :meth:`WorkspaceGrid.require`;
+- counts have no upper bound: ``run_exploration_benchmark(s, lib,
+  n_trials=10**11)`` runs until stopped;
+- file paths go to :class:`pathlib.Path` as given.
+
+Not yet covered: the attention field functions, ``beta_pdf``'s factor,
+:class:`MaterialLibrary`'s sequence, :class:`TrialRecord`'s ``visited`` and
+the result records (:class:`AttentionState`, :class:`ConfusionMatrix`,
+:class:`ExperimentReport`), which can raise from inside for an argument of
+another type.
 """
 
 from .grid import (

@@ -54,9 +54,8 @@ FACTORS = (INHIBITION_FACTOR, UNCERTAINTY_FACTOR, SALIENCY_FACTOR)
 class TaskSpec:
     """A discontinuity-following task between two material classes.
 
-    Each material is an index into the library: an integer >= 0 (numpy
-    integers are, and are stored as Python ints; ``bool`` is not), else
-    ``ValueError`` names it.  Two equal materials raise ``ValueError``."""
+    Each material is an index into the library, stored as a Python int;
+    two equal materials raise ``ValueError``."""
 
     material_a: int
     material_b: int
@@ -285,7 +284,11 @@ def saliency_field(grid: WorkspaceGrid, omega: np.ndarray) -> np.ndarray:
     A constant similarity field has exactly zero saliency everywhere
     because each derivative kernel sums to zero.
     """
-    f = np.asarray(omega, dtype=float).reshape(grid.nz, grid.ny, grid.nx)
+    try:
+        f = np.asarray(omega, dtype=float).reshape(grid.nz, grid.ny, grid.nx)
+    except OverflowError:
+        raise ValueError("saliency_field: omega holds an integer too large "
+                         "for a float") from None
     return _saliency(_sobel_responses(f)).clip(0.0, 1.0).ravel()
 
 
@@ -506,25 +509,24 @@ def _start_values(task: TaskSpec, n_materials: int) -> tuple:
     zero saliency: every voxel's value at the start of a trial but its
     similarity, which is neutral."""
     uniform = np.full(n_materials, 1.0 / n_materials)
-    return tuple(map(float, (*_row_values(task, uniform, False)[:2],
+    return tuple(map(float, (*_row_values(task, uniform)[:2],
                              beta_pdf(SALIENCY_FACTOR, 0.0))))
 
 
-def _row_values(task: TaskSpec, probs: np.ndarray, explored):
+def _row_values(task: TaskSpec, probs: np.ndarray):
     """Uncertainty, its density and similarity of posterior rows ``probs``
-    (the last axis), as arrays of the leading shape, 0-d for one row: the
+    (the last axis), as arrays of the leading shape, scalars for one row: the
     arithmetic of :func:`uncertainty_field` and :func:`omega_field` row by
     row, each step elementwise or reducing the last axis alone, so every
-    entry equals the single-row result.  ``explored``, a bool or a bool
-    array of the leading shape, marks the rows with a sample integrated;
-    the others are neutral.  The similarity ``(1 - (p_b - p_a)) / 2``
-    needs no clip: ``p_b - p_a`` of probabilities lies in [-1, 1], as each
-    step rounds monotonically to representable bounds."""
+    entry equals the single-row result.  The similarity needs no mask for
+    unexplored rows, which :func:`omega_field` pins to ``OMEGA_NEUTRAL``:
+    such a row is the uniform prior, whose equal entries give exactly
+    0.5.  Nor does it need a clip: ``p_b - p_a`` of probabilities lies in
+    [-1, 1], as each step rounds monotonically to representable bounds."""
     # the entropy of a uniform row can round above 1
     uncertainty = _normalized_entropies(probs).clip(0.0, 1.0)
-    omega = np.where(explored, (1.0 - (probs[..., task.material_b]
-                                       - probs[..., task.material_a])) / 2.0,
-                     OMEGA_NEUTRAL)
+    omega = (1.0 - (probs[..., task.material_b]
+                    - probs[..., task.material_a])) / 2.0
     return uncertainty, beta_pdf(UNCERTAINTY_FACTOR, uncertainty), omega
 
 
@@ -539,10 +541,8 @@ class TrialState:
     saliency of the 3x3x3 block around it, the only outputs they reach,
     through the grid's :class:`SaliencyStencil`, which reads the
     similarity padded by two neutral voxels per side.  So every field
-    stays equal to a full recompute from ``posteriors``.  A ``grid`` that
-    is not a :class:`WorkspaceGrid`, a ``task`` that is not a
-    :class:`TaskSpec`, or an ``n_materials`` that is not an integer above
-    both task materials raises ``ValueError`` naming it.
+    stays equal to a full recompute from ``posteriors``.  ``n_materials``
+    must exceed both task materials.
     """
 
     def __init__(self, grid: WorkspaceGrid, task: TaskSpec, n_materials: int):
@@ -573,22 +573,21 @@ class TrialState:
         self._table = table
         self._first_probs, self._first_degenerate = \
             self.posteriors.first_updates(table)
-        self._first_values = _row_values(self.task, self._first_probs,
-                                         ~self._first_degenerate)
+        self._first_values = _row_values(self.task, self._first_probs)
 
     def update(self, j: int, k: int, r: int):
         """Integrate entry ``[k, r]`` of the loaded table at voxel ``j`` by
         one :meth:`PosteriorGrid.update` and return the voxel's uncertainty,
         its density and its similarity for :meth:`touch`: an unexplored
         voxel's from :meth:`load`, a revisit's from its own row.  An update
-        that keeps its prior counts in ``degenerate_events``.  A ``j`` that
-        is not an integer in ``[0, theta)`` raises ``ValueError`` first."""
+        that keeps its prior counts in ``degenerate_events``.  A bad ``j``
+        raises first."""
         posteriors = self.posteriors
         j = _as_index(j, "linear index", self.grid.theta)
         at = k, r
         if posteriors.k_counts[j]:
             update = posteriors.update(j, self._table[at])
-            values = _row_values(self.task, posteriors.probs[j], True)
+            values = _row_values(self.task, posteriors.probs[j])
         else:
             update = posteriors.update(j, self._table[at], (
                 self._first_probs[at], self._first_degenerate[at]))
@@ -606,9 +605,7 @@ class TrialState:
         array, equal to ``target_score(grid, grid.voxel_of_linear(j),
         f_saliency, f_uncertainty)`` on the refreshed fields, read from
         the grid's inhibition density at the voxel decoded from ``j``.  A
-        ``j`` that is not an integer in ``[0, theta)`` (numpy integers are,
-        ``bool`` is not) raises the ``ValueError`` of
-        :meth:`WorkspaceGrid.voxel_of_linear`, before any entry changes."""
+        bad ``j`` raises before any entry changes."""
         grid = self.grid
         j = _as_index(j, "linear index", grid.theta)
         self.uncertainty[j], self.f_uncertainty[j], omega = values

@@ -8,9 +8,10 @@ their seed as ``seed + cell_index``.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -187,15 +188,13 @@ def run_classification_experiment(lib: MaterialLibrary,
     ``(n, t, k_samples, 4)`` buffer, material i's slice from its own
     generator (the draws of ``synthesize_sample(lib, i, noise, rng, (t,
     k_samples))``), and one ``_samples_of_draws`` call gives every
-    material's samples.  A seed that is not an integer >= 0, a count that
-    is not an integer >= 1, or a ``noise`` that is not a
-    :class:`NoiseSpec` raises ``ValueError`` naming the argument.
+    material's samples.
     """
+    _check_type("lib", lib, MaterialLibrary)
     _check_integer("seed", seed, 0)
     _check_integer("trials_per_material", trials_per_material, 1)
     _check_integer("k_samples", k_samples, 1)
-    if not isinstance(noise, NoiseSpec):
-        raise ValueError(f"noise must be a NoiseSpec, got {noise!r}")
+    _check_type("noise", noise, NoiseSpec)
     n = len(lib)
     rngs = [np.random.default_rng(seed + i) for i in range(n)]
     materials = np.arange(n)[:, None, None]
@@ -226,11 +225,13 @@ def run_noise_sweep(lib: MaterialLibrary,
 
     Each (scale, k) cell reruns the classification experiment with the
     derived seed ``seed + cell_index``; a row is labelled by its one noise
-    scale.  A seed that is not an integer >= 0, a ``trials`` or ``k_list``
-    entry that is not an integer >= 1, or a ``scales`` entry that is not a
-    :class:`NoiseSpec` with ``scale_E == scale_C`` raises ``ValueError``
-    naming it, before the first cell.
+    scale.  Empty ``scales`` or ``k_list``, or a ``scales`` entry that is
+    not a :class:`NoiseSpec` with ``scale_E == scale_C``, raises
+    ``ValueError`` before the first cell.
     """
+    _check_type("lib", lib, MaterialLibrary)
+    _check_type("scales", scales, Sequence)
+    _check_type("k_list", k_list, Sequence)
     _check_integer("seed", seed, 0)
     _check_integer("trials", trials, 1)
     if not scales or not k_list:
@@ -255,9 +256,9 @@ def run_exploration_benchmark(scenario: Scenario, lib: MaterialLibrary,
                               n_trials: int = 10,
                               config: TrialConfig = TrialConfig(),
                               ) -> ExperimentReport:
-    """Run seeded trials on one scenario; trial i uses seed ``seed + i``.
-    An ``n_trials`` that is not an integer >= 1 raises ``ValueError``."""
+    """Run seeded trials on one scenario; trial i uses seed ``seed + i``."""
     _check_integer("n_trials", n_trials, 1)
+    _check_type("config", config, TrialConfig)
     trials: list[TrialRecord] = []
     for i in range(n_trials):
         cfg = replace(config, seed=config.seed + i)
@@ -293,10 +294,7 @@ def dump_fields(state: AttentionState, iteration: int,
 
     One file per field named ``<field>_k<iteration:04d>.txt``; each holds
     ``ny * nz`` lines of ``nx`` values of ``state.grid`` (z-planes
-    stacked, lowest plane first), printed with 9 significant digits.  A
-    ``state`` that is not an :class:`AttentionState`, or an ``iteration``
-    that is not an integer >= 0, raises ``ValueError`` naming it, before
-    anything is written.
+    stacked, lowest plane first), printed with 9 significant digits.
     """
     _check_type("state", state, AttentionState)
     _check_integer("iteration", iteration, 0)

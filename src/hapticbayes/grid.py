@@ -180,7 +180,8 @@ class WorkspaceGrid:
         return (self.nx, self.ny, self.nz)
 
     def contains(self, v: VoxelIndex) -> bool:
-        """Whether :meth:`require` accepts ``v``."""
+        """Whether :meth:`require` accepts ``v``; never raises, since
+        :meth:`require` rejects every other value with ``ValueError``."""
         try:
             self.require(v)
         except ValueError:
@@ -189,13 +190,19 @@ class WorkspaceGrid:
 
     def require(self, v: VoxelIndex) -> tuple[int, int, int]:
         """The indices ``(ix, iy, iz)`` of voxel ``v`` as Python ints, so
-        that index arithmetic cannot wrap.  An index that is not an integer
-        (numpy integers are, ``bool`` is not) or a voxel outside the grid
+        that index arithmetic cannot wrap: the package's one voxel check.
+        Anything but three integer indices of a voxel inside the grid
         raises ``ValueError`` naming it."""
+        try:
+            # unpacks before it rebinds v, so a failure names v as given
+            ix, iy, iz = v = tuple(v)
+        except (TypeError, ValueError):
+            raise ValueError(f"voxel {v!r} is not three indices "
+                             f"(ix, iy, iz)") from None
         try:
             ix, iy, iz = map(_as_index, v)
         except ValueError as exc:
-            raise ValueError(f"voxel {tuple(v)}: {exc}") from None
+            raise ValueError(f"voxel {v}: {exc}") from None
         if not (0 <= ix < self.nx and 0 <= iy < self.ny and 0 <= iz < self.nz):
             raise ValueError(f"voxel {(ix, iy, iz)} outside grid {self.shape}")
         return ix, iy, iz
@@ -208,8 +215,7 @@ class WorkspaceGrid:
 
     def voxel_of_linear(self, j: int) -> VoxelIndex:
         """The voxel of linear index ``j``, with Python int indices; a
-        ``j`` that is not an integer (numpy integers are, ``bool`` is not)
-        or lies outside ``[0, theta)`` raises ``ValueError`` naming it."""
+        ``j`` outside ``[0, theta)`` raises ``ValueError`` naming it."""
         j = _as_index(j, "linear index", self.theta)
         return VoxelIndex(j % self.nx, (j // self.nx) % self.ny, j // (self.nx * self.ny))
 

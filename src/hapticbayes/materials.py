@@ -43,9 +43,7 @@ class NoiseSpec:
     """Multipliers on the per-material additive noise std ``|mu| / 2``.
 
     ``scale_E = scale_C = 1.0`` reproduces the base noise level; 0 disables
-    the additive noise entirely.  A scale that is not a finite,
-    non-negative real number (``bool`` is not one) raises ``ValueError``
-    naming it.
+    the additive noise entirely.  Each scale is a real >= 0.
     """
 
     scale_E: float = 1.0
@@ -65,9 +63,7 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Feature models of one material.  A mean or sigma that is not a
-    finite real number (``bool`` is not one), or a sigma that is not
-    positive, raises ``ValueError`` naming it."""
+    """Feature models of one material; each sigma is positive."""
 
     name: str
     mu_E: float
@@ -88,11 +84,9 @@ class MaterialLibrary:
     """Ordered collection of material parameter sets.
 
     The order is fixed and defines material indices 0..n-1.  ``lib[i]``
-    is material ``i``'s parameters; an ``i`` that is not an integer in
-    ``[0, n)`` (numpy integers are, ``bool`` is not; nor are slices and
-    negative indices) raises ``ValueError`` naming it.  An entry that is
-    not a :class:`MaterialParams` raises ``ValueError`` naming its index,
-    as do fewer than 2 entries and repeated names.
+    is material ``i``'s parameters, for an integer ``i`` in ``[0, n)``:
+    no slice or negative index.  A library holds at least 2
+    :class:`MaterialParams` entries, with distinct names.
     """
 
     def __init__(self, materials: Sequence[MaterialParams]):
@@ -208,12 +202,12 @@ def synthesize_sample(lib: MaterialLibrary, material_index: int,
     ``rng.standard_normal(shape + (4,))`` call, each sample taking its
     four values in the fixed order (e, c, q_E, q_C), so a seeded
     generator reproduces the stream exactly, and consecutive calls give
-    the same samples as one call of their combined leading shape.  A
-    ``material_index`` that is not an integer in ``[0, len(lib))`` (numpy
-    integers are, ``bool`` is not) raises ``ValueError`` naming it,
-    before anything is drawn.
+    the same samples as one call of their combined leading shape.
     """
+    _check_type("lib", lib, MaterialLibrary)
     material_index = _as_index(material_index, "material index", len(lib))
+    _check_type("noise", noise, NoiseSpec)
+    _check_type("rng", rng, np.random.Generator)
     return _samples_of_draws(lib, material_index, noise,
                              rng.standard_normal(shape + (4,)))
 

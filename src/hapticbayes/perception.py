@@ -39,24 +39,32 @@ class MaterialPosterior:
     degenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        if not ((self.probs >= 0).all()
-                and (abs(self.probs.sum(axis=-1) - 1.0) <= 1e-9).all()):
+        try:
+            probs = np.asarray(self.probs, dtype=float)
+        except OverflowError:       # an integer too large for a float
+            probs = np.array(math.nan)
+        if not ((probs >= 0).all()
+                and (abs(probs.sum(axis=-1) - 1.0) <= 1e-9).all()):
             raise ValueError("probs must be non-negative and each row must "
                              "sum to 1")
+        object.__setattr__(self, "probs", probs)
 
     @classmethod
     def uniform(cls, n: int, shape: tuple = ()) -> "MaterialPosterior":
         """Uniform prior over ``n`` materials, one row per element of
         ``shape`` (``()`` for a single ``(n,)`` posterior)."""
-        return cls(np.full(shape + (n,), 1.0 / n))
+        n = _check_integer("n", n, 1)
+        try:
+            p = 1.0 / n
+        except OverflowError:
+            raise ValueError("MaterialPosterior.uniform: n holds an integer "
+                             "too large for a float") from None
+        return cls(np.full(shape + (n,), p))
 
 
 def log_likelihoods(lib: MaterialLibrary, sample: HapticSample) -> np.ndarray:
     """Log of ``NormalPDF(e; mu_E, sigma_E) * NormalPDF(c; mu_C, sigma_C)``
-    for every material: shape ``np.shape(sample.e) + (n,)``.  A ``lib``
-    that is not a :class:`MaterialLibrary` or a ``sample`` that is not a
-    :class:`HapticSample` raises ``ValueError`` naming it."""
+    for every material: shape ``np.shape(sample.e) + (n,)``."""
     _check_type("lib", lib, MaterialLibrary)
     _check_type("sample", sample, HapticSample)
     ze = np.asarray(sample.e)[..., None] - lib.mu_e
@@ -124,9 +132,7 @@ def update_posterior(lib: MaterialLibrary, prior: MaterialPosterior,
     or a ``(T, n)`` batch with length-T sample arrays, row t updated by
     sample t.  A row whose likelihoods all floor to zero (e.g. a NaN
     feature) keeps its prior unchanged, and then the result carries
-    ``degenerate=True``.  A ``lib`` that is not a :class:`MaterialLibrary`,
-    a ``prior`` that is not a :class:`MaterialPosterior` or a ``sample``
-    that is not a :class:`HapticSample` raises ``ValueError`` naming it.
+    ``degenerate=True``.
     """
     _check_type("prior", prior, MaterialPosterior)
     probs, degenerate = _posterior_update(prior.probs, log_likelihoods(lib, sample))
@@ -136,8 +142,7 @@ def update_posterior(lib: MaterialLibrary, prior: MaterialPosterior,
 def map_category(post: MaterialPosterior):
     """Index of the most probable material, per row (an ``int`` for one
     posterior, an index array for a batch); ties break to the lowest
-    index.  A ``post`` that is not a :class:`MaterialPosterior` raises
-    ``ValueError`` naming it."""
+    index."""
     _check_type("post", post, MaterialPosterior)
     idx = np.argmax(post.probs, axis=-1)
     return int(idx) if idx.ndim == 0 else idx
@@ -158,9 +163,8 @@ class PosteriorGrid:
     start at the uniform prior, and a voxel with no sample integrated
     (``k_counts`` 0) still holds it exactly, since a degenerate update
     keeps its prior.  Distinct voxels may be updated independently; each
-    :meth:`update` reports whether its sample was degenerate.  A ``theta``
-    below 1 or ``n_materials`` below 2 (an entropy over one material
-    divides by zero), or either not an integer, raises ``ValueError``.
+    :meth:`update` reports whether its sample was degenerate.
+    ``n_materials`` is at least 2: an entropy over one divides by zero.
     """
 
     def __init__(self, theta: int, n_materials: int):
@@ -196,10 +200,8 @@ class PosteriorGrid:
         :func:`_posterior_update`.  A degenerate sample (every likelihood
         floors to zero, e.g. a NaN feature) keeps the prior and is not
         counted in ``k_counts``.  Returns the voxel's sample count and the
-        degenerate flag; the updated row is ``probs[linear]``.  A
-        ``linear`` that is not an integer in ``[0, theta)`` (numpy integers
-        are, ``bool`` is not) raises the ``ValueError`` of
-        :meth:`WorkspaceGrid.voxel_of_linear`, before anything changes.
+        degenerate flag; the updated row is ``probs[linear]``.  A bad
+        ``linear`` raises before anything changes.
         """
         linear = _as_index(linear, "linear index", len(self.k_counts))
         count = int(self.k_counts[linear])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,12 +54,9 @@ class Scenario:
     reads; ``materials``, the sorted distinct ground-truth material
     indices, the only materials a trial's sense blocks score; and
     ``material_rows``, each voxel's row in ``materials``, so that
-    ``materials[material_rows] == ground_truth``.  A ``grid`` that is
-    not a :class:`WorkspaceGrid`, a ``task`` that is not a
-    :class:`TaskSpec`, or a ``start`` or benchmark path entry that is not
-    a :class:`VoxelIndex` of integers (``bool`` is not one; numpy
-    integers are, and are stored as Python ints) inside the grid raises
-    ``ValueError`` naming it.
+    ``materials[material_rows] == ground_truth``.  ``start`` and each
+    benchmark path entry are :class:`VoxelIndex` values, stored with
+    Python int indices.
     """
 
     name: str
@@ -124,13 +120,19 @@ class Scenario:
         if not isinstance(v, VoxelIndex):
             raise ValueError(f"{name} must be a VoxelIndex of integers, "
                              f"got {v!r}")
-        try:
-            return VoxelIndex(*self.grid.require(v))
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
+        return VoxelIndex(*_require(self.grid, name, v))
 
     def material_at(self, v: VoxelIndex) -> int:
         return int(self.ground_truth[self.grid.linear_index(v)])
+
+
+def _require(grid: WorkspaceGrid, name: str, v) -> tuple[int, int, int]:
+    """:meth:`WorkspaceGrid.require` of ``v``, its ``ValueError`` prefixed
+    with ``name``."""
+    try:
+        return grid.require(v)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -143,8 +145,7 @@ class TrialConfig:
 
     def __post_init__(self):
         _check_integer("max_iterations", self.max_iterations, 1)
-        if not isinstance(self.noise, NoiseSpec):
-            raise ValueError(f"noise must be a NoiseSpec, got {self.noise!r}")
+        _check_type("noise", self.noise, NoiseSpec)
         _check_integer("seed", self.seed, 0)
 
 
@@ -225,6 +226,8 @@ def save_scenario(scenario: Scenario, lib: MaterialLibrary,
     empty, has surrounding whitespace, holds a line break or does not
     encode as UTF-8, or a material name that is any of these or holds a
     comma.  Grid bounds read back exactly."""
+    _check_type("scenario", scenario, Scenario)
+    _check_type("lib", lib, MaterialLibrary)
     name = scenario.name
     if not _reads_back(name):
         raise ValueError(f"scenario name {name!r} cannot be saved: a "
@@ -303,6 +306,7 @@ def load_scenario(source: Union[str, Path], lib: MaterialLibrary) -> Scenario:
     checks the voxels; its ``ValueError`` (an empty path, or a voxel
     outside the grid) is raised as one naming the file.
     """
+    _check_type("lib", lib, MaterialLibrary)
     path = Path(source)
     try:
         text = path.read_text(encoding="utf-8")
@@ -466,11 +470,7 @@ def sense(lib: MaterialLibrary, materials, noise: NoiseSpec,
     len(materials), n)`` table whose row ``[k, r]`` is the log-likelihood
     row of touch ``k`` of a voxel of material ``materials[r]``: what
     ``log_likelihoods(lib, synthesize_sample(lib, materials[r], noise,
-    rng))`` gives for that touch.  A ``lib`` that is not a
-    :class:`MaterialLibrary`, a ``noise`` that is not a :class:`NoiseSpec`,
-    an ``rng`` that is not a ``numpy.random.Generator`` or a material that
-    is not an index into ``lib`` raises ``ValueError`` naming it, before
-    anything is drawn.
+    rng))`` gives for that touch.
     """
     _check_type("lib", lib, MaterialLibrary)
     _check_type("noise", noise, NoiseSpec)
@@ -484,55 +484,30 @@ def sense(lib: MaterialLibrary, materials, noise: NoiseSpec,
     return log_likelihoods(lib, _samples_of_draws(lib, materials, noise, z))
 
 
-def _voxel_points(grid: WorkspaceGrid, path, name: str) -> np.ndarray:
-    """``path``, a sequence of ``(ix, iy, iz)`` voxels or a ``(B, 3)``
-    array, as a float array; raises ``ValueError`` naming the first entry
-    with a coordinate that is not a real number (``bool`` is not one),
-    else the first that is not a whole voxel index inside ``grid``."""
-    try:
-        points = np.asarray(path, dtype=float)
-    except OverflowError:
-        raise ValueError(f"{name} holds a coordinate too large for a voxel "
-                         f"index") from None
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"{name} must be a sequence of (ix, iy, iz) voxels")
-    # the float cast above reads True and "1" as 1.0, so each coordinate's
-    # type is checked
-    for i, v in enumerate(path.tolist() if isinstance(path, np.ndarray) else path):
-        if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in v):
-            raise ValueError(f"{name} entry {i}: {tuple(v)} holds a coordinate "
-                             f"that is not a real number (bool is not one)")
-    whole = (np.isfinite(points) & (points == np.round(points))).all(axis=1)
-    if not whole.all():
-        i = int(np.argmin(whole))
-        raise ValueError(f"{name} entry {i}: {tuple(points[i].tolist())} is "
-                         f"not a whole voxel index")
-    inside = ((points >= 0) & (points < grid.shape)).all(axis=1)
-    if not inside.all():
-        i = int(np.argmin(inside))
-        raise ValueError(f"{name} entry {i}: voxel "
-                         f"{tuple(int(x) for x in points[i])} outside grid "
-                         f"{grid.shape}")
-    return points
-
-
 def gamma_metric(grid: WorkspaceGrid, visited: Sequence[VoxelIndex],
                  benchmark: Sequence[VoxelIndex]) -> float:
     """Total divergence of the executed path from the benchmark, in meters:
     the sum over visited voxels of the distance to the nearest benchmark
     voxel (between voxel centers).
 
-    Each argument is a sequence of voxel indices or a ``(n, 3)`` array of
-    them, such as a scenario's float ``benchmark_points``.  An empty path,
-    or an entry with a coordinate that is not a real number (``bool`` is
-    not one) or that is not a whole voxel index inside ``grid``, raises
-    ``ValueError`` naming it.  :func:`run_trial` scores its own path, whose
-    voxels need no checks, through the same arithmetic."""
-    if len(visited) == 0 or len(benchmark) == 0:
-        raise ValueError("visited and benchmark paths must be non-empty")
-    return _divergence(grid.bounds.epsilon,
-                       _voxel_points(grid, visited, "visited"),
-                       _voxel_points(grid, benchmark, "benchmark"))
+    Each path is a non-empty sequence of voxels, each entry read through
+    :meth:`WorkspaceGrid.require`, whose ``ValueError`` names the entry:
+    ``visited entry 1: voxel (30, 2, 0) outside grid (30, 60, 1)``.
+    :func:`run_trial` scores its own path, whose voxels need no checks,
+    through the same arithmetic."""
+    _check_type("grid", grid, WorkspaceGrid)
+    points = []
+    for name, path in (("visited", visited), ("benchmark", benchmark)):
+        try:
+            entries = list(path)
+        except TypeError:
+            entries = []
+        if not entries:
+            raise ValueError(f"{name} must be a non-empty sequence of voxels, "
+                             f"got {path!r}")
+        points.append(np.array([_require(grid, f"{name} entry {i}", v)
+                                for i, v in enumerate(entries)], dtype=float))
+    return _divergence(grid.bounds.epsilon, *points)
 
 
 def _divergence(eps: float, v: np.ndarray, b: np.ndarray) -> float:
@@ -596,12 +571,9 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     Chebyshev distance, of the first voxel visited that the scenario's
     ``benchmark_mask`` marks, once at least ten iterations have run) or
     when the iteration budget is spent.  The start voxel counts as the
-    first visited voxel.  A ``scenario`` that is not a :class:`Scenario`,
-    a ``lib`` that is not a :class:`MaterialLibrary`, a ``config`` that is
-    not a :class:`TrialConfig`, an ``on_iteration`` that is neither
-    ``None`` nor callable, and a task or ground truth that names a
-    material the library lacks each raise ``ValueError`` naming it,
-    before the first touch.
+    first visited voxel.  An ``on_iteration`` that is neither ``None``
+    nor callable, or a task or ground truth that names a material the
+    library lacks, raises ``ValueError`` before the first touch.
 
     ``on_iteration`` receives ``(k, AttentionState)`` after each target
     selection, which is how field snapshots are exported.  The state

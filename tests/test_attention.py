@@ -382,7 +382,10 @@ def test_beta_pdf_matches_scipy():
                          ids=["10**400", "list"])
 @pytest.mark.parametrize("name, call", [
     ("beta_pdf: x", lambda x: beta_pdf(SALIENCY_FACTOR, x)),
-    ("inhibition_profile: d", inhibition_profile)], ids=["beta_pdf", "profile"])
+    ("inhibition_profile: d", inhibition_profile),
+    ("saliency_field: omega", lambda x: saliency_field(
+        make_grid(WorkspaceBounds(0, 0.02, 0, 0.02, 0, 0.01, 0.01)), [x] * 4))],
+    ids=["beta_pdf", "profile", "saliency"])
 def test_densities_reject_an_integer_too_large_for_a_float(name, call, x):
     # used to raise a stray OverflowError from the float conversion
     with pytest.raises(ValueError, match=f"^{name} holds an integer too large "

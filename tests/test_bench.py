@@ -81,6 +81,7 @@ def scalar_classification_counts(lib, trials, k, noise, seed):
     return counts
 
 
+@pytest.mark.dispatch_oracle
 @pytest.mark.parametrize("k", [1, 5])
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 def test_classification_matches_scalar_reference(lib, k, scale):
@@ -90,6 +91,7 @@ def test_classification_matches_scalar_reference(lib, k, scale):
                           scalar_classification_counts(lib, 40, k, noise, 3))
 
 
+@pytest.mark.dispatch_oracle
 def test_classification_blocks_match_one_block(lib, monkeypatch):
     one = run_classification_experiment(lib, 11, 3, NoiseSpec(), seed=5)
     monkeypatch.setattr(bench, "BLOCK_TRIALS", 3)
@@ -101,6 +103,7 @@ def test_classification_blocks_match_one_block(lib, monkeypatch):
 # ---------------------------------------------------------------------------
 # oracles for the batched classification draw
 
+@pytest.mark.dispatch_oracle
 @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(1.5, 0.5)])
 def test_samples_of_draws_of_a_material_column_stack_per_material_calls(
         lib, noise):
@@ -112,6 +115,7 @@ def test_samples_of_draws_of_a_material_column_stack_per_material_calls(
     assert np.array_equal(batched.c, np.stack([a.c for a in alone]))
 
 
+@pytest.mark.dispatch_oracle
 @pytest.mark.parametrize("shape", [(7, 5, 4), (1, 1, 4), (3, 1, 4)])
 def test_standard_normal_into_a_buffer_slice_equals_a_fresh_draw(shape):
     buf = np.empty((3,) + shape)
@@ -122,6 +126,7 @@ def test_standard_normal_into_a_buffer_slice_equals_a_fresh_draw(shape):
     assert np.array_equal(buf[1:], want)
 
 
+@pytest.mark.dispatch_oracle
 @pytest.mark.parametrize("block_trials", [3, bench.BLOCK_TRIALS])
 @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(2.0, 2.0)])
 def test_classification_block_equals_per_material_draws(lib, monkeypatch,

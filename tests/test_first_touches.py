@@ -28,8 +28,11 @@ from hapticbayes import (
     make_grid,
     sense,
 )
-from hapticbayes.attention import TrialState, _row_values
+from hapticbayes.attention import OMEGA_NEUTRAL, TrialState, _row_values
 from hapticbayes.perception import _posterior_update
+
+# an oracle CI also runs with numpy's SIMD dispatch disabled (-m dispatch_oracle)
+pytestmark = pytest.mark.dispatch_oracle
 
 BUNDLED = load_library(bundled_library_path())
 
@@ -99,16 +102,20 @@ def test_block_first_touches_equal_single_row_calls(n):
         state.load(table)
         posteriors = PosteriorGrid(1, n)
         probs, degenerate = posteriors.first_updates(table)
-        values = _row_values(task, probs, ~degenerate)
+        values = _row_values(task, probs)
         assert probs.shape == table.shape
         assert all(v.shape == degenerate.shape == table.shape[:2] for v in values)
+        # a degenerate row keeps the uniform prior, whose similarity is
+        # exactly neutral with no mask, as omega_field pins an unexplored voxel
+        assert bits(values[2][degenerate]) \
+            == bits(np.full(degenerate.sum(), OMEGA_NEUTRAL))
         # a one-hot row's entropy is -0.0, which the clip keeps
         negative_zeros += int(np.signbit(values[0]).sum())
         for at in np.ndindex(*table.shape[:2]):
             row, row_degenerate = _posterior_update(uniform, table[at])
             assert bits(probs[at]) == bits(row), at
             assert degenerate[at] == row_degenerate, at
-            single = _row_values(task, row, not row_degenerate)
+            single = _row_values(task, row)
             for got, want in zip(values, single):
                 assert bits(got[at]) == bits(want), at
             # the state's first touch of a voxel stores and returns the same

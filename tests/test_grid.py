@@ -10,6 +10,7 @@ from hapticbayes import (
     VoxelIndex,
     WorkspaceBounds,
     WorkspaceGrid,
+    inhibition_field,
     make_grid,
 )
 from hapticbayes.grid import MAX_VOXELS
@@ -100,9 +101,11 @@ def test_linear_index_rejects_an_index_that_is_not_an_integer(voxel):
                                    VoxelIndex(29.9, 0, 0), VoxelIndex(30, 0, 0),
                                    VoxelIndex(-1, 0, 0), VoxelIndex(0, 0, "0"),
                                    (1, 2), VoxelIndex(29, 59, 0),
-                                   VoxelIndex(np.uint8(5), np.int8(3), 0)],
+                                   VoxelIndex(np.uint8(5), np.int8(3), 0),
+                                   5, None, (1, 2, 3, 4)],
                          ids=["1.5", "bool", "29.9", "x-high", "x-low", "str",
-                              "pair", "corner", "numpy"])
+                              "pair", "corner", "numpy", "int", "None",
+                              "quad"])
 def test_contains_agrees_with_require(voxel):
     # contains used to accept 1.5, True and 29.9 on a 30-wide grid
     grid = make_grid(WORKSPACE)
@@ -112,6 +115,20 @@ def test_contains_agrees_with_require(voxel):
         assert not grid.contains(voxel)
     else:
         assert grid.contains(voxel)
+
+
+@pytest.mark.parametrize("voxel", [5, None, (1, 2), (1, 2, 3, 4)],
+                         ids=["int", "None", "pair", "quad"])
+def test_a_value_that_is_not_three_indices_is_no_voxel(voxel):
+    # require(5), linear_index(None) and contains(5) used to raise a raw
+    # TypeError, and (1, 2) a bare "not enough values to unpack"
+    grid = make_grid(WORKSPACE)
+    message = rf"^voxel {re.escape(repr(voxel))} is not three indices"
+    for check in (grid.require, grid.linear_index,
+                  lambda v: inhibition_field(grid, v)):
+        with pytest.raises(ValueError, match=message):
+            check(voxel)
+    assert grid.contains(voxel) is False
 
 
 @pytest.mark.parametrize("j", [3.7, 3.0, True, np.bool_(True), "3"],

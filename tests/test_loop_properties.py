@@ -35,6 +35,9 @@ from hapticbayes import (
 from hapticbayes.simulator import DEFAULT_MAX_ITERATIONS, SENSE_BLOCK
 from reference_loop import check_against_reference
 
+# an oracle CI also runs with numpy's SIMD dispatch disabled (-m dispatch_oracle)
+pytestmark = pytest.mark.dispatch_oracle
+
 BUNDLED = load_library(bundled_library_path())
 
 EPS = 0.01

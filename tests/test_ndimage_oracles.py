@@ -10,6 +10,9 @@ from hapticbayes import WorkspaceBounds, make_grid
 from hapticbayes.attention import _sobel_responses
 from hapticbayes.simulator import _boundary_voxels
 
+# an oracle CI also runs with numpy's SIMD dispatch disabled (-m dispatch_oracle)
+pytestmark = pytest.mark.dispatch_oracle
+
 EPS = 0.01
 
 #: Grid shapes (nx, ny, nz): single voxels, one-voxel axes, planes,

@@ -20,6 +20,9 @@ from hapticbayes import (
 from hapticbayes import attention
 from hapticbayes.attention import TrialState, saliency_stencil
 
+# an oracle CI also runs with numpy's SIMD dispatch disabled (-m dispatch_oracle)
+pytestmark = pytest.mark.dispatch_oracle
+
 EPS = 0.01
 TASK = TaskSpec(0, 1)
 N_MATERIALS = 2

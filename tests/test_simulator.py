@@ -432,8 +432,12 @@ def test_gamma_zero_iff_on_benchmark(scenarios):
 
 def test_gamma_requires_non_empty(scenarios):
     s = scenarios[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^visited must be a non-empty "
+                                         r"sequence of voxels, got \[\]$"):
         gamma_metric(s.grid, [], s.benchmark_path)
+    with pytest.raises(ValueError, match="^benchmark must be a non-empty "
+                                         "sequence of voxels, got None$"):
+        gamma_metric(s.grid, s.benchmark_path, None)
 
 
 def test_trial_gamma_equals_gamma_of_the_path_sequence(lib, scenarios):
@@ -486,7 +490,8 @@ def test_gamma_matches_loop_exactly():
 
 def test_gamma_rejects_visited_voxel_outside_grid(scenarios):
     s = scenarios[0]
-    with pytest.raises(ValueError, match=r"\(30, 2, 0\) outside grid"):
+    with pytest.raises(ValueError, match=r"^visited entry 1: voxel \(30, 2, 0\) "
+                                         r"outside grid \(30, 60, 1\)$"):
         gamma_metric(s.grid, [VoxelIndex(1, 1, 0), VoxelIndex(30, 2, 0)],
                      s.benchmark_path)
 
@@ -499,23 +504,32 @@ def test_gamma_rejects_benchmark_voxel_outside_grid(scenarios):
                                          r"outside grid \(30, 60, 1\)$"):
         gamma_metric(grid, [(0, 0, 0)], [(1, 1, 0), (10**20, 0, 0)])
     with pytest.raises(ValueError, match=r"^benchmark entry 0: voxel \(0, -1, 0\)"):
-        gamma_metric(grid, [(0, 0, 0)], np.array([[0.0, -1.0, 0.0]]))
+        gamma_metric(grid, [(0, 0, 0)], np.array([[0, -1, 0]]))
+    # a float array's entries are not voxels, whether or not inside the grid
+    floats = np.array([[0.0, -1.0, 0.0]])
+    with pytest.raises(ValueError, match=rf"^benchmark entry 0: voxel "
+                                         rf"{re.escape(str(tuple(floats[0])))}: "
+                                         rf"index .* is not an integer$"):
+        gamma_metric(grid, [(0, 0, 0)], floats)
     # too large for a float: no raw OverflowError
-    with pytest.raises(ValueError, match="^benchmark holds a coordinate too "
-                                         "large for a voxel index$"):
+    with pytest.raises(ValueError, match=rf"^benchmark entry 0: voxel "
+                                         rf"\({10**400}, 0, 0\) outside grid"):
         gamma_metric(grid, [(0, 0, 0)], [(10**400, 0, 0)])
 
 
 @pytest.mark.parametrize("bad", [(0.7, 0.2, 0), (1, 1, math.nan),
-                                 (math.inf, 0, 0)])
+                                 (math.inf, 0, 0), (28.0, 30.0, 0.0),
+                                 np.array([0.0, 1.0, 0.0])])
 def test_gamma_rejects_non_integer_voxels(scenarios, bad):
-    # a visited (0.7, 0.2, 0) used to be truncated to voxel (0, 0, 0)
+    # a visited (0.7, 0.2, 0) used to be truncated to voxel (0, 0, 0); whole
+    # floats, such as a scenario's benchmark_points, are not voxels either
     grid = scenarios[0].grid
-    entry = re.escape(repr(tuple(float(x) for x in bad)))
+    first = next(x for x in tuple(bad) if type(x) is not int)
+    entry = re.escape(f"voxel {tuple(bad)}: index {first!r}")
     for name, visited, bench in (("visited", [(2, 2, 0), bad], [(0, 0, 0)]),
                                  ("benchmark", [(2, 2, 0)], [(0, 0, 0), bad])):
         with pytest.raises(ValueError, match=rf"^{name} entry 1: {entry} is "
-                                             rf"not a whole voxel index$"):
+                                             rf"not an integer$"):
             gamma_metric(grid, visited, bench)
 
 
@@ -527,34 +541,26 @@ def test_gamma_rejects_non_integer_voxels(scenarios, bad):
 def test_gamma_rejects_coordinates_that_are_not_real_numbers(scenarios, bad):
     # a visited (True, 0, 0) used to be read as voxel (1, 0, 0): gamma 0.01
     grid = scenarios[0].grid
-    entry = re.escape(repr(tuple(bad)))
+    first = next(x for x in tuple(bad) if type(x) is not int)
+    entry = re.escape(f"voxel {tuple(bad)}: index {first!r}")
     for name, visited, bench in (("visited", [(2, 2, 0), bad], [(0, 0, 0)]),
                                  ("benchmark", [(2, 2, 0)], [(0, 0, 0), bad])):
-        with pytest.raises(ValueError, match=rf"^{name} entry 1: {entry} holds "
-                                             rf"a coordinate that is not a "
-                                             rf"real number \(bool is not "
-                                             rf"one\)$"):
+        with pytest.raises(ValueError, match=rf"^{name} entry 1: {entry} is "
+                                             rf"not an integer$"):
             gamma_metric(grid, visited, bench)
     # a bool array is read the same way
-    with pytest.raises(ValueError, match=r"^visited entry 0: \(True, False, "
-                                         r"False\) holds a coordinate"):
-        gamma_metric(grid, np.array([[True, False, False]]), [(0, 0, 0)])
-
-
-def test_gamma_takes_whole_float_voxels(scenarios):
-    s = scenarios[0]
-    visited = [(28, 30, 0), (27, 31, 0), (0, 0, 0)]
-    want = gamma_metric(s.grid, visited, s.benchmark_path)
-    assert gamma_metric(s.grid, visited, s.benchmark_points) == want
-    assert gamma_metric(s.grid, np.array(visited, dtype=float),
-                        list(s.benchmark_points)) == want
+    row = np.array([True, False, False])
+    with pytest.raises(ValueError, match=rf"^visited entry 0: voxel "
+                                         rf"{re.escape(str(tuple(row)))}: "):
+        gamma_metric(grid, row[None], [(0, 0, 0)])
 
 
 @pytest.mark.parametrize("path", [[(1, 2)], [1, 2, 3]])
 def test_gamma_rejects_paths_that_are_not_voxel_triples(scenarios, path):
     grid = scenarios[0].grid
-    with pytest.raises(ValueError, match=r"^visited must be a sequence of "
-                                         r"\(ix, iy, iz\) voxels$"):
+    with pytest.raises(ValueError, match=rf"^visited entry 0: voxel "
+                                         rf"{re.escape(repr(path[0]))} is not "
+                                         rf"three indices \(ix, iy, iz\)$"):
         gamma_metric(grid, path, [(0, 0, 0)])
 
 
@@ -1008,40 +1014,71 @@ def test_run_trial_rejects_arguments_of_another_type(lib, scenarios, monkeypatch
     ("dump_fields", "iteration", 1.5, "must be an integer >= 0, got 1.5"),
     ("dump_fields", "iteration", True, "must be an integer >= 0, got True"),
     ("dump_fields", "iteration", -3, "must be an integer >= 0, got -3"),
+    ("run_exploration_benchmark", "config", None,
+     "must be a TrialConfig, got None"),
+    ("run_classification_experiment", "lib", None,
+     "must be a MaterialLibrary, got None"),
+    ("run_noise_sweep", "lib", None, "must be a MaterialLibrary, got None"),
+    ("run_noise_sweep", "scales", True, "must be a Sequence, got True"),
+    ("run_noise_sweep", "k_list", 1.5, "must be a Sequence, got 1.5"),
+    ("load_scenario", "lib", None, "must be a MaterialLibrary, got None"),
+    ("save_scenario", "scenario", None, "must be a Scenario, got None"),
+    ("save_scenario", "lib", None, "must be a MaterialLibrary, got None"),
+    ("synthesize_sample", "lib", None, "must be a MaterialLibrary, got None"),
+    ("synthesize_sample", "noise", None, "must be a NoiseSpec, got None"),
+    ("synthesize_sample", "rng", None, "must be a Generator, got None"),
+    ("gamma_metric", "grid", None, "must be a WorkspaceGrid, got None"),
 ])
 def test_entry_points_reject_arguments_of_another_type(lib, scenarios, tmp_path,
                                                        entry, name, bad,
                                                        message):
     # each used to raise a raw AttributeError or TypeError from inside, such
-    # as sense's "'float' object has no attribute 'scale_E'"; dump_fields
-    # wrote k0001 files for iteration True and k-003 for -3, and made the
+    # as sense's "'float' object has no attribute 'scale_E'" or
+    # run_noise_sweep's "'bool' object is not iterable"; dump_fields wrote
+    # k0001 files for iteration True and k-003 for -3, and made the
     # directory before 1.5 raised a format error.  The checks run once per
-    # call, before anything is drawn or written
+    # call, before anything is drawn, read or written
     states = []
-    run_trial(scenarios[0], lib, TrialConfig(max_iterations=1),
+    scenario = scenarios[0]
+    run_trial(scenario, lib, TrialConfig(max_iterations=1),
               on_iteration=lambda k, state: states.append(state))
     rng = np.random.default_rng(0)
     sample = HapticSample(1.0, 2.0)
     prior = MaterialPosterior.uniform(len(lib))
     args = {
-        "sense": dict(lib=lib, materials=scenarios[0].materials,
+        "sense": dict(lib=lib, materials=scenario.materials,
                       noise=NoiseSpec(), rng=rng),
         "log_likelihoods": dict(lib=lib, sample=sample),
         "update_posterior": dict(lib=lib, prior=prior, sample=sample),
         "map_category": dict(post=prior),
         "dump_fields": dict(state=states[0], iteration=0,
-                            destination=tmp_path / "maps"),
+                            destination=tmp_path / "out"),
+        "run_exploration_benchmark": dict(
+            scenario=scenario, lib=lib, n_trials=1,
+            config=TrialConfig(max_iterations=1)),
+        "run_classification_experiment": dict(lib=lib, trials_per_material=2,
+                                              k_samples=1),
+        "run_noise_sweep": dict(lib=lib, scales=[NoiseSpec()], trials=2,
+                                k_list=(1,)),
+        "load_scenario": dict(source=bundled_scenario_path("scenario-1"),
+                              lib=lib),
+        "save_scenario": dict(scenario=scenario, lib=lib,
+                              destination=tmp_path / "out"),
+        "synthesize_sample": dict(lib=lib, material_index=0,
+                                  noise=NoiseSpec(), rng=rng),
+        "gamma_metric": dict(grid=scenario.grid, visited=[(0, 0, 0)],
+                             benchmark=scenario.benchmark_path),
     }[entry]
     call = getattr(hapticbayes, entry)
     # the arguments as given are accepted
     call(**{**args, "destination": tmp_path / "valid"}
-         if entry == "dump_fields" else args)
+         if "destination" in args else args)
     drawn = rng.bit_generator.state
     args[name] = bad
     with pytest.raises(ValueError, match=f"^{re.escape(name + ' ' + message)}$"):
         call(**args)
     assert rng.bit_generator.state == drawn
-    assert not (tmp_path / "maps").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_trial_rejects_task_material_outside_library(lib, scenarios):

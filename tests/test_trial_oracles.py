@@ -39,6 +39,9 @@ from hapticbayes import (
 from hapticbayes.attention import TrialState, target_score
 from test_loop_properties import FIXED
 
+# an oracle CI also runs with numpy's SIMD dispatch disabled (-m dispatch_oracle)
+pytestmark = pytest.mark.dispatch_oracle
+
 EPS = 0.01
 
 
