@@ -17,17 +17,16 @@ call, before anything is drawn, read or written:
 - integers are Python or numpy integers, never ``bool``: seeds and
   iterations >= 0, counts >= 1, indices within their range;
 - real parameters are finite, and an integer too large for a float is not
-  finite; value arrays may hold NaN where a function says so;
+  finite; value arrays may hold NaN where a function says so, never an
+  integer too large for a float;
 - voxels go through :meth:`WorkspaceGrid.require`;
 - counts have no upper bound: ``run_exploration_benchmark(s, lib,
   n_trials=10**11)`` runs until stopped;
 - file paths go to :class:`pathlib.Path` as given.
 
-Not yet covered: the attention field functions, ``beta_pdf``'s factor,
-:class:`MaterialLibrary`'s sequence, :class:`TrialRecord`'s ``visited`` and
-the result records (:class:`AttentionState`, :class:`ConfusionMatrix`,
-:class:`ExperimentReport`), which can raise from inside for an argument of
-another type.
+Not yet covered: :class:`AttentionState`'s fields, a :class:`BetaFactor`'s
+shape values and :class:`ConfusionMatrix`'s ``counts``, which can raise
+from inside for a value of another type.
 """
 
 from .grid import (

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import VoxelIndex, WorkspaceGrid, _as_index, _check_integer, _check_type
+from .grid import (VoxelIndex, WorkspaceGrid, _as_index, _check_integer,
+                   _check_type, _floats)
 from .perception import PosteriorGrid, _normalized_entropies
 
 #: Shape constants of the inhibition-of-return kernel.
@@ -111,11 +112,7 @@ def inhibition_profile(d):
     continuous maximum maps to zero inhibition; both endpoints are fully
     inhibited.  The minimum sits at ``d* = (alpha-1)/(alpha+beta-2)``.
     """
-    try:
-        d = np.asarray(d, dtype=float)
-    except OverflowError:
-        raise ValueError("inhibition_profile: d holds an integer too large "
-                         "for a float") from None
+    d = _floats("d", d)
     with np.errstate(divide="ignore", invalid="ignore"):
         kern = np.where((d > 0.0) & (d < 1.0),
                         d ** (INHIB_ALPHA - 1.0) * (1.0 - d) ** (INHIB_BETA - 1.0),
@@ -189,6 +186,7 @@ def inhibition_field(grid: WorkspaceGrid, current: VoxelIndex) -> np.ndarray:
     :class:`InhibitionTable`, copied.  A probe that
     :meth:`WorkspaceGrid.require` rejects raises its ``ValueError``.
     """
+    _check_type("grid", grid, WorkspaceGrid)
     return _at_offsets(inhibition_table(grid).inhibition, grid.shape,
                        *grid.require(current)).flatten()
 
@@ -199,6 +197,7 @@ def inhibition_field(grid: WorkspaceGrid, current: VoxelIndex) -> np.ndarray:
 def uncertainty_field(posteriors: PosteriorGrid) -> np.ndarray:
     """Normalized posterior entropy per voxel; unexplored voxels hold the
     uniform prior and therefore read 1."""
+    _check_type("posteriors", posteriors, PosteriorGrid)
     return posteriors.entropies().clip(0.0, 1.0)
 
 
@@ -209,6 +208,8 @@ def omega_field(posteriors: PosteriorGrid, task: TaskSpec) -> np.ndarray:
     first task material, 0 certainly the second, 0.5 is neutral.
     Unexplored voxels are pinned to the neutral value.
     """
+    _check_type("posteriors", posteriors, PosteriorGrid)
+    _check_type("task", task, TaskSpec)
     probs = posteriors.probs
     om = (1.0 - (probs[:, task.material_b] - probs[:, task.material_a])) / 2.0
     om[posteriors.k_counts == 0] = OMEGA_NEUTRAL
@@ -282,13 +283,15 @@ def saliency_field(grid: WorkspaceGrid, omega: np.ndarray) -> np.ndarray:
     """Per-voxel saliency: largest axis Sobel response over 16, in [0, 1].
 
     A constant similarity field has exactly zero saliency everywhere
-    because each derivative kernel sums to zero.
+    because each derivative kernel sums to zero.  ``omega`` holds one
+    value per voxel, in linear-index order.
     """
-    try:
-        f = np.asarray(omega, dtype=float).reshape(grid.nz, grid.ny, grid.nx)
-    except OverflowError:
-        raise ValueError("saliency_field: omega holds an integer too large "
-                         "for a float") from None
+    _check_type("grid", grid, WorkspaceGrid)
+    f = _floats("omega", omega)
+    if f.size != grid.theta:
+        raise ValueError(f"omega has {f.size} values, the grid {grid.theta} "
+                         f"voxels")
+    f = f.reshape(grid.nz, grid.ny, grid.nx)
     return _saliency(_sobel_responses(f)).clip(0.0, 1.0).ravel()
 
 
@@ -307,11 +310,9 @@ def beta_pdf(factor: BetaFactor, x):
     ``x`` and an array otherwise.  The argument is clamped to
     ``[BETA_CLAMP, 1 - BETA_CLAMP]`` so boundary singularities stay
     finite; NaN passes through."""
-    try:
-        out = _beta_density(factor, np.array(x, dtype=float))
-    except OverflowError:
-        raise ValueError("beta_pdf: x holds an integer too large for a "
-                         "float") from None
+    _check_type("factor", factor, BetaFactor)
+    # a copy, which _beta_density overwrites
+    out = _beta_density(factor, np.array(_floats("x", x)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -399,6 +400,7 @@ def select_target(score: np.ndarray, grid: WorkspaceGrid) -> VoxelIndex:
     lowest linear index.  A ``score`` that is not a 1-D array of
     ``grid.theta`` real numbers, or whose maximum is not finite (NaN
     counts as a maximum), raises ``ValueError`` naming it."""
+    _check_type("grid", grid, WorkspaceGrid)
     values = np.asarray(score)
     if values.shape != (grid.theta,) or values.dtype.kind not in "iuf":
         raise ValueError(f"score must be a 1-D array of {grid.theta} real numbers, "
@@ -515,19 +517,21 @@ def _start_values(task: TaskSpec, n_materials: int) -> tuple:
 
 def _row_values(task: TaskSpec, probs: np.ndarray):
     """Uncertainty, its density and similarity of posterior rows ``probs``
-    (the last axis), as arrays of the leading shape, scalars for one row: the
-    arithmetic of :func:`uncertainty_field` and :func:`omega_field` row by
-    row, each step elementwise or reducing the last axis alone, so every
-    entry equals the single-row result.  The similarity needs no mask for
+    (the last axis), as arrays of the leading shape, scalars (the density
+    a 0-d array) for one row: the arithmetic of :func:`uncertainty_field`
+    and :func:`omega_field` row by row, each step elementwise or reducing
+    the last axis alone, so every entry equals the single-row result.  The similarity needs no mask for
     unexplored rows, which :func:`omega_field` pins to ``OMEGA_NEUTRAL``:
     such a row is the uniform prior, whose equal entries give exactly
     0.5.  Nor does it need a clip: ``p_b - p_a`` of probabilities lies in
     [-1, 1], as each step rounds monotonically to representable bounds."""
     # the entropy of a uniform row can round above 1
     uncertainty = _normalized_entropies(probs).clip(0.0, 1.0)
+    # beta_pdf's arithmetic on a copy, without its argument checks
+    density = _beta_density(UNCERTAINTY_FACTOR, np.array(uncertainty))
     omega = (1.0 - (probs[..., task.material_b]
                     - probs[..., task.material_a])) / 2.0
-    return uncertainty, beta_pdf(UNCERTAINTY_FACTOR, uncertainty), omega
+    return uncertainty, density, omega
 
 
 class TrialState:

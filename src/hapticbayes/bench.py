@@ -30,8 +30,9 @@ from .simulator import Scenario, TrialConfig, TrialRecord, run_trial
 class ConfusionMatrix:
     """Classification outcomes: rows are ground truth, columns MAP picks.
 
-    ``counts`` that is not a square matrix, or ``material_names`` that
-    does not name each of its rows, raises ``ValueError`` naming the
+    ``counts`` that is not a square matrix, a count of trials or samples
+    that is not an integer >= 1, or ``material_names`` that is not a
+    sequence naming each of its rows, raises ``ValueError`` naming the
     field.
     """
 
@@ -45,6 +46,9 @@ class ConfusionMatrix:
         shape = self.counts.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"counts must be a square matrix, got shape {shape}")
+        _check_integer("trials_per_material", self.trials_per_material, 1)
+        _check_integer("k_samples", self.k_samples, 1)
+        _check_type("material_names", self.material_names, Sequence)
         if len(self.material_names) != shape[0]:
             raise ValueError(f"material_names has {len(self.material_names)} "
                              f"names for {shape[0]} materials")
@@ -97,8 +101,9 @@ class NoiseSweepResult:
 
 @dataclass
 class ExperimentReport:
-    """Per-trial exploration records plus aggregate statistics; a report
-    with no trials raises ``ValueError``."""
+    """Per-trial exploration records plus aggregate statistics; ``trials``
+    that is not a non-empty sequence of :class:`TrialRecord` raises
+    ``ValueError``."""
 
     scenario_name: str
     trials: tuple
@@ -106,9 +111,12 @@ class ExperimentReport:
     aggregates: dict = field(init=False)
 
     def __post_init__(self):
+        _check_type("trials", self.trials, Sequence)
         self.trials = tuple(self.trials)
         if not self.trials:
             raise ValueError("trials must hold at least one trial record")
+        for i, trial in enumerate(self.trials):
+            _check_type(f"trials[{i}]", trial, TrialRecord)
         self.aggregates = self.compute_aggregates()
 
     def compute_aggregates(self) -> dict:

@@ -32,15 +32,31 @@ class GridConfigError(ValueError):
     """Raised when workspace bounds cannot form a valid voxel grid."""
 
 
-def _is_finite_real(value) -> bool:
-    """Whether ``value`` is a real number (``bool`` is not) whose float is
-    finite; an integer too large for a float is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
+def _check_real(name: str, value, least=None, error: type = ValueError):
+    """``value``, unchanged; raises ``error``, a ``ValueError``, naming
+    ``name`` unless it is a real number (``bool`` is not) whose float is
+    finite (an integer too large for a float is not) and, if ``least`` is
+    given, >= ``least``.  Every real parameter is checked here."""
     try:
-        return math.isfinite(value)
+        if (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value) and (least is None or value >= least)):
+            return value
     except OverflowError:
-        return False
+        pass
+    bound = "" if least is None else f" and >= {least}"
+    raise error(f"{name} must be finite{bound}, got {value!r}")
+
+
+def _floats(name: str, values) -> np.ndarray:
+    """``np.asarray(values, dtype=float)``, so a float array comes back
+    uncopied; an integer too large for a float raises ``ValueError``
+    naming ``name``.  Every float conversion of a caller's values is made
+    here."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer too large for a "
+                         f"float") from None
 
 
 def _as_index(value, what: str = "index", stop: Optional[int] = None) -> int:
@@ -105,9 +121,7 @@ class WorkspaceBounds:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not _is_finite_real(value):
-                raise GridConfigError(f"{f.name} must be finite, got {value!r}")
+            _check_real(f.name, getattr(self, f.name), error=GridConfigError)
         if self.epsilon <= 0:
             raise GridConfigError(f"epsilon must be positive, got {self.epsilon}")
         for axis, lo, hi in (("x", self.x_lo, self.x_hi),

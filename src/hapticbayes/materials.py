@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .grid import _as_index, _check_type, _is_finite_real
+from .grid import _as_index, _check_real, _check_type
 
 #: Required columns of a material parameter file.
 LIBRARY_FIELDS = ("name", "mu_E", "sigma_E", "mu_C", "sigma_C")
@@ -51,10 +51,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("scale_E", "scale_C"):
-            value = getattr(self, name)
-            if not (_is_finite_real(value) and value >= 0):
-                raise ValueError(f"noise {name} must be finite and "
-                                 f"non-negative, got {value!r}")
+            _check_real(name, getattr(self, name), 0)
 
     @classmethod
     def uniform(cls, scale: float) -> "NoiseSpec":
@@ -73,9 +70,7 @@ class MaterialParams:
 
     def __post_init__(self):
         for name in ("mu_E", "sigma_E", "mu_C", "sigma_C"):
-            if not _is_finite_real(getattr(self, name)):
-                raise ValueError(f"{self.name}: {name} must be finite, "
-                                 f"got {getattr(self, name)!r}")
+            _check_real(f"{self.name}: {name}", getattr(self, name))
         if self.sigma_E <= 0 or self.sigma_C <= 0:
             raise ValueError(f"{self.name}: sigmas must be positive")
 
@@ -90,6 +85,7 @@ class MaterialLibrary:
     """
 
     def __init__(self, materials: Sequence[MaterialParams]):
+        _check_type("materials", materials, Sequence)
         materials = list(materials)
         for i, m in enumerate(materials):
             _check_type(f"materials[{i}]", m, MaterialParams)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import _as_index, _check_integer, _check_type
+from .grid import _as_index, _check_integer, _check_type, _floats
 from .materials import HapticSample, MaterialLibrary
 
 #: Log-density floor; terms this far below the per-update maximum become 0.
@@ -39,10 +39,7 @@ class MaterialPosterior:
     degenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        try:
-            probs = np.asarray(self.probs, dtype=float)
-        except OverflowError:       # an integer too large for a float
-            probs = np.array(math.nan)
+        probs = _floats("probs", self.probs)
         if not ((probs >= 0).all()
                 and (abs(probs.sum(axis=-1) - 1.0) <= 1e-9).all()):
             raise ValueError("probs must be non-negative and each row must "
@@ -54,12 +51,7 @@ class MaterialPosterior:
         """Uniform prior over ``n`` materials, one row per element of
         ``shape`` (``()`` for a single ``(n,)`` posterior)."""
         n = _check_integer("n", n, 1)
-        try:
-            p = 1.0 / n
-        except OverflowError:
-            raise ValueError("MaterialPosterior.uniform: n holds an integer "
-                             "too large for a float") from None
-        return cls(np.full(shape + (n,), p))
+        return cls(np.full(shape + (n,), 1.0 / _floats("n", n)))
 
 
 def log_likelihoods(lib: MaterialLibrary, sample: HapticSample) -> np.ndarray:
@@ -67,9 +59,9 @@ def log_likelihoods(lib: MaterialLibrary, sample: HapticSample) -> np.ndarray:
     for every material: shape ``np.shape(sample.e) + (n,)``."""
     _check_type("lib", lib, MaterialLibrary)
     _check_type("sample", sample, HapticSample)
-    ze = np.asarray(sample.e)[..., None] - lib.mu_e
+    ze = _floats("sample.e", sample.e)[..., None] - lib.mu_e
     ze /= lib.sigma_e
-    zc = np.asarray(sample.c)[..., None] - lib.mu_c
+    zc = _floats("sample.c", sample.c)[..., None] - lib.mu_c
     zc /= lib.sigma_c
     # -0.5 * (ze * ze + zc * zc) - log_sigma_e - log_sigma_c - log(2 pi),
     # in place on ze, in that order
@@ -132,10 +124,15 @@ def update_posterior(lib: MaterialLibrary, prior: MaterialPosterior,
     or a ``(T, n)`` batch with length-T sample arrays, row t updated by
     sample t.  A row whose likelihoods all floor to zero (e.g. a NaN
     feature) keeps its prior unchanged, and then the result carries
-    ``degenerate=True``.
+    ``degenerate=True``.  A ``prior`` over another number of materials
+    than ``lib`` raises ``ValueError`` naming it.
     """
     _check_type("prior", prior, MaterialPosterior)
-    probs, degenerate = _posterior_update(prior.probs, log_likelihoods(lib, sample))
+    log_lik = log_likelihoods(lib, sample)
+    if prior.probs.shape[-1] != len(lib):
+        raise ValueError(f"prior has {prior.probs.shape[-1]} materials, the "
+                         f"library {len(lib)}")
+    probs, degenerate = _posterior_update(prior.probs, log_lik)
     return MaterialPosterior(probs, degenerate=bool(degenerate.any()))
 
 

@@ -27,7 +27,7 @@ from .attention import AttentionState, TaskSpec, TrialState
 from .attention import (inhibition_field, omega_field, saliency_field,
                         select_target, target_posterior, uncertainty_field)
 from .grid import (VoxelIndex, WorkspaceBounds, WorkspaceGrid, _check_integer,
-                   _check_type, _is_finite_real, make_grid)
+                   _check_real, _check_type, make_grid)
 from .materials import MaterialLibrary, NoiseSpec, _samples_of_draws
 from .perception import log_likelihoods
 
@@ -157,10 +157,11 @@ TERMINATIONS = ("loop_closure", "budget")
 class TrialRecord:
     """Outcome of one trial: the executed path and its divergence.
 
-    A record with an empty ``visited`` path, a ``terminated_by`` outside
-    ``TERMINATIONS``, a ``gamma`` that is not a finite real >= 0, or a
-    ``seed``, ``degenerate_events`` or ``revisit_count`` that is not an
-    integer >= 0 raises ``ValueError`` naming the field.
+    A record with a ``visited`` path that is not a non-empty sequence, a
+    ``terminated_by`` outside ``TERMINATIONS``, a ``gamma`` that is not a
+    finite real >= 0, or a ``seed``, ``degenerate_events`` or
+    ``revisit_count`` that is not an integer >= 0 raises ``ValueError``
+    naming the field.
     """
 
     visited: tuple
@@ -173,14 +174,14 @@ class TrialRecord:
     gamma_per_l: float = field(init=False)
 
     def __post_init__(self):
+        _check_type("visited", self.visited, Sequence)
         object.__setattr__(self, "visited", tuple(self.visited))
         if not self.visited:
             raise ValueError("visited must hold at least one voxel")
         if self.terminated_by not in TERMINATIONS:
             raise ValueError(f"terminated_by must be one of {TERMINATIONS}, "
                              f"got {self.terminated_by!r}")
-        if not (_is_finite_real(self.gamma) and self.gamma >= 0):
-            raise ValueError(f"gamma must be a finite real >= 0, got {self.gamma!r}")
+        _check_real("gamma", self.gamma, 0)
         _check_integer("seed", self.seed, 0)
         _check_integer("degenerate_events", self.degenerate_events, 0)
         _check_integer("revisit_count", self.revisit_count, 0)

@@ -366,3 +366,7 @@ def test_report_needs_a_trial():
     # no trials used to give numpy's "Mean of empty slice" and NaN aggregates
     with pytest.raises(ValueError, match="trials must hold at least one"):
         bench.ExperimentReport("empty", [], {})
+    # and an entry that is not a trial record "'int' object has no attribute 'l'"
+    with pytest.raises(ValueError, match=r"^trials\[0\] must be a TrialRecord, "
+                                         r"got 1$"):
+        bench.ExperimentReport("x", [1], {})

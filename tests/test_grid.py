@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -40,11 +39,6 @@ def test_make_grid_rejects_bad_epsilon_and_empty_extent():
         WorkspaceBounds(0, 0.1, 0, 0.1, 0, 0.1, -0.01)
     with pytest.raises(GridConfigError, match="x"):
         WorkspaceBounds(0.2, 0.1, 0, 0.1, 0, 0.1, 0.01)
-
-
-def test_make_grid_rejects_nan_epsilon():
-    with pytest.raises(GridConfigError, match="epsilon must be finite"):
-        make_grid(WorkspaceBounds(0, 0.30, 0, 0.60, 0, 0.01, math.nan))
 
 
 def test_make_grid_rejects_non_finite_bound_or_overflowing_count():
@@ -165,11 +159,3 @@ def test_grid_counts_come_from_the_bounds():
     with pytest.raises(GridConfigError, match="more than the"):
         WorkspaceGrid(WorkspaceBounds(0, 100.0, 0, 100.0, 0, 100.0, 0.01))
 
-
-@pytest.mark.parametrize("bad", [10**400, "1", True],
-                         ids=["10**400", "str", "bool"])
-@pytest.mark.parametrize("field", [f.name for f in fields(WorkspaceBounds)])
-def test_bounds_reject_what_is_not_a_finite_real(field, bad):
-    # 10**400 used to raise a raw OverflowError and "1" a raw TypeError
-    with pytest.raises(GridConfigError, match=rf"^{field} must be finite, got"):
-        replace(WORKSPACE, **{field: bad})

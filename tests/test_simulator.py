@@ -581,14 +581,9 @@ def test_trial_record_rejects_what_it_cannot_score():
 
 
 @pytest.mark.parametrize("field, args, kwargs", [
-    ("gamma", (math.nan, 0), {}),
-    ("gamma", (math.inf, 0), {}),
+    # tests/test_real_checks.py holds gamma to the other non-finite reals
     ("gamma", (-0.5, 0), {}),
     ("gamma", ("0.5", 0), {}),
-    ("gamma", (True, 0), {}),
-    # an integer too large for a float used to pass the range check and
-    # raise a stray OverflowError computing gamma_per_l
-    ("gamma", (10**400, 0), {}),
     ("seed", (0.0, -1), {}),
     ("seed", (0.0, 1.5), {}),
     ("degenerate_events", (0.0, 0), {"degenerate_events": -1}),
@@ -1028,6 +1023,26 @@ def test_run_trial_rejects_arguments_of_another_type(lib, scenarios, monkeypatch
     ("synthesize_sample", "noise", None, "must be a NoiseSpec, got None"),
     ("synthesize_sample", "rng", None, "must be a Generator, got None"),
     ("gamma_metric", "grid", None, "must be a WorkspaceGrid, got None"),
+    ("uncertainty_field", "posteriors", None,
+     "must be a PosteriorGrid, got None"),
+    ("omega_field", "posteriors", None, "must be a PosteriorGrid, got None"),
+    ("omega_field", "task", (0, 1), "must be a TaskSpec, got (0, 1)"),
+    ("inhibition_field", "grid", None, "must be a WorkspaceGrid, got None"),
+    ("saliency_field", "grid", None, "must be a WorkspaceGrid, got None"),
+    ("select_target", "grid", None, "must be a WorkspaceGrid, got None"),
+    ("beta_pdf", "factor", None, "must be a BetaFactor, got None"),
+    ("MaterialLibrary", "materials", None, "must be a Sequence, got None"),
+    ("TrialRecord", "visited", None, "must be a Sequence, got None"),
+    ("ExperimentReport", "trials", None, "must be a Sequence, got None"),
+    ("ConfusionMatrix", "material_names", None, "must be a Sequence, got None"),
+    ("ConfusionMatrix", "trials_per_material", "1",
+     "must be an integer >= 1, got '1'"),
+    ("ConfusionMatrix", "k_samples", 0, "must be an integer >= 1, got 0"),
+    # a size that does not match the other arguments
+    ("update_posterior", "prior", MaterialPosterior.uniform(3),
+     "has 3 materials, the library 10"),
+    ("saliency_field", "omega", np.full(5, 0.5),
+     "has 5 values, the grid 1800 voxels"),
 ])
 def test_entry_points_reject_arguments_of_another_type(lib, scenarios, tmp_path,
                                                        entry, name, bad,
@@ -1036,8 +1051,9 @@ def test_entry_points_reject_arguments_of_another_type(lib, scenarios, tmp_path,
     # as sense's "'float' object has no attribute 'scale_E'" or
     # run_noise_sweep's "'bool' object is not iterable"; dump_fields wrote
     # k0001 files for iteration True and k-003 for -3, and made the
-    # directory before 1.5 raised a format error.  The checks run once per
-    # call, before anything is drawn, read or written
+    # directory before 1.5 raised a format error.  The mismatched prior and
+    # omega raised numpy's broadcast and reshape errors.  The checks run
+    # once per call, before anything is drawn, read or written
     states = []
     scenario = scenarios[0]
     run_trial(scenario, lib, TrialConfig(max_iterations=1),
@@ -1045,6 +1061,8 @@ def test_entry_points_reject_arguments_of_another_type(lib, scenarios, tmp_path,
     rng = np.random.default_rng(0)
     sample = HapticSample(1.0, 2.0)
     prior = MaterialPosterior.uniform(len(lib))
+    posteriors = perception.PosteriorGrid(scenario.grid.theta, len(lib))
+    record = TrialRecord([scenario.start], 0.0, 0, "budget")
     args = {
         "sense": dict(lib=lib, materials=scenario.materials,
                       noise=NoiseSpec(), rng=rng),
@@ -1068,6 +1086,21 @@ def test_entry_points_reject_arguments_of_another_type(lib, scenarios, tmp_path,
                                   noise=NoiseSpec(), rng=rng),
         "gamma_metric": dict(grid=scenario.grid, visited=[(0, 0, 0)],
                              benchmark=scenario.benchmark_path),
+        "uncertainty_field": dict(posteriors=posteriors),
+        "omega_field": dict(posteriors=posteriors, task=scenario.task),
+        "inhibition_field": dict(grid=scenario.grid, current=scenario.start),
+        "saliency_field": dict(grid=scenario.grid,
+                               omega=np.full(scenario.grid.theta, 0.5)),
+        "select_target": dict(score=np.ones(scenario.grid.theta),
+                              grid=scenario.grid),
+        "beta_pdf": dict(factor=attention.SALIENCY_FACTOR, x=0.5),
+        "MaterialLibrary": dict(materials=list(lib)),
+        "TrialRecord": dict(visited=[scenario.start], gamma=0.0, seed=0,
+                            terminated_by="budget"),
+        "ExperimentReport": dict(scenario_name="x", trials=[record], config={}),
+        "ConfusionMatrix": dict(counts=np.eye(2, dtype=int),
+                                trials_per_material=1, k_samples=1,
+                                material_names=("a", "b")),
     }[entry]
     call = getattr(hapticbayes, entry)
     # the arguments as given are accepted
