@@ -17,16 +17,17 @@ call, before anything is drawn, read or written:
 - integers are Python or numpy integers, never ``bool``: seeds and
   iterations >= 0, counts >= 1, indices within their range;
 - real parameters are finite, and an integer too large for a float is not
-  finite; value arrays may hold NaN where a function says so, never an
-  integer too large for a float;
+  finite; value arrays hold real numbers, NaN where a function says so,
+  never an integer too large for a float, a string, a ``bool`` or
+  ``None``;
 - voxels go through :meth:`WorkspaceGrid.require`;
 - counts have no upper bound: ``run_exploration_benchmark(s, lib,
   n_trials=10**11)`` runs until stopped;
 - file paths go to :class:`pathlib.Path` as given.
 
-Not yet covered: :class:`AttentionState`'s fields, a :class:`BetaFactor`'s
-shape values and :class:`ConfusionMatrix`'s ``counts``, which can raise
-from inside for a value of another type.
+Not yet covered: :class:`AttentionState`'s fields and a
+:class:`BetaFactor`'s shape values, which can raise from inside for a
+value of another type.
 """
 
 from .grid import (

@@ -30,10 +30,11 @@ from .simulator import Scenario, TrialConfig, TrialRecord, run_trial
 class ConfusionMatrix:
     """Classification outcomes: rows are ground truth, columns MAP picks.
 
-    ``counts`` that is not a square matrix, a count of trials or samples
-    that is not an integer >= 1, or ``material_names`` that is not a
-    sequence naming each of its rows, raises ``ValueError`` naming the
-    field.
+    ``counts`` that is not a square matrix of integers >= 0 (of an integer
+    dtype: a float, an object or ``None`` is not one), a count of trials
+    or samples that is not an integer >= 1, or ``material_names`` that is
+    not a sequence naming each of its rows, raises ``ValueError`` naming
+    the field.
     """
 
     counts: np.ndarray
@@ -42,10 +43,17 @@ class ConfusionMatrix:
     material_names: tuple
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=int)
-        shape = self.counts.shape
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind in "iu":
+            # a uint64 count past the int range wraps negative here
+            counts = counts.astype(int, copy=False)
+        if counts.dtype.kind not in "iu" or not (counts >= 0).all():
+            raise ValueError(f"counts must hold integers >= 0, got "
+                             f"{self.counts!r}")
+        shape = counts.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"counts must be a square matrix, got shape {shape}")
+        self.counts = counts
         _check_integer("trials_per_material", self.trials_per_material, 1)
         _check_integer("k_samples", self.k_samples, 1)
         _check_type("material_names", self.material_names, Sequence)
@@ -175,7 +183,8 @@ class ExperimentReport:
 #: Trials per material drawn and classified together; bounds the memory
 #: of a classification run whatever its trial count.  A block draws into
 #: one ``(n, t, k, 4)`` buffer, about 13 MB at 8192 trials x 10 materials
-#: x 5 samples.
+#: x 5 samples, and scores them in one ``(k, n, n * t)`` log-likelihood
+#: array against the library's n materials, about 33 MB there.
 BLOCK_TRIALS = 8192
 
 
@@ -196,7 +205,10 @@ def run_classification_experiment(lib: MaterialLibrary,
     ``(n, t, k_samples, 4)`` buffer, material i's slice from its own
     generator (the draws of ``synthesize_sample(lib, i, noise, rng, (t,
     k_samples))``), and one ``_samples_of_draws`` call gives every
-    material's samples.
+    material's samples.  One :func:`update_posterior` call per block
+    integrates them, its sample shaped ``(n * t, k_samples)``: its k steps
+    run materials first over one steps-first log-likelihood array, each
+    step's ``(n, n * t)`` rows one contiguous slab.
     """
     _check_type("lib", lib, MaterialLibrary)
     _check_integer("seed", seed, 0)
@@ -213,11 +225,10 @@ def run_classification_experiment(lib: MaterialLibrary,
         for i, rng in enumerate(rngs):
             rng.standard_normal(out=z[i])
         e, c = _samples_of_draws(lib, materials, noise, z)
-        e = e.reshape(n * t, k_samples)                # by material
-        c = c.reshape(n * t, k_samples)
-        post = MaterialPosterior.uniform(n, (n * t,))
-        for j in range(k_samples):
-            post = update_posterior(lib, post, HapticSample(e[:, j], c[:, j]))
+        # rows by material, samples along the last axis: k steps
+        post = update_posterior(lib, MaterialPosterior.uniform(n, (n * t,)),
+                                HapticSample(e.reshape(n * t, k_samples),
+                                             c.reshape(n * t, k_samples)))
         truth = np.repeat(np.arange(n), t)
         counts += np.bincount(truth * n + map_category(post), minlength=n * n)
     return ConfusionMatrix(counts.reshape(n, n), trials_per_material,

@@ -48,15 +48,26 @@ def _check_real(name: str, value, least=None, error: type = ValueError):
 
 
 def _floats(name: str, values) -> np.ndarray:
-    """``np.asarray(values, dtype=float)``, so a float array comes back
-    uncopied; an integer too large for a float raises ``ValueError``
-    naming ``name``.  Every float conversion of a caller's values is made
-    here."""
-    try:
-        return np.asarray(values, dtype=float)
-    except OverflowError:
-        raise ValueError(f"{name} holds an integer too large for a "
-                         f"float") from None
+    """``values`` as a float array, so a float array comes back uncopied.
+    Numbers of an integer or float dtype are converted as numpy converts
+    them, and an object array's entries must each be a real number, as
+    :func:`_check_real` decides its type.  Anything else, a string, a
+    ``bool`` or ``None`` among them, or an integer too large for a float,
+    raises ``ValueError`` naming ``name``.  The check reads the dtype
+    alone, with no pass over a numeric array.  Every float conversion of a
+    caller's values is made here."""
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind == "O" and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                           for v in array.flat):
+        try:
+            return array.astype(float)
+        except OverflowError:
+            raise ValueError(f"{name} holds an integer too large for a "
+                             f"float") from None
+    if kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got {values!r}")
+    return array.astype(float, copy=False)
 
 
 def _as_index(value, what: str = "index", stop: Optional[int] = None) -> int:
@@ -108,7 +119,9 @@ class WorkspaceBounds:
 
     A value that is not a finite real number (``bool`` is not one), a
     non-positive epsilon or an empty extent raises
-    :class:`GridConfigError` naming it.
+    :class:`GridConfigError` naming it.  Each value is stored as a
+    ``float``, so that bound arithmetic cannot wrap in a narrow integer
+    type.
     """
 
     x_lo: float
@@ -121,7 +134,9 @@ class WorkspaceBounds:
 
     def __post_init__(self):
         for f in fields(self):
-            _check_real(f.name, getattr(self, f.name), error=GridConfigError)
+            value = _check_real(f.name, getattr(self, f.name),
+                                error=GridConfigError)
+            object.__setattr__(self, f.name, float(value))
         if self.epsilon <= 0:
             raise GridConfigError(f"epsilon must be positive, got {self.epsilon}")
         for axis, lo, hi in (("x", self.x_lo, self.x_hi),

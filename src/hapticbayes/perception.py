@@ -56,13 +56,40 @@ class MaterialPosterior:
 
 def log_likelihoods(lib: MaterialLibrary, sample: HapticSample) -> np.ndarray:
     """Log of ``NormalPDF(e; mu_E, sigma_E) * NormalPDF(c; mu_C, sigma_C)``
-    for every material: shape ``np.shape(sample.e) + (n,)``."""
+    for every material: shape ``np.shape(sample.e) + (n,)``.
+
+    The array is the transposed view ``.T`` of the materials-first
+    ``(n, ...)`` result of the package's one likelihood arithmetic, so
+    ``log_likelihoods(lib, sample).T`` is materials first and contiguous
+    (its trailing axes in reverse order), the layout of
+    :func:`_posterior_update`.  A row ``[..., :]`` is a strided view."""
+    e, c = _sample_floats(lib, sample)
+    return _log_lik(lib, e.T, c.T, e.ndim).T
+
+
+def _sample_floats(lib: MaterialLibrary, sample: HapticSample):
+    """``sample``'s features as float arrays of one shape, after the
+    argument checks of :func:`log_likelihoods`."""
     _check_type("lib", lib, MaterialLibrary)
     _check_type("sample", sample, HapticSample)
-    ze = _floats("sample.e", sample.e)[..., None] - lib.mu_e
-    ze /= lib.sigma_e
-    zc = _floats("sample.c", sample.c)[..., None] - lib.mu_c
-    zc /= lib.sigma_c
+    e = _floats("sample.e", sample.e)
+    c = _floats("sample.c", sample.c)
+    if e.shape != c.shape:
+        e, c = np.broadcast_arrays(e, c)
+    return e, c
+
+
+def _log_lik(lib: MaterialLibrary, e: np.ndarray, c: np.ndarray,
+             axes: int) -> np.ndarray:
+    """The log-likelihood arithmetic: the features ``e`` and ``c`` against
+    the library's columns, shaped ``(n,)`` plus ``axes`` unit axes, in a
+    fresh C-ordered array of the broadcast shape.  Each entry is computed
+    elementwise, so its bits do not depend on the layout."""
+    shape = (len(lib),) + (1,) * axes
+    ze = np.subtract(e, lib.mu_e.reshape(shape), order="C")
+    ze /= lib.sigma_e.reshape(shape)
+    zc = np.subtract(c, lib.mu_c.reshape(shape), order="C")
+    zc /= lib.sigma_c.reshape(shape)
     # -0.5 * (ze * ze + zc * zc) - log_sigma_e - log_sigma_c - log(2 pi),
     # in place on ze, in that order
     with np.errstate(over="ignore"):      # huge z just pins the log to -inf
@@ -70,20 +97,23 @@ def log_likelihoods(lib: MaterialLibrary, sample: HapticSample) -> np.ndarray:
         zc *= zc
         ze += zc
         ze *= -0.5
-        ze -= lib.log_sigma_e
-        ze -= lib.log_sigma_c
+        ze -= lib.log_sigma_e.reshape(shape)
+        ze -= lib.log_sigma_c.reshape(shape)
         ze -= _LOG_2PI
     return ze
 
 
 def _posterior_update(probs: np.ndarray, log_lik: np.ndarray):
-    """The posterior-update core, row-wise over the last axis: one
-    ``(n,)`` row or a ``(T, n)`` batch, with log-likelihoods of the same
-    shape.
+    """The posterior-update kernel, materials first: ``probs`` and
+    ``log_lik`` have shape ``(n, ...)``, one posterior per index of the
+    trailing axes.  A row-major ``(..., n)`` batch passes its ``.T``, and a
+    single ``(n,)`` row is the same array in either layout.
 
-    Returns ``(new_probs, degenerate)``, where ``degenerate`` is a boolean
-    mask with one entry per row (0-d for a single row).  A row whose
-    log-posterior maximum is not finite keeps its prior row exactly.
+    Returns ``(new_probs, degenerate)``: the posteriors, materials first,
+    and a boolean mask of the trailing shape (a scalar for one row).  A
+    posterior whose log-posterior maximum is not finite keeps its prior
+    exactly.  Every entry equals the row-major formula's bit for bit: see
+    :func:`_posterior_of`.
     """
     with np.errstate(divide="ignore"):
         lp = np.log(probs)
@@ -92,12 +122,19 @@ def _posterior_update(probs: np.ndarray, log_lik: np.ndarray):
 
 
 def _posterior_of(lp: np.ndarray, probs: np.ndarray):
-    """The tail of :func:`_posterior_update`, from the log-posterior rows
-    ``lp`` (the log prior plus the log-likelihoods, overwritten here):
-    returns ``(new_probs, degenerate)`` as that function does.  ``probs``
-    holds the prior rows, broadcasting against ``lp``; a degenerate row
-    gets its prior row back."""
-    m = np.maximum.reduce(lp, axis=-1, keepdims=True)
+    """The tail of :func:`_posterior_update`, from the materials-first
+    log-posteriors ``lp`` (the log prior plus the log-likelihoods,
+    overwritten here): returns ``(new_probs, degenerate)`` as that function
+    does.  ``probs`` holds the priors, broadcasting against ``lp``; a
+    degenerate posterior gets its prior back.
+
+    The maximum, its subtraction and the division by the normaliser run
+    along the long trailing axes and give the row-major bits: a maximum is
+    exact in any order, and the other two are elementwise.  The normaliser
+    is the one step whose bits depend on layout, since numpy sums a
+    contiguous row pairwise and a strided one in another order; so each
+    row is summed from a row-contiguous copy, as numpy sums a row."""
+    m = np.maximum.reduce(lp, axis=0, keepdims=True)
     degenerate = ~np.isfinite(m)
     any_degenerate = degenerate.any()
     if any_degenerate:
@@ -108,32 +145,53 @@ def _posterior_of(lp: np.ndarray, probs: np.ndarray):
     w = np.maximum(lp, LOG_FLOOR)
     np.exp(w, out=w)
     w[lp <= LOG_FLOOR] = 0.0
-    w /= np.add.reduce(w, axis=-1, keepdims=True)
+    w /= np.add.reduce(np.ascontiguousarray(w.T), axis=-1).T
     if any_degenerate:
         np.copyto(w, probs, where=degenerate)
-    return w, degenerate[..., 0]
+    return w, degenerate[0]
 
 
 def update_posterior(lib: MaterialLibrary, prior: MaterialPosterior,
                      sample: HapticSample) -> MaterialPosterior:
-    """One recursive Bayes step: posterior ∝ prior × feature likelihoods.
+    """Recursive Bayes steps: posterior ∝ prior × feature likelihoods.
 
-    Feeding the returned posterior back as the next prior integrates
-    repeated explorations of the same voxel.  Works row-wise: ``prior``
-    may hold one ``(n,)`` posterior with scalar ``sample.e``/``sample.c``,
-    or a ``(T, n)`` batch with length-T sample arrays, row t updated by
-    sample t.  A row whose likelihoods all floor to zero (e.g. a NaN
-    feature) keeps its prior unchanged, and then the result carries
+    ``prior`` holds one ``(n,)`` posterior or a batch of shape ``batch +
+    (n,)``, each row updated by its own samples.  A sample of shape
+    ``batch`` is one step, row t updated by sample t (scalar features for
+    one posterior); a sample of shape ``batch + (k,)`` is k steps, which
+    integrate its samples along that last axis in order, each step's
+    result the next step's prior, as k calls would.  A row whose
+    likelihoods all floor to zero (e.g. a NaN feature) keeps its prior
+    unchanged in that step, and then the result carries
     ``degenerate=True``.  A ``prior`` over another number of materials
-    than ``lib`` raises ``ValueError`` naming it.
+    than ``lib``, or a sample of another shape, raises ``ValueError``
+    naming it.
+
+    The steps run materials first: the log-likelihoods of all k steps are
+    one ``(k, n) + batch[::-1]`` array, so each step's are one contiguous
+    slab, and the result's ``probs`` is the transposed view of the last
+    step's ``(n,) + batch[::-1]`` array.
     """
     _check_type("prior", prior, MaterialPosterior)
-    log_lik = log_likelihoods(lib, sample)
+    e, c = _sample_floats(lib, sample)
     if prior.probs.shape[-1] != len(lib):
         raise ValueError(f"prior has {prior.probs.shape[-1]} materials, the "
                          f"library {len(lib)}")
-    probs, degenerate = _posterior_update(prior.probs, log_lik)
-    return MaterialPosterior(probs, degenerate=bool(degenerate.any()))
+    batch = prior.probs.shape[:-1]
+    if e.shape == batch:
+        e, c = e[..., None], c[..., None]
+    elif e.shape[:-1] != batch:
+        raise ValueError(f"sample has shape {e.shape}, not the prior's batch "
+                         f"shape {batch} nor that shape and a last axis of "
+                         f"steps")
+    log_lik = _log_lik(lib, e.T[:, None], c.T[:, None], len(batch))
+    # materials first in memory too, so every step reduces along axis 0
+    probs = np.ascontiguousarray(prior.probs.T)
+    degenerate = False
+    for step in log_lik:
+        probs, step_degenerate = _posterior_update(probs, step)
+        degenerate |= bool(step_degenerate.any())
+    return MaterialPosterior(probs.T, degenerate=degenerate)
 
 
 def map_category(post: MaterialPosterior):
@@ -179,9 +237,16 @@ class PosteriorGrid:
         :func:`_posterior_update` of the prior over the batch, whose rows
         equal single-row calls.  The log of the prior is taken once, when
         the grid is made, and the batch goes through the kernel's tail,
-        :func:`_posterior_of`.  Returns ``(rows, degenerate)``, shaped like
-        ``log_lik`` and like its leading axes."""
-        return _posterior_of(self._log_prior + log_lik, self._prior)
+        :func:`_posterior_of`, materials first on ``log_lik.T``.  Returns
+        ``(rows, degenerate)``, shaped like ``log_lik`` and like its
+        leading axes: the transposed views of the kernel's results.  A
+        :func:`log_likelihoods` table's ``.T`` is contiguous, so the kernel
+        reads it as it lies in memory."""
+        lik = log_lik.T
+        shape = (-1,) + (1,) * (lik.ndim - 1)
+        rows, degenerate = _posterior_of(self._log_prior.reshape(shape) + lik,
+                                         self._prior.reshape(shape))
+        return rows.T, degenerate.T
 
     def update(self, linear: int, log_lik: np.ndarray,
                first=None) -> VoxelUpdate:
@@ -223,7 +288,11 @@ class PosteriorGrid:
 def _normalized_entropies(probs: np.ndarray):
     """Entropy of each row of a probability array over its last axis, or
     of one ``(n,)`` row as a scalar, over its maximum ``log(n)``; a zero
-    probability adds a zero term."""
+    probability adds a zero term.  The rows are read from a row-contiguous
+    copy of a strided ``probs``, such as a view of the kernel's
+    materials-first results, so that the log and the row sums take the
+    paths they take on a contiguous array."""
+    probs = np.ascontiguousarray(probs)
     # log only where p > 0, so log(0) is never taken and needs no
     # errstate; a zero entry's term is then 0.0 * 0.0 = +0.0
     plogp = np.log(probs, out=np.zeros(probs.shape), where=probs > 0)

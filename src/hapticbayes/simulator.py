@@ -513,11 +513,15 @@ def gamma_metric(grid: WorkspaceGrid, visited: Sequence[VoxelIndex],
 
 def _divergence(eps: float, v: np.ndarray, b: np.ndarray) -> float:
     """:func:`gamma_metric` of the ``(n, 3)`` float voxel arrays ``v`` and
-    ``b``, already checked, on a grid of voxel side ``eps``."""
-    # (visited, benchmark) squared distances, summed per axis as x, y, z
-    d2 = ((b[None, :, 0] - v[:, None, 0]) ** 2
-          + (b[None, :, 1] - v[:, None, 1]) ** 2
-          + (b[None, :, 2] - v[:, None, 2]) ** 2)
+    ``b``, already checked, on a grid of voxel side ``eps``.
+
+    The squared distances in whole voxels are ``|v|² + |b|² - 2 v bᵀ``.
+    Every term, product and partial sum is an integer of at most
+    ``6 * 2**48`` while each index is below ``2**24``, which every grid of
+    at most ``MAX_VOXELS`` voxels satisfies; integers below ``2**53`` are
+    exact floats, so the form is exact in any summation order, a BLAS
+    product's included, and equals the per-axis sum of squares."""
+    d2 = (v * v).sum(axis=1)[:, None] + (b * b).sum(axis=1) - 2.0 * (v @ b.T)
     # left-to-right running sum, as a loop would add the terms
     return float(np.cumsum(eps * np.sqrt(d2.min(axis=1)))[-1])
 

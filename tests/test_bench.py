@@ -132,7 +132,8 @@ def test_standard_normal_into_a_buffer_slice_equals_a_fresh_draw(shape):
 def test_classification_block_equals_per_material_draws(lib, monkeypatch,
                                                         block_trials, noise):
     # every sample the batched blocks integrate equals the concatenated
-    # per-material synthesize_sample draws, block by block
+    # per-material synthesize_sample draws, block by block: one (n * t, k)
+    # sample per block, whose last axis holds each trial's k steps
     n, trials, k, seed = len(lib), 7, 4, 12
     seen = []
 
@@ -151,7 +152,7 @@ def test_classification_block_equals_per_material_draws(lib, monkeypatch,
                  for i, rng in enumerate(rngs)]
         e = np.concatenate([d.e for d in draws])
         c = np.concatenate([d.c for d in draws])
-        want += [(e[:, j], c[:, j]) for j in range(k)]
+        want.append((e, c))
     assert len(seen) == len(want)
     for got, (e, c) in zip(seen, want):
         assert np.array_equal(got.e, e) and np.array_equal(got.c, c)
@@ -167,6 +168,18 @@ def test_confusion_matrix_rejects_counts_its_names_do_not_cover():
         bench.ConfusionMatrix(np.ones(4, dtype=int), 1, 1, ("a", "b"))
     cm = bench.ConfusionMatrix(np.eye(2, dtype=int), 1, 1, ("a", "b"))
     assert cm.to_csv() == "truth\\predicted,a,b\na,1,0\nb,0,1\n"
+
+
+@pytest.mark.parametrize("counts", [
+    np.eye(2) * 0.6, np.eye(2), None, [[10**400, 0], [0, 1]], [[1, -1], [0, 1]],
+    np.array([[2**63 + 1, 0], [0, 1]], dtype=np.uint64)],
+    ids=["fractions", "float", "None", "too-large", "negative", "uint64-wraps"])
+def test_confusion_matrix_rejects_counts_that_are_not_counts(counts):
+    # 0.6 was truncated to an all-zero matrix, None raised a raw TypeError
+    # and 10**400 a raw OverflowError
+    with pytest.raises(ValueError, match=r"^counts must hold integers >= 0, "
+                                         r"got "):
+        bench.ConfusionMatrix(counts, 1, 1, ("a", "b"))
 
 
 def test_noise_sweep_perfect_library_all_ones(separable_lib):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -48,6 +49,14 @@ def test_make_grid_rejects_non_finite_bound_or_overflowing_count():
         WorkspaceBounds(0, 0.3, -math.inf, 0.3, 0, 0.01, 0.01)
     with pytest.raises(GridConfigError, match="x extent .* overflows"):
         make_grid(WorkspaceBounds(0, 1e300, 0, 0.01, 0, 0.01, 1e-10))
+
+
+def test_bounds_of_a_narrow_integer_type_are_stored_as_floats():
+    # int8 bounds were kept, and the x extent 100 - -100 wrapped to -56
+    bounds = WorkspaceBounds(np.int8(-100), np.int8(100), 0, 1, 0, 1, 1)
+    assert all(type(v) is float for v in dataclasses.astuple(bounds))
+    assert bounds.extent("x") == 200.0
+    assert make_grid(bounds).shape == (200, 1, 1)
 
 
 def test_make_grid_voxel_cap():

@@ -198,7 +198,8 @@ def test_batched_update_rows_match_scalar_updates(lib):
 def test_posterior_kernel_batch_rows_equal_single_row_calls(lib):
     # the one kernel behind classification batches and the loop's single
     # voxel: each batch row equals its own single-row call, bit for bit,
-    # and neither call writes into its inputs
+    # and neither call writes into its inputs; the kernel works materials
+    # first, so the row-major batch goes in as its transposed view
     n = len(lib)
     rng = np.random.default_rng(12)
     priors = rng.dirichlet(np.full(n, 0.5), 7)
@@ -210,7 +211,8 @@ def test_posterior_kernel_batch_rows_equal_single_row_calls(lib):
     log_lik[4, 5] = -math.inf
     log_lik[5] = -math.inf                   # no finite term: keeps the prior
     inputs = priors.copy(), log_lik.copy()
-    batch, degenerate = _posterior_update(priors, log_lik)
+    batch, degenerate = _posterior_update(priors.T, log_lik.T)
+    batch = batch.T
     assert degenerate.tolist() == [False, False, True, False, False, True, False]
     assert np.array_equal(batch[3], np.eye(n)[0])
     assert np.array_equal(batch[2], priors[2])

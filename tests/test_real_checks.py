@@ -2,12 +2,14 @@
 
 Each real parameter goes through one check: a real number whose float is
 finite, and at least the parameter's bound if it has one, is taken as
-given, numpy floats and integers of every width included; anything else
-(NaN, an infinity, an integer too large for a float, ``bool``, a string,
-``None``) is rejected with a ``ValueError`` naming the parameter, the
-bounds' :class:`GridConfigError` among them.  Each float conversion of a
-caller's values goes through one conversion, which rejects an integer too
-large for a float the same way, where numpy raises ``OverflowError``.
+given, numpy floats and integers of every width included, and only the
+bounds store its float; anything else (NaN, an infinity, an integer too
+large for a float, ``bool``, a string, ``None``) is rejected with a
+``ValueError`` naming the parameter, the bounds' :class:`GridConfigError`
+among them.  Each float conversion of a caller's values goes through one
+conversion, which rejects an integer too large for a float the same way,
+where numpy raises ``OverflowError``, and rejects values that are not
+real numbers, where numpy returned NaN for ``None`` and parsed a string.
 """
 
 import math
@@ -52,6 +54,7 @@ class Real(NamedTuple):
     least: Optional[int] = None
     error: type = ValueError
     prefix: str = ""          # before the parameter's name in a message
+    stored: Optional[type] = None     # the type stored, if not as given
 
 
 def _field(record, name, good, **kwargs) -> Real:
@@ -61,7 +64,8 @@ def _field(record, name, good, **kwargs) -> Real:
 
 
 REALS = {
-    **{name: _field(BOUNDS, name, getattr(BOUNDS, name), error=GridConfigError)
+    **{name: _field(BOUNDS, name, int(getattr(BOUNDS, name)),
+                    error=GridConfigError, stored=float)
        for name in ("x_lo", "x_hi", "y_lo", "y_hi", "z_lo", "z_hi", "epsilon")},
     **{name: _field(NoiseSpec(), name, 1, least=0)
        for name in ("scale_E", "scale_C")},
@@ -106,9 +110,11 @@ NUMPY_REALS = [np.float16, np.float32, np.float64, np.longdouble,
 @pytest.mark.parametrize("kind", NUMPY_REALS, ids=lambda k: k.__name__)
 @pytest.mark.parametrize("name", REALS)
 def test_real_parameters_take_numpy_reals_as_given(name, kind):
+    # the bounds store floats: an int8 extent used to wrap, 100 - -100
+    # giving -56
     spec = REALS[name]
     got = spec.call(kind(spec.good))
-    assert type(got) is kind and got == spec.good
+    assert type(got) is (spec.stored or kind) and got == spec.good
 
 
 class Floats(NamedTuple):
@@ -152,6 +158,27 @@ def test_float_conversions_reject_an_integer_too_large_for_a_float(name, value):
         FLOATS[name].call(value)
     assert type(info.value) is ValueError
     assert str(info.value) == f"{name} holds an integer too large for a float"
+
+
+NOT_REALS = {"None": None, "str": "0.5", "str-list": ["0.5", 1],
+             "None-list": [0.5, None],
+             "None-object-array": np.array([0.5, None], dtype=object),
+             "object": object(), "bool": True, "bool-list": [True, False],
+             "bool-array": np.array([1, 0], dtype=bool), "complex": 1 + 2j,
+             "bytes": b"1"}
+
+
+@pytest.mark.parametrize("name, label", [
+    pytest.param(name, label, id=f"{name}-{label}")
+    for name, spec in FLOATS.items() if spec.good is not None
+    for label in NOT_REALS])
+def test_float_conversions_reject_what_is_not_a_real_number(name, label):
+    # beta_pdf(SALIENCY_FACTOR, None) returned nan, inhibition_profile("0.5")
+    # 0.9958 and True was taken as 1; object() raised a raw TypeError
+    with pytest.raises(ValueError) as info:
+        FLOATS[name].call(NOT_REALS[label])
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"{name} must hold real numbers, got ")
 
 
 @pytest.mark.parametrize("kind", NUMPY_REALS, ids=lambda k: k.__name__)

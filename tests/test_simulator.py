@@ -1041,6 +1041,9 @@ def test_run_trial_rejects_arguments_of_another_type(lib, scenarios, monkeypatch
     # a size that does not match the other arguments
     ("update_posterior", "prior", MaterialPosterior.uniform(3),
      "has 3 materials, the library 10"),
+    ("update_posterior", "sample", HapticSample(np.ones((2, 3)), np.ones((2, 3))),
+     "has shape (2, 3), not the prior's batch shape () nor that shape and a "
+     "last axis of steps"),
     ("saliency_field", "omega", np.full(5, 0.5),
      "has 5 values, the grid 1800 voxels"),
 ])
@@ -1052,7 +1055,8 @@ def test_entry_points_reject_arguments_of_another_type(lib, scenarios, tmp_path,
     # run_noise_sweep's "'bool' object is not iterable"; dump_fields wrote
     # k0001 files for iteration True and k-003 for -3, and made the
     # directory before 1.5 raised a format error.  The mismatched prior and
-    # omega raised numpy's broadcast and reshape errors.  The checks run
+    # omega, and a (2, 3) sample for one posterior, raised numpy's
+    # broadcast and reshape errors.  The checks run
     # once per call, before anything is drawn, read or written
     states = []
     scenario = scenarios[0]
