@@ -1,8 +1,12 @@
 """Experiment harness: confusion matrices, noise sweeps, exploration
 benchmarks, and attention-field dumps.
 
-Every experiment is seeded and bit-reproducible; independent cells derive
-their seed as ``seed + cell_index``.
+Every experiment is seeded and bit-reproducible; cells derive their seed
+as ``seed + cell_index``.  A noise-sweep cell is a classification
+experiment, which seeds material ``i`` with ``seed + i``, so cell ``c``
+draws material ``i`` from ``seed + c + i`` and the cells are not
+independent: cell ``c``'s material ``i + 1`` and cell ``c + 1``'s material
+``i`` draw the same stream (at their own noise scale and sample count).
 """
 
 from __future__ import annotations
@@ -180,6 +184,43 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 # experiments
 
+# The hash of numpy's SeedSequence.generate_state, in uint32 arithmetic:
+# state word i is h = (pool[i % 4] ^ _HASH[i]) * _HASH[i + 1], then
+# h ^ (h >> _XSHIFT), where _HASH[i] is INIT_B * MULT_B**i mod 2**32.
+_INIT_B, _MULT_B, _XSHIFT = 0x8b51f9dd, 0x58f38ded, 16
+_HASH = np.array([_INIT_B * _MULT_B**i % 2**32 for i in range(9)],
+                 dtype=np.uint32)
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """A seed of one ``PCG64``: four ``uint64`` state words made already,
+    given through numpy's seed interface."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 words, asked for {n_words!r} "
+                             f"of {np.dtype(dtype)}")
+        return self.words
+
+
+def _generators(seeds) -> list:
+    """One generator per seed, each with the state of
+    ``np.random.default_rng(seed)``: numpy mixes each ``SeedSequence``
+    pool, and its ``generate_state(4, np.uint64)`` hash runs for every
+    pool in one ``uint32`` array pass."""
+    pools = np.array([np.random.SeedSequence(s).pool for s in seeds])
+    # each 4-word pool cycled to the 8 words of a state
+    w = (np.concatenate((pools, pools), axis=1) ^ _HASH[:-1]) * _HASH[1:]
+    w ^= w >> _XSHIFT
+    # little-endian word pairs, then native uint64 rows as PCG64 reads them
+    words = w.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_StateWords(row)))
+            for row in words]
+
+
 #: Trials per material drawn and classified together; bounds the memory
 #: of a classification run whatever its trial count.  A block draws into
 #: one ``(n, t, k, 4)`` buffer, about 13 MB at 8192 trials x 10 materials
@@ -198,8 +239,9 @@ def run_classification_experiment(lib: MaterialLibrary,
     For each material, ``trials_per_material`` independent trials each draw
     ``k_samples`` noisy samples, integrate them by recursive posterior
     updates from the uniform prior, and record the MAP category.  Material
-    cells use derived seeds ``seed + material_index``; trial t of a
-    material takes the t-th group of ``k_samples`` samples of its stream.
+    i draws from a generator with the state of ``np.random.default_rng(seed
+    + i)``, the n generators seeded in one pass; trial t of a material
+    takes the t-th group of ``k_samples`` samples of its stream.
     Trials run as one batch of posterior rows per block of
     ``BLOCK_TRIALS`` trials per material.  A block's draws fill one
     ``(n, t, k_samples, 4)`` buffer, material i's slice from its own
@@ -216,7 +258,7 @@ def run_classification_experiment(lib: MaterialLibrary,
     _check_integer("k_samples", k_samples, 1)
     _check_type("noise", noise, NoiseSpec)
     n = len(lib)
-    rngs = [np.random.default_rng(seed + i) for i in range(n)]
+    rngs = _generators(range(seed, seed + n))
     materials = np.arange(n)[:, None, None]
     counts = np.zeros(n * n, dtype=int)
     for start in range(0, trials_per_material, BLOCK_TRIALS):
@@ -243,10 +285,12 @@ def run_noise_sweep(lib: MaterialLibrary,
     """Mean recognition accuracy across noise scales and sample counts.
 
     Each (scale, k) cell reruns the classification experiment with the
-    derived seed ``seed + cell_index``; a row is labelled by its one noise
-    scale.  Empty ``scales`` or ``k_list``, or a ``scales`` entry that is
-    not a :class:`NoiseSpec` with ``scale_E == scale_C``, raises
-    ``ValueError`` before the first cell.
+    derived seed ``seed + cell_index``, so its material ``i`` draws from
+    ``seed + cell_index + i``: neighbouring cells share all but one of
+    their material streams, shifted by one material.  A row is labelled
+    by its one noise scale.  Empty ``scales`` or ``k_list``, or a
+    ``scales`` entry that is not a :class:`NoiseSpec` with ``scale_E ==
+    scale_C``, raises ``ValueError`` before the first cell.
     """
     _check_type("lib", lib, MaterialLibrary)
     _check_type("scales", scales, Sequence)

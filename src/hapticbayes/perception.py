@@ -40,8 +40,14 @@ class MaterialPosterior:
 
     def __post_init__(self):
         probs = _floats("probs", self.probs)
-        if not ((probs >= 0).all()
-                and (abs(probs.sum(axis=-1) - 1.0) <= 1e-9).all()):
+        # a minimum and a matrix-vector product each pass over the whole
+        # batch once, where a sum along the short last axis runs one
+        # reduction per row; the 1e-9 tolerance does not see the order of
+        # summation, and a NaN fails the minimum, an infinity the sums
+        if not (probs.ndim
+                and (probs.size == 0 or probs.min() >= 0)
+                and (abs(probs @ np.ones(probs.shape[-1]) - 1.0)
+                     <= 1e-9).all()):
             raise ValueError("probs must be non-negative and each row must "
                              "sum to 1")
         object.__setattr__(self, "probs", probs)

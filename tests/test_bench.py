@@ -158,6 +158,49 @@ def test_classification_block_equals_per_material_draws(lib, monkeypatch,
         assert np.array_equal(got.e, e) and np.array_equal(got.c, c)
 
 
+# ---------------------------------------------------------------------------
+# oracles for the one-pass seeding: each generator's state is the state
+# numpy's own SeedSequence hash gives default_rng
+
+@pytest.mark.dispatch_oracle
+@pytest.mark.parametrize("base", [0, 2**32 - 5, 2**64 - 5, 2**130],
+                         ids=["0", "2**32-5", "2**64-5", "2**130"])
+def test_generators_equal_default_rng(base):
+    # the seeds past 2**32 and 2**64 cross a word of the entropy, and
+    # 2**130 fills more words than the 4-word pool
+    seeds = range(base, base + 10)
+    got = bench._generators(seeds)
+    assert len(got) == len(seeds)
+    for rng, seed in zip(got, seeds):
+        want = np.random.default_rng(seed)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(rng.standard_normal(16),
+                              want.standard_normal(16))
+
+
+@pytest.mark.dispatch_oracle
+def test_generators_equal_default_rng_over_the_first_seeds():
+    for base in range(0, 3000, 10):
+        seeds = range(base, base + 10)
+        for rng, seed in zip(bench._generators(seeds), seeds):
+            assert (rng.bit_generator.state
+                    == np.random.default_rng(seed).bit_generator.state)
+
+
+@pytest.mark.dispatch_oracle
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32),
+                                            (2, np.uint64), (8, np.uint64),
+                                            (4, np.int64), (4, np.float64)])
+def test_state_words_give_four_uint64_words_alone(n_words, dtype):
+    words = np.arange(4, dtype=np.uint64)
+    seed = bench._StateWords(words)
+    assert seed.generate_state(4, np.uint64) is words
+    with pytest.raises(ValueError, match="holds 4 uint64 words"):
+        seed.generate_state(n_words, dtype)
+    with pytest.raises(ValueError, match="holds 4 uint64 words"):
+        seed.generate_state(4)
+
+
 def test_confusion_matrix_rejects_counts_its_names_do_not_cover():
     # three materials named by two: to_csv would print 2 rows of 3 values
     with pytest.raises(ValueError, match="material_names has 2 names for 3"):
