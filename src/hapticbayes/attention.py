@@ -340,34 +340,6 @@ def _beta_density(factor: BetaFactor, xs: np.ndarray) -> np.ndarray:
     return np.exp(xs, out=xs)
 
 
-def target_score(grid: WorkspaceGrid, current: VoxelIndex,
-                 f_saliency: np.ndarray, f_uncertainty: np.ndarray) -> np.ndarray:
-    """Unnormalized target posterior with the probe at ``current``.
-
-    Each voxel scores its inhibition density, from a slice of the grid's
-    signed-offset :class:`InhibitionTable`, times ``f_saliency`` times
-    ``f_uncertainty``, two arrays of ``grid.theta`` entries: the score
-    that :func:`target_posterior` of :func:`inhibition_field` normalizes,
-    value for value.  The target is its first maximum; selecting needs no
-    normalization.  A probe that :meth:`WorkspaceGrid.require` rejects
-    raises its ``ValueError``.  :meth:`TrialState.touch` returns this
-    score for its own fields.
-    """
-    return _score(inhibition_table(grid).density, grid.shape,
-                  grid.require(current), f_saliency, f_uncertainty)
-
-
-def _score(density: np.ndarray, shape: tuple, probe: tuple,
-           f_saliency: np.ndarray, f_uncertainty: np.ndarray) -> np.ndarray:
-    """:func:`target_score` from the ``density`` of the inhibition table of
-    a grid of ``shape``, with the probe at voxel ``probe``, given as
-    ``(ix, iy, iz)`` inside the grid."""
-    score = _at_offsets(density, shape, *probe).flatten()
-    score *= f_saliency
-    score *= f_uncertainty
-    return score
-
-
 def target_posterior(inhibition: np.ndarray, f_saliency: np.ndarray,
                      f_uncertainty: np.ndarray):
     """Posterior over candidate voxels from the three evidence ``FACTORS``.
@@ -381,8 +353,9 @@ def target_posterior(inhibition: np.ndarray, f_saliency: np.ndarray,
     non-finite score vector falls back to the uniform distribution with
     the flag set.  This is the reference implementation, built from the
     inhibition field over the whole grid: the exploration loop never
-    calls it, but selects on :func:`target_score` and gives an observer
-    that score divided by its sum, which equals this posterior.
+    calls it, but selects on the score :meth:`TrialState.touch` returns,
+    this product before normalization, and gives an observer that score
+    divided by its sum, which equals this posterior.
     """
     score = beta_pdf(INHIBITION_FACTOR, inhibition)
     score *= f_saliency
@@ -606,10 +579,14 @@ class TrialState:
 
         ``values`` holds the voxel's uncertainty, its density and its
         similarity, as :meth:`update` returns them.  The score is a fresh
-        array, equal to ``target_score(grid, grid.voxel_of_linear(j),
-        f_saliency, f_uncertainty)`` on the refreshed fields, read from
-        the grid's inhibition density at the voxel decoded from ``j``.  A
-        bad ``j`` raises before any entry changes."""
+        array: each voxel's inhibition density, read from a slice of the
+        grid's signed-offset :class:`InhibitionTable` at the voxel decoded
+        from ``j``, times ``f_saliency`` times ``f_uncertainty`` on the
+        refreshed fields, in that order.  That is the product
+        :func:`target_posterior` of :func:`inhibition_field` normalizes,
+        value for value; the target is its first maximum, and selecting
+        needs no normalization.  A bad ``j`` raises before any entry
+        changes."""
         grid = self.grid
         j = _as_index(j, "linear index", grid.theta)
         self.uncertainty[j], self.f_uncertainty[j], omega = values
@@ -631,5 +608,7 @@ class TrialState:
         self.saliency[j + first:][outputs] = block
         self.f_saliency[j + first:][outputs] = _beta_density(SALIENCY_FACTOR,
                                                             block)
-        return _score(self._density, grid.shape, (ix, iy, iz),
-                      self.f_saliency, self.f_uncertainty)
+        score = _at_offsets(self._density, grid.shape, ix, iy, iz).flatten()
+        score *= self.f_saliency
+        score *= self.f_uncertainty
+        return score

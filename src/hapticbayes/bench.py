@@ -11,6 +11,8 @@ independent: cell ``c``'s material ``i + 1`` and cell ``c + 1``'s material
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -27,7 +29,17 @@ from .materials import HapticSample, MaterialLibrary, NoiseSpec, _samples_of_dra
 # with vars(bench)[attr], which raises KeyError if it is gone.
 from .materials import synthesize_sample
 from .perception import MaterialPosterior, map_category, update_posterior
-from .simulator import Scenario, TrialConfig, TrialRecord, run_trial
+from .simulator import (Scenario, TrialConfig, TrialRecord, _float_text,
+                        run_trial)
+
+
+def _csv_text(rows) -> str:
+    """``rows`` as CSV text with ``\n`` line ends, each field quoted only
+    where it holds a comma, a quote or a line break, so that
+    ``csv.reader`` reads every field back."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 @dataclass
@@ -72,10 +84,9 @@ class ConfusionMatrix:
         return float(self.diagonal_rates().mean())
 
     def to_csv(self) -> str:
-        lines = ["truth\\predicted," + ",".join(self.material_names)]
-        for name, row in zip(self.material_names, self.counts):
-            lines.append(name + "," + ",".join(str(int(c)) for c in row))
-        return "\n".join(lines) + "\n"
+        return _csv_text([["truth\\predicted", *self.material_names],
+                          *([name, *row] for name, row
+                            in zip(self.material_names, self.counts.tolist()))])
 
     def to_json_dict(self) -> dict:
         return {
@@ -97,11 +108,10 @@ class NoiseSweepResult:
     accuracy: np.ndarray               # (len(scales), len(k_list))
 
     def to_csv(self) -> str:
-        lines = ["noise_scale,k_samples,accuracy"]
-        for i, s in enumerate(self.scales):
-            for j, k in enumerate(self.k_list):
-                lines.append(f"{s:g},{k},{self.accuracy[i, j]:.6f}")
-        return "\n".join(lines) + "\n"
+        return _csv_text([("noise_scale", "k_samples", "accuracy"),
+                          *((_float_text(s), k, f"{self.accuracy[i, j]:.6f}")
+                            for i, s in enumerate(self.scales)
+                            for j, k in enumerate(self.k_list))])
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,17 +157,16 @@ class ExperimentReport:
         return [t.seed for t in self.trials]
 
     def to_csv(self) -> str:
-        lines = ["trial,seed,l,gamma_m,gamma_per_l_m,terminated_by,"
-                 "revisits,degenerate_events"]
-        for i, t in enumerate(self.trials, start=1):
-            lines.append(f"{i},{t.seed},{t.l},{t.gamma:.6f},"
-                         f"{t.gamma_per_l:.6f},{t.terminated_by},"
-                         f"{t.revisit_count},{t.degenerate_events}")
-        for stat in ("mean", "std"):
-            a = self.aggregates
-            lines.append(f"{stat},,{a['l'][stat]:.4f},{a['gamma'][stat]:.6f},"
-                         f"{a['gamma_per_l'][stat]:.6f},,,")
-        return "\n".join(lines) + "\n"
+        a = self.aggregates
+        return _csv_text([
+            ("trial", "seed", "l", "gamma_m", "gamma_per_l_m", "terminated_by",
+             "revisits", "degenerate_events"),
+            *((i, t.seed, t.l, f"{t.gamma:.6f}", f"{t.gamma_per_l:.6f}",
+               t.terminated_by, t.revisit_count, t.degenerate_events)
+              for i, t in enumerate(self.trials, start=1)),
+            *((stat, "", f"{a['l'][stat]:.4f}", f"{a['gamma'][stat]:.6f}",
+               f"{a['gamma_per_l'][stat]:.6f}", "", "", "")
+              for stat in ("mean", "std"))])
 
     def to_json_dict(self) -> dict:
         return {

@@ -209,9 +209,10 @@ def _reads_back(name) -> bool:
             and name.encode("utf-8", "replace").decode("utf-8") == name)
 
 
-def _bound_text(x) -> str:
-    """A grid bound as a scenario file writes it: ``:g``, as in the bundled
-    files, when that reads back exactly, and its float's ``repr`` if not."""
+def _float_text(x) -> str:
+    """A float as a scenario file writes a grid bound and a sweep table a
+    noise scale: ``:g``, as in the bundled files, when that reads back
+    exactly, and its float's ``repr`` if not."""
     text = f"{x:g}"
     return text if float(text) == x else repr(float(x))
 
@@ -253,7 +254,7 @@ def save_scenario(scenario: Scenario, lib: MaterialLibrary,
     symbols = dict(zip(used, _SYMBOLS))
     lines = [
         f"name: {scenario.name}",
-        "grid: " + " ".join(map(_bound_text, (b.x_lo, b.x_hi, b.y_lo, b.y_hi,
+        "grid: " + " ".join(map(_float_text, (b.x_lo, b.x_hi, b.y_lo, b.y_hi,
                                                b.z_lo, b.z_hi, b.epsilon))),
         f"task: {names[scenario.task.material_a]}, {names[scenario.task.material_b]}",
         "symbols: " + ", ".join(f"{symbols[m]}={names[m]}" for m in used),
@@ -564,8 +565,9 @@ def run_trial(scenario: Scenario, lib: MaterialLibrary,
     with per-touch sensing, and memory does not grow with the budget.
     Each touch then runs the state's ``update``, one
     :meth:`PosteriorGrid.update`; the loop-closure test; the state's
-    ``touch``, which refreshes the fields and returns the
-    :func:`target_score` with the probe at the touched voxel; and the
+    ``touch``, which refreshes the fields and returns the target score
+    with the probe at the touched voxel, the product that
+    :func:`~hapticbayes.attention.target_posterior` normalizes; and the
     selection of its maximum, ties to the lowest linear index.  Every
     score lies in [3e-38, 30], as the fields stay finite in [0, 1] and
     ``beta_pdf`` clamps its argument, so a selected score that is not

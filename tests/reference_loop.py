@@ -7,7 +7,8 @@ functions, the product of the three ``beta_pdf`` factors and
 ``np.argmax``.  :func:`check_against_reference` runs ``run_trial`` with
 and without an observer and asserts that it agrees with that loop, value
 for value.  Every exploration-loop test, generated or fixed, goes
-through it.
+through it.  :func:`reference_score` is the target score that
+``TrialState.touch`` returns, written as ``target_posterior``'s product.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from hapticbayes import (
     HapticSample,
     PosteriorGrid,
     beta_pdf,
+    inhibition_field,
     inhibition_profile,
     omega_field,
     run_trial,
@@ -49,6 +51,15 @@ def offset_inhibition(grid, probe):
     dz = np.arange(grid.nz, dtype=float) - probe.iz
     d2 = dz[:, None, None] ** 2 + dy[None, :, None] ** 2 + dx[None, None, :] ** 2
     return inhibition_profile(np.sqrt(d2.ravel()) / math.sqrt(reach2))
+
+
+def reference_score(grid, probe, f_saliency, f_uncertainty):
+    """The unnormalized score of ``target_posterior`` with the probe at
+    voxel ``probe``: the inhibition Beta density of ``inhibition_field``
+    times ``f_saliency`` times ``f_uncertainty``, in that order.
+    ``TrialState.touch`` must return it with ``==``."""
+    return (beta_pdf(INHIBITION_FACTOR, inhibition_field(grid, probe))
+            * f_saliency * f_uncertainty)
 
 
 def reference_trial(scenario, lib, config, nan_iterations=frozenset()):

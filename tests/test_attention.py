@@ -34,15 +34,35 @@ from hapticbayes.attention import (
     TrialState,
     _sobel_responses,
     inhibition_table,
-    target_score,
 )
-from reference_loop import offset_inhibition
+from reference_loop import offset_inhibition, reference_score
 
 EPS = 0.01
 
 
 def grid_of(nx, ny, nz):
     return make_grid(WorkspaceBounds(0, nx * EPS, 0, ny * EPS, 0, nz * EPS, EPS))
+
+
+def touched_state(grid, omega=None, uncertainty=None):
+    """A two-material ``TrialState`` of ``grid``; with ``omega`` and
+    ``uncertainty`` given, every voxel is touched with its values in
+    linear order, so the fields are the full recompute of them."""
+    state = TrialState(grid, TaskSpec(0, 1), 2)
+    if omega is not None:
+        for j in range(grid.theta):
+            state.touch(j, (uncertainty[j],
+                            beta_pdf(UNCERTAINTY_FACTOR, uncertainty[j]),
+                            omega[j]))
+    return state
+
+
+def touch_score(state, j):
+    """The score ``touch`` returns with the probe at linear index ``j``,
+    the voxel touched again with the values it holds, which leaves every
+    field as it is."""
+    return state.touch(j, (state.uncertainty[j], state.f_uncertainty[j],
+                           state.omega[j]))
 
 
 def naive_saliency(grid, omega):
@@ -127,13 +147,13 @@ def test_inhibition_table_equals_profile_of_integer_offsets(shape):
         assert np.array_equal(values[nz - 1:, ny - 1:, nx - 1:].ravel(), want)
         for axis in range(3):
             assert np.array_equal(np.flip(values, axis), values)
-    ones = np.ones(grid.theta)
+    state = touched_state(grid)
     for j in range(grid.theta):
         v = grid.voxel_of_linear(j)
         want = offset_inhibition(grid, v)
         assert np.array_equal(inhibition_field(grid, v), want)
-        assert np.array_equal(target_score(grid, v, ones, ones),
-                              beta_pdf(INHIBITION_FACTOR, want))
+        assert np.array_equal(touch_score(state, j), reference_score(
+            grid, v, state.f_saliency, state.f_uncertainty))
 
 
 def test_inhibition_table_has_signed_offset_entries_and_is_built_once_per_grid():
@@ -152,25 +172,25 @@ def test_inhibition_table_has_signed_offset_entries_and_is_built_once_per_grid()
 @pytest.mark.parametrize("shape", ((1, 1, 1), (7, 1, 1), (1, 6, 1), (5, 4, 3)))
 def test_table_reads_share_no_memory_with_the_table(shape):
     # on a line the window of the table is contiguous: a view of it would
-    # let target_score's in-place products, or a caller, write into it
+    # let touch's in-place products, or a caller, write into it
     grid = grid_of(*shape)
     table = inhibition_table(grid)
     before = (table.inhibition.copy(), table.density.copy())
-    f_saliency = np.full(grid.theta, 3.0)
-    f_uncertainty = np.full(grid.theta, 5.0)
+    state = touched_state(grid)
     for j in range(grid.theta):
         v = grid.voxel_of_linear(j)
-        first = (inhibition_field(grid, v), target_score(grid, v, f_saliency,
-                                                         f_uncertainty))
+        first = (inhibition_field(grid, v), touch_score(state, j))
         for out in first:
-            assert not np.shares_memory(out, table.inhibition)
-            assert not np.shares_memory(out, table.density)
+            for array in (table.inhibition, table.density, state.f_saliency,
+                          state.f_uncertainty):
+                assert not np.shares_memory(out, array)
+        assert np.array_equal(first[1], reference_score(
+            grid, v, state.f_saliency, state.f_uncertainty))
         want = tuple(a.copy() for a in first)
         for out in first:
             out[:] = -7.0
         assert np.array_equal(inhibition_field(grid, v), want[0])
-        assert np.array_equal(target_score(grid, v, f_saliency, f_uncertainty),
-                              want[1])
+        assert np.array_equal(touch_score(state, j), want[1])
     assert np.array_equal(table.inhibition, before[0])
     assert np.array_equal(table.density, before[1])
 
@@ -180,11 +200,8 @@ def test_table_reads_share_no_memory_with_the_table(shape):
 def test_table_reads_reject_a_probe_outside_the_grid(probe):
     # a negative slice start would wrap and read a window of other offsets
     grid = grid_of(5, 4, 3)
-    ones = np.ones(grid.theta)
     with pytest.raises(ValueError, match="outside grid"):
         inhibition_field(grid, VoxelIndex(*probe))
-    with pytest.raises(ValueError, match="outside grid"):
-        target_score(grid, VoxelIndex(*probe), ones, ones)
 
 
 @pytest.mark.parametrize("bad", [1.5, True, np.float64(2.0)],
@@ -193,13 +210,10 @@ def test_table_reads_reject_a_probe_index_that_is_not_an_integer(bad):
     # 1.5 used to raise a raw TypeError from slicing, and True to be read
     # as index 1
     grid = grid_of(300, 2, 1)
-    ones = np.ones(grid.theta)
     message = re.escape(f"voxel ({bad!r}, 0, 0): index {bad!r} is not an "
                         f"integer")
-    for read in (lambda v: inhibition_field(grid, v),
-                 lambda v: target_score(grid, v, ones, ones)):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            read(VoxelIndex(bad, 0, 0))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        inhibition_field(grid, VoxelIndex(bad, 0, 0))
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int8])
@@ -207,14 +221,10 @@ def test_table_reads_take_a_numpy_integer_probe_as_its_value(dtype):
     # on a 300-wide grid, 299 - np.uint8(5) used to raise a stray
     # OverflowError ("Python integer 299 out of bounds for uint8")
     grid = grid_of(300, 2, 1)
-    f_saliency = np.linspace(0.5, 2.0, grid.theta)
-    ones = np.ones(grid.theta)
     for ix in (0, 5, 127):
         v, want = VoxelIndex(dtype(ix), dtype(1), dtype(0)), VoxelIndex(ix, 1, 0)
         assert np.array_equal(inhibition_field(grid, v),
                               inhibition_field(grid, want))
-        assert np.array_equal(target_score(grid, v, f_saliency, ones),
-                              target_score(grid, want, f_saliency, ones))
     with pytest.raises(ValueError, match=r"^voxel \(-1, 0, 0\) outside grid"):
         inhibition_field(grid, VoxelIndex(np.int8(-1), 0, 0))
 
@@ -428,7 +438,7 @@ def test_factor_on_the_unit_interval_stays_at_or_above_its_clamp_value(factor):
     assert values.min() >= floor > 0.0
 
 
-def test_target_score_is_positive_normal_and_finite_on_the_unit_interval():
+def test_touch_score_is_positive_normal_and_finite_on_the_unit_interval():
     # every score is a product of one value of each factor, so it lies
     # between the product of their minima and of their maxima over [0, 1]
     x = np.concatenate([[0.0, -0.0, 1.0], np.linspace(0.0, 1.0, 100_001)])
@@ -437,6 +447,14 @@ def test_target_score_is_positive_normal_and_finite_on_the_unit_interval():
     assert lowest >= sys.float_info.min            # positive and normal
     assert lowest == pytest.approx(2.5e-9 * 4e-18 * 3e-12, rel=1e-4)
     assert highest == pytest.approx(30.0, rel=1e-4)
+    # touch's scores over fields at both ends of [0, 1]
+    grid = grid_of(5, 4, 3)
+    rng = np.random.default_rng(3)
+    state = touched_state(grid, rng.integers(0, 2, grid.theta).astype(float),
+                          rng.integers(0, 2, grid.theta).astype(float))
+    for j in range(grid.theta):
+        score = touch_score(state, j)
+        assert lowest <= score.min() and score.max() <= highest
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +581,15 @@ def test_raw_score_selection_equals_posterior_argmax(shape):
     # oracle: the normalized target posterior of the same inputs
     grid = grid_of(*shape)
     rng = np.random.default_rng(5)
+    state = touched_state(grid, rng.uniform(0, 1, grid.theta),
+                          rng.uniform(0, 1, grid.theta))
+    f_saliency, f_uncertainty = state.f_saliency, state.f_uncertainty
     for probe in rng.integers(0, grid.theta, 20):
-        v = grid.voxel_of_linear(int(probe))
-        f_saliency = beta_pdf(SALIENCY_FACTOR, rng.uniform(0, 1, grid.theta))
-        f_uncertainty = beta_pdf(UNCERTAINTY_FACTOR, rng.uniform(0, 1, grid.theta))
-        score = target_score(grid, v, f_saliency, f_uncertainty)
+        j = int(probe)
+        v = grid.voxel_of_linear(j)
+        score = touch_score(state, j)
+        assert np.array_equal(score, reference_score(grid, v, f_saliency,
+                                                     f_uncertainty))
         post, degenerate = target_posterior(inhibition_field(grid, v),
                                             f_saliency, f_uncertainty)
         assert not degenerate
@@ -579,8 +601,11 @@ def test_raw_score_symmetric_ties_go_to_lowest_index():
     # the four neighbours of the centre of a 5x5 grid sit at the same
     # whole-voxel distance, so with flat fields they tie exactly
     grid = grid_of(5, 5, 1)
-    flat = np.ones(grid.theta)
-    score = target_score(grid, VoxelIndex(2, 2, 0), flat, flat)
+    state = touched_state(grid)
+    centre = VoxelIndex(2, 2, 0)
+    score = touch_score(state, grid.linear_index(centre))
+    assert np.array_equal(score, reference_score(grid, centre, state.f_saliency,
+                                                 state.f_uncertainty))
     ties = [grid.linear_index(VoxelIndex(x, y, 0))
             for x, y in ((2, 1), (1, 2), (3, 2), (2, 3))]
     assert len({score[j] for j in ties}) == 1
@@ -596,8 +621,12 @@ def test_step_field_target_is_on_the_step():
     current = VoxelIndex(2, 2, 0)
     uncertainty = np.ones(grid.theta)
     saliency = saliency_field(grid, omega)
-    score = target_score(grid, current, beta_pdf(SALIENCY_FACTOR, saliency),
-                         beta_pdf(UNCERTAINTY_FACTOR, uncertainty))
+    touched = touched_state(grid, omega, uncertainty)
+    assert np.array_equal(touched.saliency, saliency)
+    score = touch_score(touched, grid.linear_index(current))
+    assert np.array_equal(score, reference_score(
+        grid, current, beta_pdf(SALIENCY_FACTOR, saliency),
+        beta_pdf(UNCERTAINTY_FACTOR, uncertainty)))
     state = AttentionState(grid, current, score, uncertainty=uncertainty,
                            omega=omega, saliency=saliency)
     post, _ = posterior_of(state)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import re
@@ -14,6 +15,7 @@ from hapticbayes import (
     TrialConfig,
     VoxelIndex,
     dump_fields,
+    load_library,
     make_grid,
     run_classification_experiment,
     run_exploration_benchmark,
@@ -25,7 +27,7 @@ from hapticbayes import (
 )
 from hapticbayes import bench
 from hapticbayes.bench import write_output
-from hapticbayes.materials import _samples_of_draws
+from hapticbayes.materials import LIBRARY_FIELDS, _samples_of_draws
 from hapticbayes.grid import WorkspaceBounds
 
 
@@ -355,6 +357,55 @@ def test_report_serialization_roundtrip(tmp_path, lib, scenarios):
     assert payload["scenario"] == "scenario-1"
     assert len(payload["trials"]) == 2
     assert payload["trials"][0]["l"] == len(payload["trials"][0]["visited"])
+
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_result_tables_read_back_with_csv_reader(tmp_path, lib, scenarios):
+    # names that hold a comma, a quote and a line break: the confusion
+    # table used to join them unquoted, so a library naming "wood, oak"
+    # gave a 2-material table whose header had 4 fields and whose rows
+    # had 4 and 3; and two scales that :g writes as "1" both read back
+    names = ("wood, oak", 'say "hi"', "two\nlines")
+    with open(tmp_path / "lib.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LIBRARY_FIELDS)
+        for i, name in enumerate(names):
+            writer.writerow((name, 1.0 + 5 * i, 0.5, 2.0 + 5 * i, 0.5))
+    awkward = load_library(tmp_path / "lib.csv")
+    assert awkward.names == list(names)
+    cm = run_classification_experiment(awkward, 7, 2, seed=3)
+    rows = read_csv(write_output(cm, "confusion", tmp_path))
+    assert rows == [["truth\\predicted", *names],
+                    *([name, *map(str, row)] for name, row
+                      in zip(names, cm.counts.tolist()))]
+
+    scales = (1.0000001, 1.0000002)
+    sweep = run_noise_sweep(awkward, [NoiseSpec.uniform(s) for s in scales],
+                            trials=5, k_list=(1, 2), seed=0)
+    rows = read_csv(write_output(sweep, "sweep", tmp_path))
+    assert rows[0] == ["noise_scale", "k_samples", "accuracy"]
+    assert [(float(r[0]), int(r[1]), float(r[2])) for r in rows[1:]] == [
+        (s, k, round(float(acc), 6)) for s, accs in zip(scales, sweep.accuracy)
+        for k, acc in zip((1, 2), accs)]
+    # a scale :g reads back exactly keeps its short label
+    plain = run_noise_sweep(awkward, [NoiseSpec.uniform(0.5)], trials=5,
+                            k_list=(1,), seed=0)
+    assert read_csv(write_output(plain, "plain", tmp_path))[1][0] == "0.5"
+
+    report = run_exploration_benchmark(scenarios[0], lib, 2,
+                                       TrialConfig(seed=0))
+    rows = read_csv(write_output(report, "report", tmp_path))
+    assert {len(r) for r in rows} == {8}
+    assert [r[0] for r in rows[1:]] == ["1", "2", "mean", "std"]
+    for row, trial in zip(rows[1:], report.trials):
+        assert (int(row[1]), int(row[2]), row[5]) == (
+            trial.seed, trial.l, trial.terminated_by)
+        assert float(row[3]) == round(trial.gamma, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ the voxels of the benchmark path, on the bundled scenarios and on
 generated ones.  Its ``TrialState`` refreshes the fields incrementally:
 at every touch they must equal the full recompute of the public field
 functions from the state's own ``PosteriorGrid``, and the score ``touch``
-returns, which the loop selects on, the public ``target_score`` with
-``==``.
+returns, which the loop selects on, the reference product that
+``target_posterior`` normalizes with ``==``.
 """
 
 import numpy as np
@@ -36,7 +36,8 @@ from hapticbayes import (
     saliency_field,
     uncertainty_field,
 )
-from hapticbayes.attention import TrialState, target_score
+from hapticbayes.attention import TrialState
+from reference_loop import reference_score
 from test_loop_properties import FIXED
 
 # an oracle CI also runs with numpy's SIMD dispatch disabled (-m dispatch_oracle)
@@ -110,7 +111,7 @@ def test_trial_state_equals_a_full_recompute_at_every_touch(lib, scenarios,
                                                             monkeypatch, case):
     # after every touch the state's fields equal the public field functions
     # of its own posteriors, by their bytes, and the score the loop selects
-    # on equals the public, checked target_score on them
+    # on equals the reference product of those fields
     touch = TrialState.touch
     scored = []
 
@@ -126,8 +127,8 @@ def test_trial_state_equals_a_full_recompute_at_every_touch(lib, scenarios,
                 (state.f_uncertainty, beta_pdf(UNCERTAINTY_FACTOR, uncertainty)),
                 (state.f_saliency, beta_pdf(SALIENCY_FACTOR, saliency))):
             assert bits(got) == bits(want), j
-        want = target_score(grid, grid.voxel_of_linear(j), state.f_saliency,
-                            state.f_uncertainty)
+        want = reference_score(grid, grid.voxel_of_linear(j),
+                               state.f_saliency, state.f_uncertainty)
         assert score.shape == want.shape and np.all(score == want), j
         scored.append(j)
         return score
